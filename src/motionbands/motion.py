@@ -10,6 +10,12 @@ Direction is the angle of the spatial gradient oriented along the apparent
 motion: the gradient of the mean frame, sign-corrected by the temporal
 difference, so a bright object moving right votes into the 0-degree bin on
 both its leading and trailing edges.
+
+Extraction costs a few integer passes over the frame plus work in
+proportion to the pixels whose ``|curr - prev|`` clears the noise floor;
+only those pixels get a gradient, a direction and a block vote. With a
+noise floor of 0 every pixel is active and the cost is that of a dense
+pass.
 """
 
 from __future__ import annotations
@@ -32,7 +38,11 @@ _SOBEL_MAX = 4.0 * math.sqrt(2.0) * 255.0
 
 @dataclass(frozen=True)
 class GrayFrame:
-    """Single grayscale frame, row-major luminance in [0, 255]."""
+    """Single grayscale frame, row-major luminance in [0, 255].
+
+    Pixels must be real numbers, finite and within [0, 255]; anything else
+    is rejected here rather than turning into NaN densities downstream.
+    """
 
     pixels: np.ndarray
     timestamp_ms: int = 0
@@ -41,6 +51,11 @@ class GrayFrame:
         px = np.asarray(self.pixels)
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
             raise RejectedInputError(f"expected 2-D pixel array, got shape {px.shape}")
+        if px.dtype.kind not in "biuf":
+            raise RejectedInputError(f"pixels must be real numbers, got dtype {px.dtype}")
+        # NaN fails both comparisons, so this also rejects non-finite pixels.
+        if px.dtype != np.uint8 and not (px.min() >= 0 and px.max() <= 255):
+            raise RejectedInputError("pixels must be finite and within [0, 255]")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -127,21 +142,6 @@ class MotionFrame:
         return self.density.shape == other.density.shape
 
 
-def _sobel(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel gradients with edge-replicated borders.
-
-    Returns (gx, gy) where gy is positive toward increasing row index.
-    """
-    p = np.pad(img, 1, mode="edge")
-    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
-    )
-    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
-    )
-    return gx, gy
-
-
 def extract_motion(
     prev: GrayFrame,
     curr: GrayFrame,
@@ -149,6 +149,13 @@ def extract_motion(
     noise_floor: float = 8.0,
 ) -> MotionFrame:
     """Reduce a frame pair to block-motion features.
+
+    The cost is a few integer passes over the frame (difference, threshold,
+    sum image) plus work proportional to the number of *active* pixels,
+    those with ``|curr - prev| >= noise_floor``: only they get a Sobel
+    gradient, a direction and a block vote. ``noise_floor=0`` makes every
+    pixel active. Integer pixel arrays are processed in ``int16``, so the
+    gradients are exact; other dtypes use ``float64``.
 
     Parameters
     ----------
@@ -169,50 +176,68 @@ def extract_motion(
     """
     if block_size < 1:
         raise InvalidParameterError(f"block_size must be >= 1, got {block_size}")
-    if noise_floor < 0:
+    if not noise_floor >= 0:
         raise InvalidParameterError(f"noise_floor must be >= 0, got {noise_floor}")
     if prev.pixels.shape != curr.pixels.shape:
         raise RejectedInputError(
             f"frame dimensions differ: {prev.pixels.shape} vs {curr.pixels.shape}"
         )
 
-    p = prev.pixels.astype(np.float64)
-    c = curr.pixels.astype(np.float64)
-    h, w = c.shape
+    h, w = curr.pixels.shape
+    integral = prev.pixels.dtype.kind in "biu" and curr.pixels.dtype.kind in "biu"
+    work = np.int16 if integral else np.float64
+    # Integer differences are whole numbers (at most 255 in magnitude), so
+    # the rounded-up floor selects the same pixels.
+    floor = math.ceil(min(noise_floor, 256.0)) if integral else noise_floor
 
-    signed = c - p
-    diff = np.abs(signed)
-    diff[diff < noise_floor] = 0.0
+    signed = np.subtract(curr.pixels, prev.pixels, dtype=work).ravel()
+    active = np.flatnonzero(np.abs(signed) >= floor)
+    signed = signed[active]
 
-    gx, gy = _sobel((p + c) * 0.5)
-    gmag = np.hypot(gx, gy)
+    # Sobel of the mean frame is half the Sobel of the sum frame, which is
+    # exact in int16. Neighbours are gathered from the flattened,
+    # edge-padded sum at the active pixels only.
+    total = np.pad(np.add(prev.pixels, curr.pixels, dtype=work), 1, mode="edge").ravel()
+    row, col = np.divmod(active, w)
+    # ``corner`` indexes each active pixel's top-left neighbour in the
+    # padded sum; the neighbour ``k`` places further on is total[k:][corner].
+    wp = w + 2
+    corner = active + 2 * row
+    nw, n, ne, west, east, sw, s, se = (
+        total[k:][corner] for k in (0, 1, 2, wp, wp + 2, 2 * wp, 2 * wp + 1, 2 * wp + 2)
+    )
+    gx = ((ne + 2 * east + se) - (nw + 2 * west + sw)) * 0.5
+    gy = ((sw + 2 * s + se) - (nw + 2 * n + ne)) * 0.5
     # Per-pixel weight in [0, 1]; zero wherever either factor vanishes.
-    weight = (diff / 255.0) * (gmag / _SOBEL_MAX)
+    weight = (np.abs(signed) / 255.0) * (np.hypot(gx, gy) / _SOBEL_MAX)
 
     grid_h = -(-h // block_size)
     grid_w = -(-w // block_size)
-    brow = np.arange(h) // block_size
-    bcol = np.arange(w) // block_size
-    flat = (brow[:, None] * grid_w + bcol[None, :]).ravel()
-
-    counts = np.bincount(flat, minlength=grid_h * grid_w).astype(np.float64)
-    density = np.bincount(flat, weights=weight.ravel(), minlength=grid_h * grid_w)
-    density = (density / counts).reshape(grid_h, grid_w)
+    n_blocks = grid_h * grid_w
+    block = (row // block_size) * grid_w + col // block_size
+    counts = np.outer(
+        np.minimum(block_size, h - block_size * np.arange(grid_h)),
+        np.minimum(block_size, w - block_size * np.arange(grid_w)),
+    )
+    density = np.bincount(block, weights=weight, minlength=n_blocks).reshape(grid_h, grid_w)
 
     # Motion direction: gradient of the mean frame, sign-corrected by the
     # temporal difference (y measured upward, i.e. toward decreasing rows).
-    moving = weight.ravel() > 0.0
-    hist = np.zeros(grid_h * grid_w * N_DIR_BINS)
-    if moving.any():
-        vx = (-np.sign(signed) * gx).ravel()[moving]
-        vy = (np.sign(signed) * gy).ravel()[moving]
-        ang = np.arctan2(vy, vx)
-        bins = np.round(ang / (math.pi / 4.0)).astype(np.int64) % N_DIR_BINS
-        idx = flat[moving] * N_DIR_BINS + bins
-        hist = np.bincount(idx, weights=weight.ravel()[moving], minlength=hist.size)
-    dir_hist = hist.reshape(grid_h, grid_w, N_DIR_BINS) / counts.reshape(grid_h, grid_w, 1)
+    # Zero-weight pixels vote nothing.
+    sign = np.sign(signed)
+    ang = np.arctan2(sign * gy, -sign * gx)
+    # Angles round to bins -4..4; N_DIR_BINS is a power of two, so the mask
+    # wraps them like ``% N_DIR_BINS`` at a fraction of the cost.
+    bins = np.round(ang / (math.pi / 4.0)).astype(np.int64) & (N_DIR_BINS - 1)
+    hist = np.bincount(
+        block * N_DIR_BINS + bins, weights=weight, minlength=n_blocks * N_DIR_BINS
+    ).reshape(grid_h, grid_w, N_DIR_BINS)
 
-    return MotionFrame(density=density, dir_hist=dir_hist, timestamp_ms=curr.timestamp_ms)
+    return MotionFrame(
+        density=density / counts,
+        dir_hist=hist / counts[..., None],
+        timestamp_ms=curr.timestamp_ms,
+    )
 
 
 def aggregate_minute(frames: Sequence[MotionFrame]) -> MotionFrame:

@@ -70,6 +70,81 @@ def _oracle_features(prev, curr, block_size, noise_floor):
     return dens / counts, hist / counts[..., None]
 
 
+def _reference_sobel(img):
+    p = np.pad(img, 1, mode="edge")
+    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (
+        p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
+    )
+    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (
+        p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
+    )
+    return gx, gy
+
+
+def _reference_extract(prev, curr, block_size, noise_floor):
+    """Full-frame float64 extraction, kept as the oracle for the
+    active-pixel implementation: (density, dir_hist)."""
+    p = prev.astype(np.float64)
+    c = curr.astype(np.float64)
+    h, w = c.shape
+
+    signed = c - p
+    diff = np.abs(signed)
+    diff[diff < noise_floor] = 0.0
+
+    gx, gy = _reference_sobel((p + c) * 0.5)
+    gmag = np.hypot(gx, gy)
+    weight = (diff / 255.0) * (gmag / SOBEL_MAX)
+
+    grid_h = -(-h // block_size)
+    grid_w = -(-w // block_size)
+    brow = np.arange(h) // block_size
+    bcol = np.arange(w) // block_size
+    flat = (brow[:, None] * grid_w + bcol[None, :]).ravel()
+
+    counts = np.bincount(flat, minlength=grid_h * grid_w).astype(np.float64)
+    density = np.bincount(flat, weights=weight.ravel(), minlength=grid_h * grid_w)
+    density = (density / counts).reshape(grid_h, grid_w)
+
+    moving = weight.ravel() > 0.0
+    hist = np.zeros(grid_h * grid_w * 8)
+    if moving.any():
+        vx = (-np.sign(signed) * gx).ravel()[moving]
+        vy = (np.sign(signed) * gy).ravel()[moving]
+        ang = np.arctan2(vy, vx)
+        bins = np.round(ang / (math.pi / 4.0)).astype(np.int64) % 8
+        idx = flat[moving] * 8 + bins
+        hist = np.bincount(idx, weights=weight.ravel()[moving], minlength=hist.size)
+    dir_hist = hist.reshape(grid_h, grid_w, 8) / counts.reshape(grid_h, grid_w, 1)
+    return density, dir_hist
+
+
+@st.composite
+def _frame_pairs(draw):
+    """(prev, curr) pixel arrays: identical, sparsely changed or dense random."""
+    h = draw(st.integers(1, 70))
+    w = draw(st.integers(1, 90))
+    kind = draw(st.sampled_from(["identical", "sparse", "dense"]))
+    dtype = draw(st.sampled_from([np.uint8, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pixels():
+        if dtype is np.uint8:
+            return rng.integers(0, 256, (h, w)).astype(np.uint8)
+        return rng.uniform(0, 255, (h, w))
+
+    prev = pixels()
+    if kind == "identical":
+        curr = prev.copy()
+    elif kind == "dense":
+        curr = pixels()
+    else:
+        curr = prev.copy()
+        changed = rng.random((h, w)) < 0.03
+        curr[changed] = pixels()[changed]
+    return prev, curr
+
+
 def _gray(arr, t=0):
     return GrayFrame(pixels=np.asarray(arr, dtype=np.uint8), timestamp_ms=t)
 
@@ -132,9 +207,6 @@ class TestExtractMotion:
         _, hist = _oracle_features(prev.pixels, curr.pixels, 16, 0)
         np.testing.assert_allclose(mf.dir_hist, hist, atol=1e-12)
 
-        _, hist = _oracle_features(prev.pixels, curr.pixels, 16, 0)
-        np.testing.assert_allclose(mf.dir_hist, hist, atol=1e-12)
-
     def test_oracle_agreement_on_random_frames(self):
         rng = np.random.default_rng(42)
         prev = rng.integers(0, 256, (33, 41), dtype=np.uint8)  # truncated edge blocks
@@ -161,6 +233,23 @@ class TestExtractMotion:
             extract_motion(f, f, block_size=0)
         with pytest.raises(InvalidParameterError):
             extract_motion(f, f, noise_floor=-1)
+        with pytest.raises(InvalidParameterError):
+            extract_motion(f, f, noise_floor=math.nan)
+
+    @given(
+        pair=_frame_pairs(),
+        block_size=st.one_of(st.sampled_from([1, 128]), st.integers(2, 40)),
+        noise_floor=st.sampled_from([0, 0.5, 7.5, 8, 255]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_frame_reference(self, pair, block_size, noise_floor):
+        prev, curr = pair
+        mf = extract_motion(
+            GrayFrame(prev), GrayFrame(curr), block_size=block_size, noise_floor=noise_floor
+        )
+        dens, hist = _reference_extract(prev, curr, block_size, noise_floor)
+        np.testing.assert_allclose(mf.density, dens, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(mf.dir_hist, hist, rtol=0, atol=1e-9)
 
     @given(seed=st.integers(0, 2**31 - 1), floor=st.floats(0, 64))
     @settings(max_examples=25, deadline=None)
@@ -188,6 +277,30 @@ class TestExtractMotion:
             img = rng.integers(0, 256, (20, 28), dtype=np.uint8)
             mf = extract_motion(_gray(img), _gray(img), block_size=7, noise_floor=0)
             assert np.all(mf.density == 0) and np.all(mf.dir_hist == 0)
+
+
+class TestGrayFrame:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -0.5, 255.5, 256.0])
+    def test_bad_float_pixel_rejected(self, bad):
+        px = np.full((4, 5), 100.0)
+        px[2, 3] = bad
+        with pytest.raises(RejectedInputError):
+            GrayFrame(px)
+
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_out_of_range_integer_pixel_rejected(self, bad):
+        px = np.full((4, 5), 100, dtype=np.int64)
+        px[0, 0] = bad
+        with pytest.raises(RejectedInputError):
+            GrayFrame(px)
+
+    def test_non_numeric_pixels_rejected(self):
+        with pytest.raises(RejectedInputError):
+            GrayFrame(np.full((2, 2), 1 + 1j))
+
+    def test_range_limits_accepted(self):
+        for px in (np.array([[0.0, 255.0]]), np.array([[0, 255]]), np.array([[True, False]])):
+            assert GrayFrame(px).pixels.shape == (1, 2)
 
 
 class TestAggregateMinute:

@@ -9,6 +9,10 @@ arrive once per slot per day; the EMA constant is parameterized by a
 The first observation of a slot initializes the mean directly instead of
 blending with the all-zero prior, avoiding a multi-day warm-up bias.
 
+``binarize`` caches the support mask of the last epsilon asked for;
+``update`` drops it, and a freshly constructed or loaded store starts
+without one. Callers get a copy, so they cannot alter the cached mask.
+
 File format (little-endian): magic ``ISO1``, version u16, decay span f64,
 length-prefixed camera id, grid dims u16 x2, then 1440 slots of
 (density mean f64[gh*gw], direction bins f64[gh*gw*8], density variance
@@ -56,6 +60,7 @@ class IsochronalStore:
         self._mean_hist = np.zeros((MINUTES_PER_DAY, grid_h, grid_w, N_DIR_BINS))
         self._var = np.zeros((MINUTES_PER_DAY, grid_h, grid_w))
         self._days = np.zeros(MINUTES_PER_DAY, dtype=np.uint32)
+        self._support: tuple[float, np.ndarray] | None = None  # (epsilon, mask)
 
     # ------------------------------------------------------------------ update
 
@@ -76,6 +81,7 @@ class IsochronalStore:
                 f"sample grid {(sample.grid_h, sample.grid_w)} does not match "
                 f"store grid {(self.grid_h, self.grid_w)}"
             )
+        self._support = None
         a = self.alpha_l2
         if self._days[minute] == 0:
             self._mean_density[minute] = sample.density
@@ -114,10 +120,12 @@ class IsochronalStore:
 
     def binarize(self, epsilon: float = 1e-3) -> np.ndarray:
         """Time-collapsed support mask: per block, 1 iff any minute's mean
-        density exceeds ``epsilon``."""
-        if epsilon < 0:
+        density exceeds ``epsilon``. Cached until the next ``update``."""
+        if not epsilon >= 0:
             raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-        return (self._mean_density.max(axis=0) > epsilon).astype(np.uint8)
+        if self._support is None or self._support[0] != epsilon:
+            self._support = (epsilon, (self._mean_density.max(axis=0) > epsilon).astype(np.uint8))
+        return self._support[1].copy()
 
     def minute_curve(self) -> np.ndarray:
         """Block-averaged mean activity per minute, shape (1440,)."""

@@ -7,6 +7,12 @@ is empty: if no person ever crosses a location, the planner treats it as
 untraversable. Real-time planning blends that long-term cost with the
 current short-term bands.
 
+Pricing is per camera: ``_price_cameras`` computes one activity price,
+feasibility flag and staleness flag per camera and query, and a segment
+costs its traversal cost plus its camera's price; ``cost1`` and ``cost2``
+sum the same prices. A query therefore costs per camera and expanded
+node, not per segment. Support masks are cached by the stores.
+
 The planner is a uniform-cost search over non-negative additive edge
 costs; ties break on fewer edges, then lexicographic node ids.
 
@@ -24,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import yaml
@@ -81,9 +87,12 @@ class PathGraph:
                 raise RejectedInputError(
                     f"segment {seg.segment_id} references unknown node ({seg.u}, {seg.v})"
                 )
+            if seg.segment_id in self.segments:
+                raise RejectedInputError(f"duplicate segment id {seg.segment_id!r}")
             self.segments[seg.segment_id] = seg
             self._adj[seg.u].append(seg)
             self._adj[seg.v].append(seg)
+        self.camera_ids = sorted({seg.camera_id for seg in segments if seg.camera_id is not None})
 
     def neighbors(self, node_id: str) -> list[tuple[str, Segment]]:
         out = []
@@ -137,22 +146,87 @@ class PlanCost:
     degraded: bool = False
 
 
-def _segment_feasible(seg: Segment, profiles: Mapping[str, np.ndarray]) -> bool:
-    # Segments without coverage are never excluded: no camera is not
-    # evidence that people avoid the spot.
-    if seg.camera_id is None:
-        return True
-    profile = profiles.get(seg.camera_id)
-    if profile is None:
-        return True
-    return bool(profile.any())
+@dataclass(frozen=True)
+class _CameraPrice:
+    """One camera's terms for one query, shared by every segment it covers."""
+
+    activity: float
+    feasible: bool = True
+    stale: bool = False
 
 
-def _store_profile(stores: Mapping[str, IsochronalStore], seg: Segment, minute: int):
-    if seg.camera_id is None or seg.camera_id not in stores:
-        return None
-    mean, _, _ = stores[seg.camera_id].query(minute)
-    return mean
+_UNCOVERED = _CameraPrice(0.0)
+
+
+def _price_cameras(
+    cameras: Iterable[str],
+    query: PlanQuery,
+    stores: Mapping[str, IsochronalStore],
+    profiles: Mapping[str, np.ndarray],
+    live_bands: Mapping[str, BandOutputs],
+) -> dict[str, _CameraPrice]:
+    """The planner's edge cost, per camera: a covered segment costs its
+    traversal cost plus its camera's ``activity``.
+
+    Off-line, activity is lam times the learned mean activity at
+    ``t_star`` (0 without a store). Real-time, it is w1 times that at the
+    current minute plus w2 times the live short-term activity; live bands
+    that are missing, older than ``staleness_s`` or non-finite are left
+    out and the camera is marked stale. A camera whose support profile is
+    empty is infeasible.
+    """
+    if query.lam <= 0:
+        raise InvalidParameterError(f"lam must be > 0, got {query.lam}")
+    realtime = query.mode == MODE_REALTIME
+    minute = minute_of_day(query.t_ms) if realtime else query.t_star
+    prices = {}
+    for cam in cameras:
+        profile = profiles.get(cam)
+        # No profile is not evidence that people avoid the spot.
+        feasible = profile is None or bool(profile.any())
+        store = stores.get(cam)
+        longterm = 0.0 if store is None else query.lam * store.scalar_stats(minute)[0]
+        if not realtime:
+            prices[cam] = _CameraPrice(longterm, feasible)
+            continue
+        live = 0.0
+        bands = live_bands.get(cam)
+        stale = bands is None or abs(query.t_ms - bands.timestamp_ms) > query.staleness_s * 1000.0
+        if not stale:
+            live = segment_cost(bands.m_s1, query.lam)
+            if query.include_moving:
+                live += segment_cost(bands.m_s2, query.lam)
+            if not math.isfinite(live):
+                live, stale = 0.0, True
+        prices[cam] = _CameraPrice(query.w1 * longterm + query.w2 * live, feasible, stale)
+    return prices
+
+
+def _route_cost(
+    segment_ids: list[str],
+    graph: PathGraph,
+    query: PlanQuery,
+    stores: Mapping[str, IsochronalStore],
+    profiles: Mapping[str, np.ndarray],
+    live_bands: Mapping[str, BandOutputs],
+) -> PlanCost:
+    """Sum of the planner's activity prices over a segment sequence."""
+    segs = []
+    for sid in segment_ids:
+        if sid not in graph.segments:
+            raise UnknownSegmentError(sid)
+        segs.append(graph.segments[sid])
+    cameras = {seg.camera_id for seg in segs if seg.camera_id is not None}
+    prices = _price_cameras(cameras, query, stores, profiles, live_bands)
+    total = 0.0
+    degraded = False
+    for seg in segs:
+        price = _UNCOVERED if seg.camera_id is None else prices[seg.camera_id]
+        if not price.feasible:
+            return PlanCost(value=math.inf, feasible=False)
+        total += price.activity
+        degraded = degraded or price.stale
+    return PlanCost(value=total, feasible=True, degraded=degraded)
 
 
 def cost1(
@@ -168,15 +242,8 @@ def cost1(
     Infeasible (non-finite) when any covered segment has an empty binary
     profile.
     """
-    total = 0.0
-    for sid in segment_ids:
-        if sid not in graph.segments:
-            raise UnknownSegmentError(sid)
-        seg = graph.segments[sid]
-        if not _segment_feasible(seg, profiles):
-            return PlanCost(value=math.inf, feasible=False)
-        total += segment_cost(_store_profile(stores, seg, t_star), lam)
-    return PlanCost(value=total, feasible=True)
+    query = PlanQuery("", "", MODE_OFFLINE, t_star=t_star, lam=lam)
+    return _route_cost(segment_ids, graph, query, stores, profiles, {})
 
 
 def cost2(
@@ -194,37 +261,21 @@ def cost2(
     """Real-time cost: w1 x off-line cost at the current minute plus w2 x
     live short-term activity.
 
-    Live bands older than ``staleness_s`` (or missing) are dropped from
-    the w2 term and the result is flagged degraded.
+    Live bands older than ``staleness_s``, missing or non-finite are
+    dropped from the w2 term and the result is flagged degraded.
     """
-    if w1 < 0 or w2 < 0:
-        raise InvalidParameterError("weights must be >= 0")
-    if w1 + w2 <= 0:
-        raise InvalidParameterError("w1 + w2 must be > 0 in real-time mode")
-    offline = cost1(segment_ids, minute_of_day(t_ms), graph, stores, profiles_from_stores(stores), lam)
-    if not offline.feasible:
-        return offline
-
-    live_total = 0.0
-    degraded = False
-    for sid in segment_ids:
-        seg = graph.segments[sid]
-        if seg.camera_id is None:
-            continue
-        bands = live_bands.get(seg.camera_id)
-        if bands is None or abs(t_ms - bands.timestamp_ms) > staleness_s * 1000.0:
-            degraded = True
-            continue
-        live_total += segment_cost(bands.m_s1, lam)
-        if include_moving:
-            live_total += segment_cost(bands.m_s2, lam)
-    return PlanCost(value=w1 * offline.value + w2 * live_total, feasible=True, degraded=degraded)
+    query = PlanQuery(
+        "", "", MODE_REALTIME, t_ms=t_ms, w1=w1, w2=w2, lam=lam,
+        staleness_s=staleness_s, include_moving=include_moving,
+    )
+    return _route_cost(segment_ids, graph, query, stores, profiles_from_stores(stores), live_bands)
 
 
 def profiles_from_stores(
     stores: Mapping[str, IsochronalStore], epsilon: float = 1e-3
 ) -> dict[str, np.ndarray]:
-    """Binary support profiles for every camera with a store."""
+    """Binary support profiles for every camera with a store (each store
+    caches its mask until its next update)."""
     return {cam: store.binarize(epsilon) for cam, store in stores.items()}
 
 
@@ -272,6 +323,10 @@ class PlanResult:
     segments: list[SegmentBreakdown] = field(default_factory=list)
     total_cost: float = math.inf
     degraded: bool = False
+    # Graph-wide, sorted: cameras whose segments were excluded as never
+    # active, and cameras priced long-term only (real-time queries).
+    excluded_cameras: list[str] = field(default_factory=list)
+    stale_cameras: list[str] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
         return {
@@ -283,33 +338,9 @@ class PlanResult:
                 {"id": s.segment_id, "base": s.base, "activity": s.activity}
                 for s in self.segments
             ],
+            "excluded_cameras": self.excluded_cameras,
+            "stale_cameras": self.stale_cameras,
         }
-
-
-def _edge_activity(
-    seg: Segment,
-    query: PlanQuery,
-    stores: Mapping[str, IsochronalStore],
-    profiles: Mapping[str, np.ndarray],
-    live_bands: Mapping[str, BandOutputs],
-) -> tuple[float, bool]:
-    """Per-edge (activity cost, degraded flag) in the query's mode."""
-    if query.mode == MODE_OFFLINE:
-        return segment_cost(_store_profile(stores, seg, query.t_star), query.lam), False
-
-    minute = minute_of_day(query.t_ms)
-    longterm = segment_cost(_store_profile(stores, seg, minute), query.lam)
-    live = 0.0
-    degraded = False
-    if seg.camera_id is not None:
-        bands = live_bands.get(seg.camera_id)
-        if bands is None or abs(query.t_ms - bands.timestamp_ms) > query.staleness_s * 1000.0:
-            degraded = True
-        else:
-            live = segment_cost(bands.m_s1, query.lam)
-            if query.include_moving:
-                live += segment_cost(bands.m_s2, query.lam)
-    return query.w1 * longterm + query.w2 * live, degraded
 
 
 def plan_path(
@@ -334,50 +365,48 @@ def plan_path(
         raise InvalidParameterError("origin and goal must differ")
 
     profiles = profiles_from_stores(stores, profile_epsilon)
+    prices = _price_cameras(graph.camera_ids, query, stores, profiles, live_bands)
+    explain = {
+        "excluded_cameras": sorted(cam for cam, p in prices.items() if not p.feasible),
+        "stale_cameras": sorted(cam for cam, p in prices.items() if p.stale),
+    }
 
-    edge_cost: dict[str, tuple[float, float, bool]] = {}
-    for sid, seg in graph.segments.items():
-        if not _segment_feasible(seg, profiles):
-            continue
-        activity, degraded = _edge_activity(seg, query, stores, profiles, live_bands)
-        edge_cost[sid] = (seg.traversal_cost, activity, degraded)
+    def price(seg: Segment) -> _CameraPrice:
+        return _UNCOVERED if seg.camera_id is None else prices[seg.camera_id]
 
     # Priority embeds the tie-break: cost, then hop count, then the node id
-    # sequence. All components only grow along an edge, so the first goal
-    # pop is optimal under the full ordering.
-    start = (0.0, 0, (query.origin,), [])
-    heap = [start]
-    best: dict[str, tuple[float, int, tuple[str, ...]]] = {}
+    # sequence. Every key grows strictly along an edge, so a node's first
+    # pop carries its best key and settles it; ``via`` maps each settled
+    # node to the segment it was reached by.
+    heap: list[tuple[float, int, tuple[str, ...], str | None]] = [(0.0, 0, (query.origin,), None)]
+    via: dict[str, str | None] = {}
     while heap:
-        cost, hops, path, seg_ids = heapq.heappop(heap)
+        cost, hops, path, seg_id = heapq.heappop(heap)
         node = path[-1]
-        key = (cost, hops, path)
-        if node in best and best[node] <= key:
+        if node in via:
             continue
-        best[node] = key
+        via[node] = seg_id
         if node == query.goal:
-            breakdown = []
-            degraded = False
-            for sid in seg_ids:
-                base, activity, dg = edge_cost[sid]
-                breakdown.append(SegmentBreakdown(sid, base, activity))
-                degraded = degraded or dg
+            segs = [graph.segments[via[n]] for n in path[1:]]
             return PlanResult(
                 found=True,
                 nodes=list(path),
-                segments=breakdown,
+                segments=[SegmentBreakdown(s.segment_id, s.traversal_cost, price(s).activity) for s in segs],
                 total_cost=cost,
-                degraded=degraded,
+                degraded=any(price(s).stale for s in segs),
+                **explain,
             )
         for other, seg in graph.neighbors(node):
-            if other in path or seg.segment_id not in edge_cost:
+            if other in via:
                 continue
-            base, activity, _ = edge_cost[seg.segment_id]
+            p = price(seg)
+            if not p.feasible:
+                continue
             heapq.heappush(
                 heap,
-                (cost + base + activity, hops + 1, path + (other,), seg_ids + [seg.segment_id]),
+                (cost + seg.traversal_cost + p.activity, hops + 1, path + (other,), seg.segment_id),
             )
-    return PlanResult(found=False)
+    return PlanResult(found=False, **explain)
 
 
 # ---------------------------------------------------------------------------
@@ -466,34 +495,42 @@ def splat_activity(
     by + 0.5) to world meters; each block's density lands in the containing
     cell, scaled and clipped to [0, 254]. Blocks falling outside the map
     are skipped and counted. The combined map is the element-wise max of
-    the static and activity layers.
+    the static and activity layers. A non-finite homography or density is
+    rejected, naming the camera.
     """
-    if density_scale <= 0:
+    if not density_scale > 0:
         raise InvalidParameterError("density_scale must be > 0")
-    activity = np.zeros(static_map.cells.shape, dtype=np.uint8)
+    rows, cols = static_map.cells.shape
+    activity = np.zeros((rows, cols), dtype=np.uint8)
     skipped = 0
     touched = 0
     for cam_id, frame in sorted(activity_frames.items()):
         h = np.asarray(homographies[cam_id], dtype=np.float64)
         if h.shape != (3, 3):
             raise RejectedInputError(f"homography for {cam_id} must be 3x3, got {h.shape}")
-        for by in range(frame.grid_h):
-            for bx in range(frame.grid_w):
-                d = frame.density[by, bx]
-                if d <= 0:
-                    continue
-                vec = h @ np.array([bx + 0.5, by + 0.5, 1.0])
-                if vec[2] == 0:
-                    skipped += 1
-                    continue
-                cell = static_map.cell_of(vec[0] / vec[2], vec[1] / vec[2])
-                if cell is None:
-                    skipped += 1
-                    continue
-                cost = min(LETHAL_COST, int(round(d * density_scale)))
-                if cost > activity[cell]:
-                    activity[cell] = cost
-                touched += 1
+        if not np.isfinite(h).all():
+            raise RejectedInputError(f"homography for {cam_id} is not finite")
+        if not np.isfinite(frame.density).all():
+            raise RejectedInputError(f"activity frame for {cam_id} has non-finite density")
+        by, bx = np.nonzero(frame.density > 0)
+        # One 3x3 @ 3x1 product per block, batched: the same per-block
+        # matrix-vector arithmetic (and rounding) as a loop over blocks.
+        pts = np.ones((by.size, 3, 1))
+        pts[:, 0, 0] = bx + 0.5
+        pts[:, 1, 0] = by + 0.5
+        vec = (h @ pts)[:, :, 0]
+        # Points at infinity (w = 0, or a ratio that overflows) come out
+        # inf or NaN and fail the bounds test: they are off the map.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            col = np.floor((vec[:, 0] / vec[:, 2] - static_map.origin_x) / static_map.resolution_m)
+            row = np.floor((vec[:, 1] / vec[:, 2] - static_map.origin_y) / static_map.resolution_m)
+        inside = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
+        d = frame.density[by[inside], bx[inside]]
+        cost = np.minimum(np.rint(d * density_scale), LETHAL_COST).astype(np.uint8)
+        np.maximum.at(activity, (row[inside].astype(np.intp), col[inside].astype(np.intp)), cost)
+        n_inside = int(inside.sum())
+        touched += n_inside
+        skipped += by.size - n_inside
     combined = static_map.copy()
     combined.cells = np.maximum(static_map.cells, activity)
     return combined, ExportReport(cells_touched=touched, blocks_skipped=skipped)

@@ -151,6 +151,56 @@ class TestBinarize:
                 assert np.all(flags <= previous)
             previous = flags
 
+    def test_negative_or_nan_epsilon_rejected(self):
+        store = IsochronalStore("cam0", 2, 2)
+        for eps in (-1e-3, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                store.binarize(eps)
+
+
+class TestBinarizeCache:
+    def test_update_raising_a_slot_sets_its_block(self):
+        store = IsochronalStore("cam0", 2, 1)
+        assert store.binarize(0.01).tolist() == [[0, 0]]
+        store.update(5, _frame([[0.0, 1.0]]))
+        assert store.binarize(0.01).tolist() == [[0, 1]]
+
+    def test_update_lowering_a_slot_clears_its_block(self):
+        store = IsochronalStore("cam0", 2, 1)
+        store.update(5, _frame([[0.0, 0.02]]))
+        assert store.binarize(0.01).tolist() == [[0, 1]]
+        while store.query(5)[0].density[0, 1] > 0.01:
+            store.update(5, _frame([[0.0, 0.0]]))
+            # The cache may only be reused while the slot is unchanged.
+            expected = int(store.query(5)[0].density[0, 1] > 0.01)
+            assert store.binarize(0.01).tolist() == [[0, expected]]
+        assert store.binarize(0.01).tolist() == [[0, 0]]
+
+    def test_other_epsilon_is_not_served_from_cache(self):
+        store = IsochronalStore("cam0", 2, 1)
+        store.update(5, _frame([[0.05, 0.5]]))
+        assert store.binarize(0.01).tolist() == [[1, 1]]
+        assert store.binarize(0.1).tolist() == [[0, 1]]
+        assert store.binarize(0.01).tolist() == [[1, 1]]
+
+    def test_mutating_a_returned_mask_leaves_the_store_alone(self):
+        store = IsochronalStore("cam0", 2, 1)
+        store.update(5, _frame([[0.0, 1.0]]))
+        mask = store.binarize(0.01)
+        mask[:] = 7
+        assert store.binarize(0.01).tolist() == [[0, 1]]
+
+    def test_freshly_loaded_store(self, tmp_path):
+        store = IsochronalStore("cam0", 2, 1)
+        store.update(5, _frame([[0.0, 1.0]]))
+        path = tmp_path / "cam0.iso"
+        store.save(path)
+        loaded = IsochronalStore.load(path)
+        assert loaded.binarize(0.01).tolist() == [[0, 1]]
+        loaded.update(6, _frame([[1.0, 0.0]]))
+        assert loaded.binarize(0.01).tolist() == [[1, 1]]
+        assert store.binarize(0.01).tolist() == [[0, 1]]
+
 
 class TestPersistence:
     def test_fresh_round_trip(self, tmp_path):

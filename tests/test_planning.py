@@ -1,19 +1,26 @@
+import heapq
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from motionbands.errors import InvalidParameterError, UnknownSegmentError
+from motionbands.errors import InvalidParameterError, RejectedInputError, UnknownSegmentError
 from motionbands.filters import BandOutputs
 from motionbands.isochron import IsochronalStore
 from motionbands.motion import MotionFrame
 from motionbands.planning import (
+    LETHAL_COST,
+    MODE_OFFLINE,
     CostMap,
     Node,
     PathGraph,
     PlanQuery,
+    PlanResult,
     Segment,
+    SegmentBreakdown,
     cost1,
     cost2,
     plan_path,
@@ -147,6 +154,110 @@ class TestCost2:
         assert res.value == pytest.approx(0.5 * (2.0 + 2.0) + 0.5 * (3.0 + 3.0))
 
 
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-segment pricing, search and per-block
+# splat loop the planner used before pricing became per camera. The
+# planner must reproduce them exactly.
+# ---------------------------------------------------------------------------
+
+def _reference_segment_feasible(seg, profiles):
+    if seg.camera_id is None:
+        return True
+    profile = profiles.get(seg.camera_id)
+    if profile is None:
+        return True
+    return bool(profile.any())
+
+
+def _reference_store_profile(stores, seg, minute):
+    if seg.camera_id is None or seg.camera_id not in stores:
+        return None
+    mean, _, _ = stores[seg.camera_id].query(minute)
+    return mean
+
+
+def _reference_edge_activity(seg, query, stores, profiles, live_bands):
+    if query.mode == MODE_OFFLINE:
+        return segment_cost(_reference_store_profile(stores, seg, query.t_star), query.lam), False
+
+    minute = (query.t_ms // 60_000) % 1440
+    longterm = segment_cost(_reference_store_profile(stores, seg, minute), query.lam)
+    live = 0.0
+    degraded = False
+    if seg.camera_id is not None:
+        bands = live_bands.get(seg.camera_id)
+        if bands is None or abs(query.t_ms - bands.timestamp_ms) > query.staleness_s * 1000.0:
+            degraded = True
+        else:
+            live = segment_cost(bands.m_s1, query.lam)
+            if query.include_moving:
+                live += segment_cost(bands.m_s2, query.lam)
+    return query.w1 * longterm + query.w2 * live, degraded
+
+
+def _reference_plan_path(graph, query, stores, live_bands, profile_epsilon=1e-3):
+    profiles = profiles_from_stores(stores, profile_epsilon)
+    edge_cost = {}
+    for sid, seg in graph.segments.items():
+        if not _reference_segment_feasible(seg, profiles):
+            continue
+        activity, degraded = _reference_edge_activity(seg, query, stores, profiles, live_bands)
+        edge_cost[sid] = (seg.traversal_cost, activity, degraded)
+
+    heap = [(0.0, 0, (query.origin,), [])]
+    best = {}
+    while heap:
+        cost, hops, path, seg_ids = heapq.heappop(heap)
+        node = path[-1]
+        key = (cost, hops, path)
+        if node in best and best[node] <= key:
+            continue
+        best[node] = key
+        if node == query.goal:
+            breakdown = []
+            degraded = False
+            for sid in seg_ids:
+                base, activity, dg = edge_cost[sid]
+                breakdown.append(SegmentBreakdown(sid, base, activity))
+                degraded = degraded or dg
+            return PlanResult(found=True, nodes=list(path), segments=breakdown, total_cost=cost, degraded=degraded)
+        for other, seg in graph.neighbors(node):
+            if other in path or seg.segment_id not in edge_cost:
+                continue
+            base, activity, _ = edge_cost[seg.segment_id]
+            heapq.heappush(
+                heap,
+                (cost + base + activity, hops + 1, path + (other,), seg_ids + [seg.segment_id]),
+            )
+    return PlanResult(found=False)
+
+
+def _reference_splat(static_map, activity_frames, homographies, density_scale=254.0):
+    activity = np.zeros(static_map.cells.shape, dtype=np.uint8)
+    skipped = 0
+    touched = 0
+    for cam_id, frame in sorted(activity_frames.items()):
+        h = np.asarray(homographies[cam_id], dtype=np.float64)
+        for by in range(frame.grid_h):
+            for bx in range(frame.grid_w):
+                d = frame.density[by, bx]
+                if d <= 0:
+                    continue
+                vec = h @ np.array([bx + 0.5, by + 0.5, 1.0])
+                if vec[2] == 0:
+                    skipped += 1
+                    continue
+                cell = static_map.cell_of(vec[0] / vec[2], vec[1] / vec[2])
+                if cell is None:
+                    skipped += 1
+                    continue
+                cost = min(LETHAL_COST, int(round(d * density_scale)))
+                if cost > activity[cell]:
+                    activity[cell] = cost
+                touched += 1
+    return np.maximum(static_map.cells, activity), touched, skipped
+
+
 def _enumerate_paths(graph, origin, goal):
     """Brute-force oracle: all simple paths via DFS."""
     paths = []
@@ -166,8 +277,6 @@ def _enumerate_paths(graph, origin, goal):
 
 def _oracle_best(graph, query, stores, live_bands=None):
     """Exhaustive minimum under the same edge pricing and tie-break."""
-    from motionbands.planning import _edge_activity, _segment_feasible
-
     live_bands = live_bands or {}
     profiles = profiles_from_stores(stores)
     best = None
@@ -176,10 +285,10 @@ def _oracle_best(graph, query, stores, live_bands=None):
         ok = True
         for sid in segs:
             seg = graph.segments[sid]
-            if not _segment_feasible(seg, profiles):
+            if not _reference_segment_feasible(seg, profiles):
                 ok = False
                 break
-            activity, _ = _edge_activity(seg, query, stores, profiles, live_bands)
+            activity, _ = _reference_edge_activity(seg, query, stores, profiles, live_bands)
             total += seg.traversal_cost + activity
         if not ok:
             continue
@@ -319,6 +428,138 @@ class TestPlanPath:
         assert c_lam.value >= c_lo.value
 
 
+def _grid_world(n=12):
+    """n x n grid in four camera quadrants (c3 never active) around an
+    uncovered cross, with learned stores whose level varies by minute."""
+    nodes = [Node(f"{r:02d}_{c:02d}", float(c), float(r)) for r in range(n) for c in range(n)]
+    rng = np.random.default_rng(7)
+    segs = []
+    for r in range(n):
+        for c in range(n):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr >= n or c + dc >= n:
+                    continue
+                cam = None
+                if r not in (n // 2 - 1, n // 2) and c not in (n // 2 - 1, n // 2):
+                    cam = f"c{2 * (r >= n // 2) + (c >= n // 2)}"
+                segs.append(
+                    Segment(
+                        f"{r:02d}_{c:02d}-{r + dr:02d}_{c + dc:02d}",
+                        f"{r:02d}_{c:02d}",
+                        f"{r + dr:02d}_{c + dc:02d}",
+                        1.0 + 0.25 * float(rng.random()),
+                        camera_id=cam,
+                    )
+                )
+    stores = {}
+    for k in range(4):
+        store = IsochronalStore(f"c{k}", 3, 2)
+        for m in range(0, 1440, 30):
+            level = 0.0 if k == 3 else float(rng.uniform(0.05, 2.0))
+            store.update(m, _frame(rng.uniform(0, level, (2, 3))))
+        stores[f"c{k}"] = store
+    return PathGraph(nodes, segs), stores
+
+
+class TestPlanMatchesReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_grid_with_stale_and_fresh_bands(self, seed):
+        graph, stores = _grid_world()
+        rng = np.random.default_rng(seed)
+        names = sorted(graph.nodes)
+        t_ms = (2 * 1440 + int(rng.integers(0, 1440))) * 60_000
+        live = {}
+        for k in range(4):
+            if rng.random() < 0.8:  # otherwise missing
+                age = int(rng.choice([0, 1_000, 4_999, 5_001, 60_000]))
+                live[f"c{k}"] = _bands(f"c{k}", float(rng.uniform(0, 3)), t_ms - age, grid=(3, 2))
+        for _ in range(6):
+            o, g = rng.choice(len(names), size=2, replace=False)
+            for query in (
+                PlanQuery(names[o], names[g], mode="realtime", t_ms=t_ms, lam=1.7,
+                          w1=float(rng.uniform(0, 1)), w2=float(rng.uniform(0.1, 1)),
+                          include_moving=bool(rng.random() < 0.5)),
+                PlanQuery(names[o], names[g], t_star=int(rng.integers(0, 1440)), lam=0.9),
+            ):
+                want = _reference_plan_path(graph, query, stores, live)
+                got = plan_path(graph, query, stores, live)
+                assert got.found == want.found
+                assert got.nodes == want.nodes
+                assert got.total_cost == want.total_cost
+                assert got.segments == want.segments
+                assert got.degraded == want.degraded
+
+    def test_route_costs_sum_the_planner_prices(self):
+        graph, stores = _grid_world()
+        t_ms = 3 * 1440 * 60_000 + 600 * 60_000
+        live = {"c0": _bands("c0", 1.0, t_ms, grid=(3, 2)), "c1": _bands("c1", 2.0, t_ms - 9_000, grid=(3, 2))}
+        query = PlanQuery("00_00", "11_11", mode="realtime", t_ms=t_ms)
+        res = plan_path(graph, query, stores, live)
+        sids = [s.segment_id for s in res.segments]
+        route = cost2(sids, t_ms, graph, stores, live)
+        assert route.value == pytest.approx(sum(s.activity for s in res.segments))
+        assert route.degraded == res.degraded
+
+
+class TestPlanExplanations:
+    def test_excluded_and_stale_cameras_listed(self):
+        graph, stores = _grid_world()
+        t_ms = 3 * 1440 * 60_000
+        live = {
+            "c0": _bands("c0", 1.0, t_ms, grid=(3, 2)),
+            "c2": _bands("c2", 1.0, t_ms - 60_000, grid=(3, 2)),
+            "c3": _bands("c3", 1.0, t_ms, grid=(3, 2)),
+        }
+        res = plan_path(graph, PlanQuery("00_00", "11_00", mode="realtime", t_ms=t_ms), stores, live)
+        assert res.found
+        assert res.excluded_cameras == ["c3"]
+        assert res.stale_cameras == ["c1", "c2"]
+        obj = res.to_json_obj()
+        assert obj["excluded_cameras"] == ["c3"]
+        assert obj["stale_cameras"] == ["c1", "c2"]
+
+    def test_offline_query_has_no_stale_cameras(self):
+        graph, stores = _grid_world()
+        res = plan_path(graph, PlanQuery("00_00", "11_11", t_star=600), stores)
+        assert res.excluded_cameras == ["c3"]
+        assert res.stale_cameras == []
+
+    def test_not_found_result_still_explains(self):
+        graph = _diamond()
+        stores = {"cam_busy": _store_with("cam_busy", 0.0), "cam_dead": _store_with("cam_dead", 0.0)}
+        res = plan_path(graph, PlanQuery(origin="A", goal="D"), stores)
+        assert not res.found
+        assert res.excluded_cameras == ["cam_busy", "cam_dead"]
+        assert res.to_json_obj()["excluded_cameras"] == ["cam_busy", "cam_dead"]
+
+
+class TestNonFiniteLiveBands:
+    def _world(self):
+        # Cheap arm A-B-D (cam_busy, base 1+1), detour A-C-D (cam_dead, base 5+5).
+        graph = _diamond()
+        stores = {
+            "cam_busy": _store_with("cam_busy", 0.5, minutes=range(0, 1440, 60)),
+            "cam_dead": _store_with("cam_dead", 0.5, minutes=range(0, 1440, 60)),
+        }
+        t_ms = 600 * 60_000
+        live = {"cam_busy": _bands("cam_busy", math.nan, t_ms), "cam_dead": _bands("cam_dead", 0.1, t_ms)}
+        return graph, stores, live, t_ms
+
+    def test_nan_band_is_priced_long_term_only(self):
+        graph, stores, live, t_ms = self._world()
+        res = plan_path(graph, PlanQuery("A", "D", mode="realtime", t_ms=t_ms), stores, live)
+        assert res.nodes == ["A", "B", "D"]
+        assert res.degraded
+        assert res.stale_cameras == ["cam_busy"]
+        assert res.total_cost == pytest.approx(2 * (1.0 + 0.5 * 0.5))
+
+    def test_route_cost_of_nan_band_is_degraded_and_finite(self):
+        graph, stores, live, t_ms = self._world()
+        res = cost2(["ab", "bd"], t_ms, graph, stores, live)
+        assert res.degraded
+        assert res.value == pytest.approx(2 * 0.5 * 0.5)
+
+
 class TestCostMap:
     def _static(self):
         cells = np.zeros((10, 12), dtype=np.uint8)
@@ -380,6 +621,11 @@ class TestCostMap:
         combined, _ = splat_activity(m, {"cam0": frame}, {"cam0": h}, density_scale=254.0)
         assert combined.cells.max() == 254
 
+    def test_duplicate_segment_id_rejected(self):
+        nodes = [Node("A", 0, 0), Node("B", 1, 0)]
+        with pytest.raises(RejectedInputError, match="duplicate"):
+            PathGraph(nodes, [Segment("s", "A", "B", 1.0), Segment("s", "A", "B", 5.0)])
+
     def test_graph_json_round_trip(self, tmp_path):
         obj = {
             "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 3, "y": 4}],
@@ -393,3 +639,89 @@ class TestCostMap:
         assert set(graph.nodes) == {"A", "B"}
         assert graph.segments["ab"].camera_id == "cam0"
         assert graph.segments["ab"].traversal_cost == 5.0
+
+
+_coef = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 2.0, -0.25, 3.0]),
+    # Away from zero, so no projected coordinate overflows.
+    st.floats(-8.0, 8.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6),
+)
+
+
+@st.composite
+def _splat_case(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    lethal = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), max_size=4))
+    cells = np.zeros((rows, cols), dtype=np.uint8)
+    for r, c in lethal:
+        cells[r, c] = draw(st.sampled_from([LETHAL_COST, 255, 100]))
+    static = CostMap(
+        draw(st.sampled_from([0.25, 0.3, 0.5, 1.0])),
+        draw(st.sampled_from([0.0, -1.0, 0.75])),
+        draw(st.sampled_from([0.0, -1.0, 2.5])),
+        cells,
+    )
+    frames, homographies = {}, {}
+    for k in range(draw(st.integers(1, 3))):
+        gh, gw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        density = np.array(
+            draw(st.lists(
+                st.one_of(st.just(0.0), st.floats(-1.0, 3.0), st.sampled_from([0.5 / 254, 1.5 / 254, 1.0])),
+                min_size=gh * gw, max_size=gh * gw,
+            ))
+        ).reshape(gh, gw)
+        h = np.array(draw(st.lists(_coef, min_size=9, max_size=9))).reshape(3, 3)
+        w_row = draw(st.sampled_from(["free", "affine", "zero", "line"]))
+        if w_row == "affine":
+            h[2] = [0.0, 0.0, 1.0]
+        elif w_row == "zero":
+            h[2] = 0.0
+        elif w_row == "line":  # w = 0 on the block column bx = 1
+            h[2] = [1.0, 0.0, -1.5]
+        frames[f"cam{k}"] = _frame(density)
+        homographies[f"cam{k}"] = h
+    scale = draw(st.sampled_from([254.0, 200.0, 1.0, 1000.0]))
+    return static, frames, homographies, scale
+
+
+# Block (2, 3) projects to within one rounding of the cell edge x = 0:
+# summing its three products in another order than the per-block
+# product moves it off the map.
+_EDGE_CASE = (
+    CostMap(0.5, 0.0, 0.0, np.zeros((8, 8), dtype=np.uint8)),
+    {"cam0": _frame(np.full((4, 4), 0.5))},
+    {"cam0": np.array([[0.47, 0.14, -1.665], [0.0, 0.25, 0.5], [0.0, 0.0, 1.0]])},
+    254.0,
+)
+
+
+class TestSplatMatchesReference:
+    @given(case=_splat_case())
+    @example(case=_EDGE_CASE)
+    @settings(max_examples=300, deadline=None)
+    def test_cells_and_counts_bit_identical(self, case):
+        static, frames, homographies, scale = case
+        want_cells, want_touched, want_skipped = _reference_splat(static, frames, homographies, scale)
+        got, report = splat_activity(static, frames, homographies, density_scale=scale)
+        np.testing.assert_array_equal(got.cells, want_cells)
+        assert (report.cells_touched, report.blocks_skipped) == (want_touched, want_skipped)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_rejected_naming_camera(self, bad):
+        m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
+        frames = {"cam0": _frame([[0.2, 0.1]]), "cam7": _frame([[0.3, bad]])}
+        with pytest.raises(RejectedInputError, match="cam7"):
+            splat_activity(m, frames, {"cam0": np.eye(3), "cam7": np.eye(3)})
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    def test_invalid_density_scale_rejected(self, scale):
+        m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
+        with pytest.raises(InvalidParameterError):
+            splat_activity(m, {"cam0": _frame([[0.2]])}, {"cam0": np.eye(3)}, density_scale=scale)
+
+    def test_non_finite_homography_rejected_naming_camera(self):
+        m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
+        h = np.eye(3)
+        h[0, 2] = math.nan
+        with pytest.raises(RejectedInputError, match="cam0"):
+            splat_activity(m, {"cam0": _frame([[0.2]])}, {"cam0": h})

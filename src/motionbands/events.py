@@ -122,6 +122,7 @@ class EventGate:
         self._open: ActivityEvent | None = None
         self._quiet_run = 0
         self._last_hit_ms = 0
+        self.last_activity = 0.0  # the activity sample the last decision tested
 
     def threshold(self, mean: float, std: float, days: int) -> float:
         if days < self.min_days:
@@ -137,7 +138,7 @@ class EventGate:
     ) -> tuple[int, ActivityEvent | None]:
         """One gate decision. Returns (0/1, event closed by this step)."""
         mean, std, days = stats
-        a = scalar_activity(m_s1, m_s2)
+        a = self.last_activity = scalar_activity(m_s1, m_s2)
         fired = a > self.threshold(mean, std, days)
 
         closed: ActivityEvent | None = None

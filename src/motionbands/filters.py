@@ -22,12 +22,17 @@ comparison. Counters tally architectural filter applications per
 fully-updated tick (including the isochronal stage applied downstream):
 4 per tick for the cascade against 5 for the reference, and 2 persistent
 short-term state frames against 3.
+
+The streaming filters update preallocated state in place (see
+``_BandFilterBase``): a frame-rate tick allocates only the new noise-free
+band, a short-term tick also the new in-place and moving bands, and every
+band handed out is read-only and never written again. Frames with a
+non-finite or negative value are rejected before any state changes.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,21 +176,33 @@ class BandOutputs:
         return self.m_l1.timestamp_ms
 
 
-def _stack(frame: MotionFrame) -> np.ndarray:
-    """(gh, gw, 9) feature tensor: density channel followed by 8 bins."""
-    return np.concatenate([frame.density[..., None], frame.dir_hist], axis=2)
+def _ema(lp: np.ndarray, x: np.ndarray, alpha: float, tmp: np.ndarray) -> None:
+    """``lp = alpha * lp + (1 - alpha) * x`` in place, rounded in that order;
+    ``tmp`` is scratch of ``lp``'s shape."""
+    np.multiply(lp, alpha, out=lp)
+    np.multiply(x, 1.0 - alpha, out=tmp)
+    np.add(lp, tmp, out=lp)
 
 
-def _unstack(arr: np.ndarray, timestamp_ms: int) -> MotionFrame:
-    density = arr[..., 0].copy()
-    hist = arr[..., 1:].copy()
-    density.flags.writeable = False
-    hist.flags.writeable = False
-    return MotionFrame(density=density, dir_hist=hist, timestamp_ms=timestamp_ms)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 class _BandFilterBase:
-    """Shared stream plumbing for the cascade and reference filters."""
+    """Shared stream plumbing for the cascade and reference filters.
+
+    Each state is one flat float64 buffer holding the density grid followed
+    by the direction bins, so one ufunc call updates both; ``_split`` gives
+    its (density, dir_hist) views. The states are the noise-removal
+    low-pass, the sum of the noise-free band since the last short-term
+    tick, the in-place low-pass, and a ring of the last ``fir_window``
+    band-pass inputs; all are updated in place with ``out=`` ufuncs. A
+    frame-rate tick allocates only the new noise-free band. A short-term
+    tick also allocates the new in-place and moving bands, which later
+    ticks hand out again until the next short-term tick. Every band array
+    handed out is read-only and never written again.
+    """
 
     multiplies_per_tick = 0
     state_frames = 0
@@ -194,57 +211,102 @@ class _BandFilterBase:
         if grid_w < 1 or grid_h < 1:
             raise InvalidParameterError("grid dimensions must be positive")
         self.params = params
-        self._shape = (grid_h, grid_w, 1 + N_DIR_BINS)
-        self._lp_l1 = np.zeros(self._shape)
-        self._lp_s1 = np.zeros(self._shape)
-        self._fir: deque[np.ndarray] = deque(maxlen=params.fir_window)
-        self._acc = np.zeros(self._shape)
+        self._grid = (grid_h, grid_w)
+        self._hist_shape = (grid_h, grid_w, N_DIR_BINS)
+        self._n_blocks = grid_h * grid_w
+        self._alpha_l1 = params.alpha_l1
+        self._alpha_s1 = params.alpha_s1
+        self._stride = params.stride
+        size = grid_h * grid_w * (1 + N_DIR_BINS)
+        self._x = np.zeros(size)  # the current frame, copied in and checked
+        self._x_views = self._split(self._x)
+        self._tmp = np.zeros(size)
+        self._lp_l1 = np.zeros(size)
+        self._acc = np.zeros(size)
         self._acc_n = 0
-        self._tick = 0
-        self._m_s1 = np.zeros(self._shape)
-        self._m_s2 = np.zeros(self._shape)
+        self._lp_s1 = np.zeros(size)
+        self._fir = np.zeros((params.fir_window, size))
+        self._fir_n = 0  # band-pass inputs written to the ring so far
+        self._zeros = _frozen(np.zeros(size))
+        self._m_s1 = self._m_s2 = self._split(self._zeros)
         self.multiplies = 0
 
-    def _check(self, frame: MotionFrame) -> None:
-        if (frame.grid_h, frame.grid_w) != self._shape[:2]:
+    def _split(self, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(density, dir_hist) views of a flat state buffer."""
+        n = self._n_blocks
+        return buf[:n].reshape(self._grid), buf[n:].reshape(self._hist_shape)
+
+    def _load(self, frame: MotionFrame) -> np.ndarray:
+        """The frame as a flat buffer, or :class:`RejectedInputError` for a
+        wrong grid or a non-finite or negative value."""
+        if frame.density.shape != self._grid:
             raise RejectedInputError(
                 f"frame grid {(frame.grid_h, frame.grid_w)} does not match "
-                f"filter grid {self._shape[:2]}"
+                f"filter grid {self._grid}"
             )
+        density, hist = self._x_views
+        np.copyto(density, frame.density)
+        np.copyto(hist, frame.dir_hist)
+        x = self._x
+        # A NaN fails the comparison with zero, like a negative value.
+        if not (np.minimum.reduce(x) >= 0.0 and np.maximum.reduce(x) < math.inf):
+            raise RejectedInputError(
+                f"frame at {frame.timestamp_ms} ms has a non-finite or negative density or bin"
+            )
+        return x
 
-    def _band_hp(self, st_input: np.ndarray) -> np.ndarray:
+    def _band_hp(self, st_input: np.ndarray, out: np.ndarray) -> None:
+        """Write the band-pass high side of ``st_input`` into ``out``."""
         raise NotImplementedError
 
     def step(self, frame: MotionFrame) -> BandOutputs:
         """Advance one frame-rate tick; short-term bands update on the
-        reduced-rate ticks and are carried in between."""
-        self._check(frame)
-        x = _stack(frame)
+        reduced-rate ticks and are carried in between.
 
-        a1 = self.params.alpha_l1
-        self._lp_l1 = a1 * self._lp_l1 + (1.0 - a1) * x
-        m_l1 = np.maximum(0.0, x - self._lp_l1)
-
-        self._acc += m_l1
+        A frame with a non-finite or negative value raises
+        :class:`RejectedInputError` and leaves the filter unchanged.
+        """
+        x = self._load(frame)
+        lp = self._lp_l1
+        _ema(lp, x, self._alpha_l1, self._tmp)
+        m_l1 = np.subtract(x, lp)
+        # A zero array rather than the scalar 0.0: numpy's array-array
+        # loop is the faster one, and the result is the same.
+        np.maximum(self._zeros, m_l1, out=m_l1)
+        np.add(self._acc, m_l1, out=self._acc)
         self._acc_n += 1
-        self._tick += 1
-        if self._tick % self.params.stride == 0:
-            st_input = self._acc / self._acc_n
-            as1 = self.params.alpha_s1
-            self._lp_s1 = as1 * self._lp_s1 + (1.0 - as1) * st_input
-            self._m_s1 = self._lp_s1
-            self._fir.append(self._band_hp(st_input))
-            self._m_s2 = np.maximum(0.0, np.mean(np.stack(self._fir), axis=0))
-            self._acc = np.zeros(self._shape)
-            self._acc_n = 0
-            self.multiplies += self.multiplies_per_tick
+        if self._acc_n == self._stride:
+            self._short_term_tick()
 
         t = frame.timestamp_ms
+        wrap = MotionFrame._wrap
         return BandOutputs(
-            m_l1=_unstack(m_l1, t),
-            m_s1=_unstack(self._m_s1, t),
-            m_s2=_unstack(self._m_s2, t),
+            m_l1=wrap(*self._split(_frozen(m_l1)), t),
+            m_s1=wrap(*self._m_s1, t),
+            m_s2=wrap(*self._m_s2, t),
         )
+
+    def _short_term_tick(self) -> None:
+        acc, lp, ring = self._acc, self._lp_s1, self._fir
+        np.divide(acc, self._acc_n, out=acc)  # the short-term input
+        _ema(lp, acc, self._alpha_s1, self._tmp)
+        k = len(ring)
+        self._band_hp(acc, ring[self._fir_n % k])
+        self._fir_n += 1
+        # Window mean summed oldest first, the order of a mean over the
+        # stacked window; another order changes the last bits.
+        n = min(self._fir_n, k)
+        oldest = self._fir_n - n
+        m_s2 = ring[oldest % k].copy()
+        for i in range(oldest + 1, oldest + n):
+            np.add(m_s2, ring[i % k], out=m_s2)
+        np.divide(m_s2, n, out=m_s2)
+        np.maximum(0.0, m_s2, out=m_s2)
+        self._m_s1 = self._split(_frozen(lp.copy()))
+        self._m_s2 = self._split(_frozen(m_s2))
+        acc.fill(0.0)
+        self._acc_n = 0
+        self.multiplies += self.multiplies_per_tick
 
 
 class CascadeFilter(_BandFilterBase):
@@ -255,8 +317,8 @@ class CascadeFilter(_BandFilterBase):
     multiplies_per_tick = CASCADE_MULTIPLIES_PER_TICK
     state_frames = CASCADE_STATE_FRAMES
 
-    def _band_hp(self, st_input: np.ndarray) -> np.ndarray:
-        return st_input - self._lp_s1
+    def _band_hp(self, st_input: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(st_input, self._lp_s1, out=out)
 
 
 class ReferenceFilter(_BandFilterBase):
@@ -269,12 +331,11 @@ class ReferenceFilter(_BandFilterBase):
 
     def __init__(self, grid_w: int, grid_h: int, params: BandParams):
         super().__init__(grid_w, grid_h, params)
-        self._lp_bp = np.zeros(self._shape)
+        self._lp_bp = np.zeros_like(self._lp_s1)
 
-    def _band_hp(self, st_input: np.ndarray) -> np.ndarray:
-        as1 = self.params.alpha_s1
-        self._lp_bp = as1 * self._lp_bp + (1.0 - as1) * st_input
-        return st_input - self._lp_bp
+    def _band_hp(self, st_input: np.ndarray, out: np.ndarray) -> None:
+        _ema(self._lp_bp, st_input, self._alpha_s1, self._tmp)
+        np.subtract(st_input, self._lp_bp, out=out)
 
 
 def counters_csv(filters: dict[str, _BandFilterBase]) -> str:

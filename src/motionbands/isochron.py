@@ -9,9 +9,11 @@ arrive once per slot per day; the EMA constant is parameterized by a
 The first observation of a slot initializes the mean directly instead of
 blending with the all-zero prior, avoiding a multi-day warm-up bias.
 
-``binarize`` caches the support mask of the last epsilon asked for;
-``update`` drops it, and a freshly constructed or loaded store starts
-without one. Callers get a copy, so they cannot alter the cached mask.
+``binarize`` caches the support mask of the last epsilon asked for, and
+``scalar_stats`` caches each minute's (mean, std, days); ``update`` drops
+the mask and the updated minute's stats, and a freshly constructed or
+loaded store starts with empty caches. ``binarize`` callers get a copy, so
+they cannot alter the cached mask.
 
 File format (little-endian): magic ``ISO1``, version u16, decay span f64,
 length-prefixed camera id, grid dims u16 x2, then 1440 slots of
@@ -61,6 +63,7 @@ class IsochronalStore:
         self._var = np.zeros((MINUTES_PER_DAY, grid_h, grid_w))
         self._days = np.zeros(MINUTES_PER_DAY, dtype=np.uint32)
         self._support: tuple[float, np.ndarray] | None = None  # (epsilon, mask)
+        self._stats: dict[int, tuple[float, float, int]] = {}  # minute -> scalar_stats
 
     # ------------------------------------------------------------------ update
 
@@ -82,6 +85,7 @@ class IsochronalStore:
                 f"store grid {(self.grid_h, self.grid_w)}"
             )
         self._support = None
+        self._stats.pop(minute, None)
         a = self.alpha_l2
         if self._days[minute] == 0:
             self._mean_density[minute] = sample.density
@@ -110,13 +114,17 @@ class IsochronalStore:
         return mean, std, int(self._days[minute])
 
     def scalar_stats(self, minute: int) -> tuple[float, float, int]:
-        """Block-averaged (mean activity, std, days) for threshold checks."""
-        self._check_minute(minute)
-        return (
-            float(self._mean_density[minute].mean()),
-            float(np.sqrt(self._var[minute]).mean()),
-            int(self._days[minute]),
-        )
+        """Block-averaged (mean activity, std, days) for threshold checks.
+        Cached per minute until the next ``update`` of that minute."""
+        stats = self._stats.get(minute)
+        if stats is None:
+            self._check_minute(minute)
+            stats = self._stats[minute] = (
+                float(self._mean_density[minute].mean()),
+                float(np.sqrt(self._var[minute]).mean()),
+                int(self._days[minute]),
+            )
+        return stats
 
     def binarize(self, epsilon: float = 1e-3) -> np.ndarray:
         """Time-collapsed support mask: per block, 1 iff any minute's mean

@@ -111,6 +111,18 @@ class MotionFrame:
         self.dir_hist = h
 
     @classmethod
+    def _wrap(
+        cls, density: np.ndarray, dir_hist: np.ndarray, timestamp_ms: int
+    ) -> "MotionFrame":
+        """Frame over float64 arrays whose shapes the caller guarantees;
+        skips the conversions and checks of ``__init__``."""
+        frame = object.__new__(cls)
+        frame.density = density
+        frame.dir_hist = dir_hist
+        frame.timestamp_ms = timestamp_ms
+        return frame
+
+    @classmethod
     def zeros(cls, grid_w: int, grid_h: int, timestamp_ms: int = 0) -> "MotionFrame":
         if grid_w < 1 or grid_h < 1:
             raise InvalidParameterError("grid dimensions must be positive")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config
+from .errors import RejectedInputError
 from .events import ActivityEvent, EventGate
 from .filters import BandOutputs, BandParams, CascadeFilter
 from .isochron import IsochronalStore, minute_of_day
@@ -54,8 +55,8 @@ class _MinuteAccumulator:
             self.density = frame.density.copy()
             self.hist = frame.dir_hist.copy()
         else:
-            self.density = self.density + frame.density
-            self.hist = self.hist + frame.dir_hist
+            np.add(self.density, frame.density, out=self.density)
+            np.add(self.hist, frame.dir_hist, out=self.hist)
         self.count += 1
 
     def aggregate(self) -> MotionFrame:
@@ -103,13 +104,23 @@ class CameraPipeline:
         )
         self.events: list[ActivityEvent] = []
         self.frames_ingested = 0
+        self.frames_rejected = 0
         self.last_bands: BandOutputs | None = None
         self._acc = _MinuteAccumulator()
-        self._ticks = 0
         self._last_decision = 0
-        self._last_activity = 0.0
 
     def ingest(self, frame: MotionFrame) -> IngestResult:
+        """Filter, accumulate and gate one frame.
+
+        A frame the cascade rejects (wrong grid, non-finite or negative
+        values) is counted in ``frames_rejected`` and its
+        :class:`RejectedInputError` re-raised; no state changes.
+        """
+        try:
+            bands = self.cascade.step(frame)
+        except RejectedInputError:
+            self.frames_rejected += 1
+            raise
         minute = minute_of_day(frame.timestamp_ms)
         if self._acc.minute is None:
             self._acc.reset(minute, self.grid_w, self.grid_h)
@@ -117,14 +128,12 @@ class CameraPipeline:
             self._flush_minute()
             self._acc.reset(minute, self.grid_w, self.grid_h)
 
-        bands = self.cascade.step(frame)
         self._acc.add(bands.m_l1)
-        self._ticks += 1
         self.frames_ingested += 1
         self.last_bands = bands
 
         closed = None
-        if self._ticks % self.params.stride == 0:
+        if self.frames_ingested % self.params.stride == 0:
             stats = self.store.scalar_stats(minute)
             decision, closed = self.gate.step(
                 bands.m_s1, bands.m_s2, stats, frame.timestamp_ms
@@ -132,13 +141,10 @@ class CameraPipeline:
             if closed is not None:
                 self.events.append(closed)
             self._last_decision = decision
-            self._last_activity = float(
-                np.maximum(bands.m_s1.density, bands.m_s2.density).mean()
-            )
         return IngestResult(
             bands=bands,
             decision=self._last_decision,
-            activity=self._last_activity,
+            activity=self.gate.last_activity,
             closed_event=closed,
         )
 

@@ -81,7 +81,7 @@ class PathGraph:
     def __init__(self, nodes: list[Node], segments: list[Segment]):
         self.nodes: dict[str, Node] = {n.node_id: n for n in nodes}
         self.segments: dict[str, Segment] = {}
-        self._adj: dict[str, list[Segment]] = {nid: [] for nid in self.nodes}
+        adj: dict[str, list[tuple[str, Segment]]] = {nid: [] for nid in self.nodes}
         for seg in segments:
             if seg.u not in self.nodes or seg.v not in self.nodes:
                 raise RejectedInputError(
@@ -90,16 +90,14 @@ class PathGraph:
             if seg.segment_id in self.segments:
                 raise RejectedInputError(f"duplicate segment id {seg.segment_id!r}")
             self.segments[seg.segment_id] = seg
-            self._adj[seg.u].append(seg)
-            self._adj[seg.v].append(seg)
+            adj[seg.u].append((seg.v, seg))
+            adj[seg.v].append((seg.u, seg))
+        self._adj = {nid: tuple(pairs) for nid, pairs in adj.items()}
         self.camera_ids = sorted({seg.camera_id for seg in segments if seg.camera_id is not None})
 
-    def neighbors(self, node_id: str) -> list[tuple[str, Segment]]:
-        out = []
-        for seg in self._adj[node_id]:
-            other = seg.v if seg.u == node_id else seg.u
-            out.append((other, seg))
-        return out
+    def neighbors(self, node_id: str) -> tuple[tuple[str, Segment], ...]:
+        """(other node, segment) pairs in segment order, built once."""
+        return self._adj[node_id]
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PathGraph":

@@ -1,4 +1,6 @@
 import math
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.filters import (
+    BandOutputs,
     BandParams,
     CascadeFilter,
     DecaySpec,
@@ -337,3 +340,211 @@ class TestStreamProperties:
         out = f.step(_frame([[1.0]]))
         with pytest.raises(ValueError):
             out.m_s1.density[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the cascade tick as it was before its state was updated in place,
+# on a packed (gh, gw, 9) tensor with a deque FIR.
+# ---------------------------------------------------------------------------
+
+def _reference_stack(frame):
+    return np.concatenate([frame.density[..., None], frame.dir_hist], axis=2)
+
+
+def _reference_unstack(arr, timestamp_ms):
+    density = arr[..., 0].copy()
+    hist = arr[..., 1:].copy()
+    density.flags.writeable = False
+    hist.flags.writeable = False
+    return MotionFrame(density=density, dir_hist=hist, timestamp_ms=timestamp_ms)
+
+
+def _reference_init(grid_w, grid_h, params):
+    shape = (grid_h, grid_w, 9)
+    return SimpleNamespace(
+        params=params,
+        lp_l1=np.zeros(shape),
+        lp_s1=np.zeros(shape),
+        fir=deque(maxlen=params.fir_window),
+        acc=np.zeros(shape),
+        acc_n=0,
+        tick=0,
+        m_s1=np.zeros(shape),
+        m_s2=np.zeros(shape),
+        shape=shape,
+    )
+
+
+def _reference_step(s, frame):
+    x = _reference_stack(frame)
+    a1 = s.params.alpha_l1
+    s.lp_l1 = a1 * s.lp_l1 + (1.0 - a1) * x
+    m_l1 = np.maximum(0.0, x - s.lp_l1)
+    s.acc += m_l1
+    s.acc_n += 1
+    s.tick += 1
+    if s.tick % s.params.stride == 0:
+        st_input = s.acc / s.acc_n
+        as1 = s.params.alpha_s1
+        s.lp_s1 = as1 * s.lp_s1 + (1.0 - as1) * st_input
+        s.m_s1 = s.lp_s1
+        s.fir.append(st_input - s.lp_s1)
+        s.m_s2 = np.maximum(0.0, np.mean(np.stack(s.fir), axis=0))
+        s.acc = np.zeros(s.shape)
+        s.acc_n = 0
+    t = frame.timestamp_ms
+    return BandOutputs(
+        m_l1=_reference_unstack(m_l1, t),
+        m_s1=_reference_unstack(s.m_s1, t),
+        m_s2=_reference_unstack(s.m_s2, t),
+    )
+
+
+def _assert_bands_equal(got, want):
+    assert got.timestamp_ms == want.timestamp_ms
+    for a, b in ((got.m_l1, want.m_l1), (got.m_s1, want.m_s1), (got.m_s2, want.m_s2)):
+        np.testing.assert_array_equal(a.density, b.density)
+        np.testing.assert_array_equal(a.dir_hist, b.dir_hist)
+
+
+@st.composite
+def _band_params(draw):
+    # Power-of-two rates keep stride and window exact in floating point.
+    rate = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    stride = draw(st.integers(1, 30))
+    window = draw(st.integers(1, 6))
+    t_s2 = window / rate
+    t_s1 = t_s2 * draw(st.floats(1.5, 20.0))
+    t_l1 = t_s1 * draw(st.floats(1.5, 50.0))
+    params = BandParams(
+        t_l1_s=t_l1, t_s1_s=t_s1, t_s2_s=t_s2, frame_rate=stride * rate, shortterm_rate=rate
+    )
+    assert (params.stride, params.fir_window) == (stride, window)
+    return params
+
+
+def _stream_frame(kind, rng, gw, gh, t):
+    shape = (gh, gw)
+    if kind == "zero":
+        return MotionFrame.zeros(gw, gh, t)
+    if kind == "constant":
+        return MotionFrame(np.full(shape, 0.37), np.full(shape + (8,), 0.11), t)
+    if kind == "large":
+        return _rand_frame(rng, gw, gh, t, scale=1e6)
+    frame = _rand_frame(rng, gw, gh, t)
+    # Exact zeros on about half the blocks, as on a real sparse scene.
+    frame.density[rng.random(shape) < 0.5] = 0.0
+    frame.dir_hist[rng.random(shape + (8,)) < 0.5] = 0.0
+    return frame
+
+
+class TestCascadeVsOracle:
+    """The in-place cascade against the packed-tensor tick it replaced.
+
+    Every window length rounds the same way as the oracle, because the
+    FIR ring is summed oldest first like the mean over the stacked deque.
+    """
+
+    @given(
+        params=_band_params(),
+        gw=st.integers(1, 12),
+        gh=st.integers(1, 9),
+        kind=st.sampled_from(["zero", "constant", "large", "random"]),
+        extra=st.integers(0, 29),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bands_bit_identical(self, params, gw, gh, kind, extra, seed):
+        rng = np.random.default_rng(seed)
+        f = CascadeFilter(gw, gh, params)
+        ref = _reference_init(gw, gh, params)
+        n = params.stride * (params.fir_window + 3) + extra % params.stride
+        for i in range(n):
+            frame = _stream_frame(kind, rng, gw, gh, t=i * 100)
+            _assert_bands_equal(f.step(frame), _reference_step(ref, frame))
+
+    def test_default_params_bit_identical(self):
+        params = BandParams()
+        rng = np.random.default_rng(5)
+        f = CascadeFilter(40, 30, params)
+        ref = _reference_init(40, 30, params)
+        for i in range(4 * params.stride):
+            frame = _stream_frame("random", rng, 40, 30, t=i * 33)
+            _assert_bands_equal(f.step(frame), _reference_step(ref, frame))
+
+    def test_reference_filter_bit_identical(self):
+        # The non-cascaded variant runs the same low-pass twice, so its
+        # bands round exactly as the cascade's do.
+        params = BandParams(
+            t_l1_s=120.0, t_s1_s=20.0, t_s2_s=3.0, frame_rate=4.0, shortterm_rate=1.0
+        )
+        rng = np.random.default_rng(8)
+        f = ReferenceFilter(3, 2, params)
+        ref = _reference_init(3, 2, params)
+        for i in range(60):
+            frame = _stream_frame("random", rng, 3, 2, t=i * 250)
+            _assert_bands_equal(f.step(frame), _reference_step(ref, frame))
+
+
+_FIVE_FPS_PARAMS = BandParams(
+    t_l1_s=60.0, t_s1_s=10.0, t_s2_s=2.0, frame_rate=5.0, shortterm_rate=1.0
+)
+
+
+def _band_arrays(out):
+    return [a for band in (out.m_l1, out.m_s1, out.m_s2) for a in (band.density, band.dir_hist)]
+
+
+class TestBandSnapshots:
+    def test_bands_unchanged_and_read_only_after_three_more_short_term_ticks(self):
+        params = _FIVE_FPS_PARAMS  # a short-term tick every 5 frames
+        rng = np.random.default_rng(4)
+        f = CascadeFilter(4, 3, params)
+        kept = []
+        for i in range(2 * params.stride + 2):
+            out = f.step(_rand_frame(rng, 4, 3, t=i * 200))
+            arrays = _band_arrays(out)
+            kept.append((arrays, [a.copy() for a in arrays]))
+        for i in range(3 * params.stride):
+            f.step(_rand_frame(rng, 4, 3, t=(i + 20) * 200))
+        for arrays, copies in kept:
+            for a, c in zip(arrays, copies):
+                assert not a.flags.writeable
+                np.testing.assert_array_equal(a, c)
+                with pytest.raises(ValueError):
+                    a[...] = 1.0
+
+    def test_short_term_bands_shared_between_short_term_ticks(self):
+        rng = np.random.default_rng(6)
+        f = CascadeFilter(2, 2, _FIVE_FPS_PARAMS)
+        outs = [f.step(_rand_frame(rng, 2, 2, t=i * 200)) for i in range(10)]
+        # Ticks 4 and 9 are short-term ticks; 5..8 carry tick 4's bands.
+        for o in outs[5:9]:
+            assert o.m_s1.density is outs[4].m_s1.density
+            assert o.m_s2.dir_hist is outs[4].m_s2.dir_hist
+        assert outs[9].m_s1.density is not outs[4].m_s1.density
+
+
+class TestRejectedFrames:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    @pytest.mark.parametrize("channel", ["density", "dir_hist"])
+    def test_bad_frame_leaves_state_unchanged(self, bad, channel):
+        # One bad frame among 100 clean ones: the bands equal those of the
+        # clean stream alone.
+        rng = np.random.default_rng(12)
+        clean = [_rand_frame(rng, 4, 3, t=i * 200) for i in range(100)]
+        poisoned = clean[50].copy()
+        getattr(poisoned, channel)[(1, 2) if channel == "density" else (1, 2, 5)] = bad
+        f = CascadeFilter(4, 3, _FIVE_FPS_PARAMS)
+        g = CascadeFilter(4, 3, _FIVE_FPS_PARAMS)
+        for i, frame in enumerate(clean):
+            if i == 50:
+                with pytest.raises(RejectedInputError):
+                    f.step(poisoned)
+            _assert_bands_equal(f.step(frame), g.step(frame))
+        assert f.multiplies == g.multiplies
+
+    def test_zero_and_negative_zero_accepted(self):
+        f = CascadeFilter(2, 1, _FIVE_FPS_PARAMS)
+        out = f.step(_frame([[0.0, -0.0]]))
+        assert np.all(out.m_l1.density == 0.0)

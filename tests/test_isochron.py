@@ -202,6 +202,60 @@ class TestBinarizeCache:
         assert store.binarize(0.01).tolist() == [[0, 1]]
 
 
+def _uncached_stats(store, minute):
+    mean, std, days = store.query(minute)
+    return float(mean.density.mean()), float(std.mean()), days
+
+
+class TestScalarStatsCache:
+    def _store(self):
+        rng = np.random.default_rng(9)
+        store = IsochronalStore("cam0", 3, 2)
+        for _ in range(4):
+            for m in (5, 6, 7):
+                store.update(m, _frame(rng.uniform(0, 1, (2, 3))))
+        return store
+
+    def test_update_changes_only_that_minutes_stats(self):
+        store = self._store()
+        before = {m: store.scalar_stats(m) for m in (5, 6, 7, 8)}
+        store.update(6, _frame(np.full((2, 3), 0.9)))
+        after = {m: store.scalar_stats(m) for m in (5, 6, 7, 8)}
+        assert after[6] != before[6]
+        assert after[6][2] == before[6][2] + 1
+        assert after[6] == _uncached_stats(store, 6)
+        for m in (5, 7, 8):
+            assert after[m] == before[m]
+
+    def test_cached_values_equal_the_uncached_expression(self):
+        store = self._store()
+        for m in (5, 6, 7, 8):
+            first = store.scalar_stats(m)
+            assert first == _uncached_stats(store, m)
+            assert store.scalar_stats(m) is first  # served from the cache
+        # Bit for bit, against the store's own arrays.
+        mean = float(store._mean_density[7].mean())
+        std = float(np.sqrt(store._var[7]).mean())
+        assert store.scalar_stats(7) == (mean, std, 4)
+
+    def test_freshly_loaded_store(self, tmp_path):
+        store = self._store()
+        cached = {m: store.scalar_stats(m) for m in (5, 6, 7, 8)}
+        path = tmp_path / "cam0.iso"
+        store.save(path)
+        loaded = IsochronalStore.load(path)
+        assert {m: loaded.scalar_stats(m) for m in (5, 6, 7, 8)} == cached
+        loaded.update(5, _frame(np.zeros((2, 3))))
+        assert loaded.scalar_stats(5) == _uncached_stats(loaded, 5)
+        assert store.scalar_stats(5) == cached[5]
+
+    def test_minute_range_still_checked(self):
+        store = self._store()
+        for bad in (-1, MINUTES_PER_DAY):
+            with pytest.raises(InvalidParameterError):
+                store.scalar_stats(bad)
+
+
 class TestPersistence:
     def test_fresh_round_trip(self, tmp_path):
         store = IsochronalStore("camA", 2, 2)

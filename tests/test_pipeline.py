@@ -1,10 +1,13 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from motionbands.config import Config
+from motionbands.errors import RejectedInputError
+from motionbands.events import scalar_activity
 from motionbands.isochron import MINUTES_PER_DAY, minute_of_day
-from motionbands.motion import extract_motion
+from motionbands.motion import MotionFrame, extract_motion
 from motionbands.pipeline import CameraPipeline
 from motionbands.sim import gen_blob_frames
 
@@ -44,3 +47,70 @@ def test_blob_pixels_flow_through_pipeline_into_store():
     days = [pipe.store.query(m)[2] for m in range(MINUTES_PER_DAY)]
     assert [m for m, d in enumerate(days) if d] == [9, 10]
     assert days[9] == days[10] == 1
+
+
+def _noise_frames(n, grid=(5, 4), start_ms=600 * 60_000, seed=3):
+    gw, gh = grid
+    rng = np.random.default_rng(seed)
+    return [
+        MotionFrame(
+            density=rng.uniform(0, 1, (gh, gw)) * (rng.random((gh, gw)) < 0.4),
+            dir_hist=rng.uniform(0, 1, (gh, gw, 8)),
+            timestamp_ms=start_ms + i * 33,
+        )
+        for i in range(n)
+    ]
+
+
+def test_rejected_frame_is_counted_and_leaves_the_pipeline_unchanged():
+    frames = _noise_frames(100)
+    bad = frames[40].copy()
+    bad.dir_hist[1, 2, 3] = np.nan
+    config = Config()
+    pipe = CameraPipeline("cam0", 5, 4, config)
+    clean = CameraPipeline("cam0", 5, 4, config)
+    for i, frame in enumerate(frames):
+        if i == 40:
+            with pytest.raises(RejectedInputError):
+                pipe.ingest(bad)
+        got, want = pipe.ingest(frame), clean.ingest(frame)
+        assert (got.decision, got.activity) == (want.decision, want.activity)
+        for a, b in zip(
+            (got.bands.m_l1, got.bands.m_s1, got.bands.m_s2),
+            (want.bands.m_l1, want.bands.m_s1, want.bands.m_s2),
+        ):
+            np.testing.assert_array_equal(a.density, b.density)
+            np.testing.assert_array_equal(a.dir_hist, b.dir_hist)
+    assert (pipe.frames_rejected, pipe.frames_ingested) == (1, 100)
+    assert clean.frames_rejected == 0
+    pipe.finish()
+    clean.finish()
+    assert pipe.store.equals(clean.store)
+
+
+def test_rejected_frame_across_a_minute_boundary_flushes_nothing():
+    frames = _noise_frames(40)
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    for frame in frames:
+        pipe.ingest(frame)
+    late = MotionFrame.zeros(5, 4, timestamp_ms=frames[-1].timestamp_ms + 60_000)
+    late.density[0, 0] = -1.0
+    with pytest.raises(RejectedInputError):
+        pipe.ingest(late)
+    assert pipe.frames_rejected == 1
+    assert pipe.store.query(minute_of_day(frames[0].timestamp_ms))[2] == 0
+
+
+def test_activity_is_the_value_the_gate_tested():
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    tested = None
+    for frame in _noise_frames(200):
+        result = pipe.ingest(frame)
+        if pipe.frames_ingested % pipe.params.stride == 0:
+            tested = scalar_activity(result.bands.m_s1, result.bands.m_s2)
+            assert result.activity == pipe.gate.last_activity
+        if tested is None:
+            assert result.activity == 0.0
+        else:
+            assert result.activity == tested
+    assert tested is not None and tested > 0

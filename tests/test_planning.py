@@ -626,6 +626,25 @@ class TestCostMap:
         with pytest.raises(RejectedInputError, match="duplicate"):
             PathGraph(nodes, [Segment("s", "A", "B", 1.0), Segment("s", "A", "B", 5.0)])
 
+    def test_neighbors_built_once_in_segment_order(self):
+        nodes = [Node(n, 0, 0) for n in "ABC"]
+        segs = [
+            Segment("ab", "A", "B", 1.0),
+            Segment("ca", "C", "A", 2.0),
+            Segment("aa", "A", "A", 3.0),
+            Segment("bc", "B", "C", 1.0),
+        ]
+        graph = PathGraph(nodes, segs)
+        by_id = graph.segments
+        assert graph.neighbors("A") == (
+            ("B", by_id["ab"]),
+            ("C", by_id["ca"]),
+            ("A", by_id["aa"]),
+            ("A", by_id["aa"]),
+        )
+        assert graph.neighbors("C") == (("A", by_id["ca"]), ("B", by_id["bc"]))
+        assert graph.neighbors("B") is graph.neighbors("B")
+
     def test_graph_json_round_trip(self, tmp_path):
         obj = {
             "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 3, "y": 4}],

@@ -20,14 +20,17 @@ length-prefixed camera id, grid dims u16 x2, then 1440 slots of
 (density mean f64[gh*gw], direction bins f64[gh*gw*8], density variance
 f64[gh*gw], days u32), closed by a CRC32 trailer over everything before
 it. Writes go to a temp file renamed into place, so readers never observe
-a partial store.
+a partial store. Both directions move the 1440 slots as one packed
+structured array: ``save`` writes it once, and ``load`` checks the CRC
+over a view of the file's bytes and copies each field out of one
+``np.frombuffer`` view.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
-from io import BytesIO
 from pathlib import Path
 from tempfile import NamedTemporaryFile
 
@@ -41,6 +44,19 @@ MINUTES_PER_DAY = 1440
 
 _MAGIC = b"ISO1"
 _VERSION = 1
+
+
+def _slot_dtype(grid_w: int, grid_h: int) -> np.dtype:
+    """One minute's record in the file, packed: density mean, direction
+    bins, density variance, days."""
+    return np.dtype(
+        [
+            ("density", "<f8", (grid_h, grid_w)),
+            ("hist", "<f8", (grid_h, grid_w, N_DIR_BINS)),
+            ("var", "<f8", (grid_h, grid_w)),
+            ("days", "<u4"),
+        ]
+    )
 
 
 def minute_of_day(timestamp_ms: int) -> int:
@@ -76,7 +92,9 @@ class IsochronalStore:
     def update(self, minute: int, sample: MotionFrame) -> None:
         """Blend one per-minute aggregate into the slot's statistics.
 
-        Callers feed at most one sample per slot per day.
+        Callers feed at most one sample per slot per day. A sample with a
+        NaN, infinite or negative density or bin raises
+        :class:`RejectedInputError` and leaves the store unchanged.
         """
         self._check_minute(minute)
         if (sample.grid_h, sample.grid_w) != (self.grid_h, self.grid_w):
@@ -84,6 +102,12 @@ class IsochronalStore:
                 f"sample grid {(sample.grid_h, sample.grid_w)} does not match "
                 f"store grid {(self.grid_h, self.grid_w)}"
             )
+        for values in (sample.density, sample.dir_hist):
+            # A NaN fails the comparison with zero, like a negative value.
+            if not (values.min() >= 0.0 and values.max() < math.inf):
+                raise RejectedInputError(
+                    f"sample for minute {minute} has a non-finite or negative density or bin"
+                )
         self._support = None
         self._stats.pop(minute, None)
         a = self.alpha_l2
@@ -150,26 +174,28 @@ class IsochronalStore:
     # ------------------------------------------------------------------ persistence
 
     def save(self, path: str | Path) -> None:
-        buf = BytesIO()
-        buf.write(_MAGIC)
-        buf.write(struct.pack("<H", _VERSION))
-        buf.write(struct.pack("<d", self.t_l2_days))
         cam = self.camera_id.encode("utf-8")
-        buf.write(struct.pack("<H", len(cam)))
-        buf.write(cam)
-        buf.write(struct.pack("<HH", self.grid_w, self.grid_h))
-        for m in range(MINUTES_PER_DAY):
-            buf.write(self._mean_density[m].astype("<f8").tobytes())
-            buf.write(self._mean_hist[m].astype("<f8").tobytes())
-            buf.write(self._var[m].astype("<f8").tobytes())
-            buf.write(struct.pack("<I", int(self._days[m])))
-        payload = buf.getvalue()
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        header = b"".join(
+            (
+                _MAGIC,
+                struct.pack("<HdH", _VERSION, self.t_l2_days, len(cam)),
+                cam,
+                struct.pack("<HH", self.grid_w, self.grid_h),
+            )
+        )
+        slots = np.empty(MINUTES_PER_DAY, dtype=_slot_dtype(self.grid_w, self.grid_h))
+        slots["density"] = self._mean_density
+        slots["hist"] = self._mean_hist
+        slots["var"] = self._var
+        slots["days"] = self._days
+        body = slots.view(np.uint8)
+        crc = zlib.crc32(body, zlib.crc32(header))
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with NamedTemporaryFile(dir=path.parent, delete=False) as tmp:
-            tmp.write(payload)
+            tmp.write(header)
+            tmp.write(body)
             tmp.write(struct.pack("<I", crc))
             tmp_path = Path(tmp.name)
         tmp_path.replace(path)
@@ -182,39 +208,36 @@ class IsochronalStore:
             raise StoreLoadError(f"cannot read store file {path}: {exc}") from exc
         if len(data) < len(_MAGIC) + 2 + 4:
             raise StoreLoadError(f"store file {path} is truncated")
-        payload, trailer = data[:-4], data[-4:]
-        (crc_stored,) = struct.unpack("<I", trailer)
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
+        payload = memoryview(data)[:-4]
+        (crc_stored,) = struct.unpack_from("<I", data, len(payload))
+        if zlib.crc32(payload) != crc_stored:
             raise StoreLoadError(f"checksum mismatch in store file {path}")
 
-        buf = BytesIO(payload)
-        if buf.read(4) != _MAGIC:
+        if payload[: len(_MAGIC)] != _MAGIC:
             raise StoreLoadError(f"bad magic in store file {path}")
-        (version,) = struct.unpack("<H", buf.read(2))
+        (version,) = struct.unpack_from("<H", payload, 4)
         if version != _VERSION:
             raise StoreLoadError(f"unsupported store version {version} in {path}")
-        (t_l2_days,) = struct.unpack("<d", buf.read(8))
-        (cam_len,) = struct.unpack("<H", buf.read(2))
-        camera_id = buf.read(cam_len).decode("utf-8")
-        grid_w, grid_h = struct.unpack("<HH", buf.read(4))
-
-        store = cls(camera_id, grid_w, grid_h, t_l2_days)
-        n = grid_w * grid_h
-        expected = buf.getbuffer().nbytes - buf.tell()
-        needed = MINUTES_PER_DAY * (8 * n * (2 + N_DIR_BINS) + 4)
+        try:
+            t_l2_days, cam_len = struct.unpack_from("<dH", payload, 6)
+            camera_id = str(payload[16 : 16 + cam_len], "utf-8")
+            grid_w, grid_h = struct.unpack_from("<HH", payload, 16 + cam_len)
+            store = cls(camera_id, grid_w, grid_h, t_l2_days)
+        except (struct.error, UnicodeDecodeError, InvalidParameterError) as exc:
+            raise StoreLoadError(f"bad header in store file {path}: {exc}") from exc
+        start = 20 + cam_len
+        slot = _slot_dtype(grid_w, grid_h)
+        expected = len(payload) - start
+        needed = MINUTES_PER_DAY * slot.itemsize
         if expected != needed:
             raise StoreLoadError(
                 f"store file {path} has {expected} payload bytes, expected {needed}"
             )
-        for m in range(MINUTES_PER_DAY):
-            store._mean_density[m] = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(
-                grid_h, grid_w
-            )
-            store._mean_hist[m] = np.frombuffer(
-                buf.read(8 * n * N_DIR_BINS), dtype="<f8"
-            ).reshape(grid_h, grid_w, N_DIR_BINS)
-            store._var[m] = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(grid_h, grid_w)
-            (store._days[m],) = struct.unpack("<I", buf.read(4))
+        slots = np.frombuffer(data, dtype=slot, count=MINUTES_PER_DAY, offset=start)
+        store._mean_density[...] = slots["density"]
+        store._mean_hist[...] = slots["hist"]
+        store._var[...] = slots["var"]
+        store._days[...] = slots["days"]
         return store
 
     # ------------------------------------------------------------------ comparison

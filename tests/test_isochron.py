@@ -1,10 +1,16 @@
+import math
+import struct
+import zlib
+from io import BytesIO
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from motionbands.errors import InvalidParameterError, RejectedInputError, StoreLoadError
 from motionbands.filters import alpha_from_decay
 from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
-from motionbands.motion import MotionFrame
+from motionbands.motion import N_DIR_BINS, MotionFrame
 
 
 def _frame(density, t=0):
@@ -12,6 +18,78 @@ def _frame(density, t=0):
     hist = np.zeros(d.shape + (8,))
     hist[..., 0] = d
     return MotionFrame(density=d, dir_hist=hist, timestamp_ms=t)
+
+
+# The store file format v1 as the per-slot writer and reader produced it,
+# kept as the reference for the one-pass ``save`` and ``load``.
+
+def _reference_save(store, path):
+    buf = BytesIO()
+    buf.write(b"ISO1")
+    buf.write(struct.pack("<H", 1))
+    buf.write(struct.pack("<d", store.t_l2_days))
+    cam = store.camera_id.encode("utf-8")
+    buf.write(struct.pack("<H", len(cam)))
+    buf.write(cam)
+    buf.write(struct.pack("<HH", store.grid_w, store.grid_h))
+    for m in range(MINUTES_PER_DAY):
+        buf.write(store._mean_density[m].astype("<f8").tobytes())
+        buf.write(store._mean_hist[m].astype("<f8").tobytes())
+        buf.write(store._var[m].astype("<f8").tobytes())
+        buf.write(struct.pack("<I", int(store._days[m])))
+    payload = buf.getvalue()
+    Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+def _reference_load(path):
+    data = Path(path).read_bytes()
+    payload, trailer = data[:-4], data[-4:]
+    assert zlib.crc32(payload) & 0xFFFFFFFF == struct.unpack("<I", trailer)[0]
+    buf = BytesIO(payload)
+    assert buf.read(4) == b"ISO1"
+    assert struct.unpack("<H", buf.read(2)) == (1,)
+    (t_l2_days,) = struct.unpack("<d", buf.read(8))
+    (cam_len,) = struct.unpack("<H", buf.read(2))
+    camera_id = buf.read(cam_len).decode("utf-8")
+    grid_w, grid_h = struct.unpack("<HH", buf.read(4))
+    store = IsochronalStore(camera_id, grid_w, grid_h, t_l2_days)
+    n = grid_w * grid_h
+    assert buf.getbuffer().nbytes - buf.tell() == MINUTES_PER_DAY * (8 * n * (2 + N_DIR_BINS) + 4)
+    for m in range(MINUTES_PER_DAY):
+        store._mean_density[m] = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(
+            grid_h, grid_w
+        )
+        store._mean_hist[m] = np.frombuffer(
+            buf.read(8 * n * N_DIR_BINS), dtype="<f8"
+        ).reshape(grid_h, grid_w, N_DIR_BINS)
+        store._var[m] = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(grid_h, grid_w)
+        (store._days[m],) = struct.unpack("<I", buf.read(4))
+    return store
+
+
+def _populated(camera_id, grid_w, grid_h, seed, t_l2_days=10.0):
+    """A store with random samples on a scatter of minutes, some seen on
+    several days, and random direction bins."""
+    rng = np.random.default_rng(seed)
+    store = IsochronalStore(camera_id, grid_w, grid_h, t_l2_days=t_l2_days)
+    for day in range(4):
+        for minute in rng.choice(MINUTES_PER_DAY, 200, replace=False):
+            store.update(
+                int(minute),
+                MotionFrame(
+                    rng.uniform(0, 2, (grid_h, grid_w)),
+                    rng.uniform(0, 1, (grid_h, grid_w, N_DIR_BINS)),
+                ),
+            )
+    return store
+
+
+def _rewrite(path, edit):
+    """Apply ``edit`` to the file's bytes before the CRC, then write the
+    result with a valid CRC, so that only the check under test can fire."""
+    payload = bytearray(Path(path).read_bytes()[:-4])
+    edit(payload)
+    Path(path).write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
 
 
 class TestMinuteOfDay:
@@ -115,6 +193,27 @@ class TestUpdateQuery:
         store = IsochronalStore("cam0", 2, 2)
         with pytest.raises(RejectedInputError):
             store.update(0, _frame([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
+    @pytest.mark.parametrize("where", ["density", "dir_hist"])
+    def test_bad_sample_rejected_before_any_change(self, bad, where):
+        store = _populated("cam0", 3, 2, seed=4)
+        before = IsochronalStore("cam0", 3, 2)
+        before._mean_density[...] = store._mean_density
+        before._mean_hist[...] = store._mean_hist
+        before._var[...] = store._var
+        before._days[...] = store._days
+        stats = store.scalar_stats(5)
+        mask = store.binarize()
+        sample = MotionFrame(np.full((2, 3), 0.5), np.full((2, 3, N_DIR_BINS), 0.1))
+        getattr(sample, where)[1, 2] = bad
+        for minute in (5, 6):
+            with pytest.raises(RejectedInputError, match="non-finite or negative"):
+                store.update(minute, sample)
+        assert store.equals(before)
+        assert store.scalar_stats(5) == stats
+        np.testing.assert_array_equal(store.binarize(), mask)
+        assert not math.isnan(store.scalar_stats(6)[0])
 
     def test_query_returns_snapshot(self):
         store = IsochronalStore("cam0", 1, 1)
@@ -311,6 +410,105 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StoreLoadError, match="cannot read"):
             IsochronalStore.load(tmp_path / "absent.iso")
+
+
+class TestPersistenceAgainstReference:
+    STORES = [
+        ("fresh", lambda: IsochronalStore("camA", 2, 2)),
+        ("one-block", lambda: _populated("c", 1, 1, seed=1)),
+        ("wide", lambda: _populated("hallway-3", 7, 3, seed=2, t_l2_days=3.5)),
+        ("unicode-id", lambda: _populated("caméra-β", 4, 5, seed=3)),
+        ("empty-id", lambda: _populated("", 2, 3, seed=5)),
+    ]
+
+    @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
+    def test_save_is_byte_identical_to_reference(self, tmp_path, make):
+        store = make()
+        store.save(tmp_path / "new.iso")
+        _reference_save(store, tmp_path / "ref.iso")
+        assert (tmp_path / "new.iso").read_bytes() == (tmp_path / "ref.iso").read_bytes()
+
+    @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
+    def test_load_equals_reference_load(self, tmp_path, make):
+        store = make()
+        path = tmp_path / "ref.iso"
+        _reference_save(store, path)
+        loaded = IsochronalStore.load(path)
+        assert loaded.equals(_reference_load(path))
+        assert loaded.equals(store)
+        for name in ("_mean_density", "_mean_hist", "_var", "_days"):
+            got, want = getattr(loaded, name), getattr(store, name)
+            assert got.dtype == want.dtype and got.flags.c_contiguous and got.flags.writeable
+        loaded.update(0, _frame(np.ones((store.grid_h, store.grid_w))))
+        assert loaded.query(0)[2] == store.query(0)[2] + 1
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "s.iso"
+        _populated("cam0", 3, 2, seed=9).save(path)
+        return path
+
+    def test_flipped_byte_anywhere_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        for pos in (0, 5, 10, 17, 30, len(data) // 2, len(data) - 5, len(data) - 1):
+            damaged = bytearray(data)
+            damaged[pos] ^= 0x01
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(StoreLoadError, match="checksum"):
+                IsochronalStore.load(path)
+
+    @pytest.mark.parametrize("keep", [0, 3, 9, 20, -4, -1])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:keep] if keep >= 0 else data[:keep])
+        with pytest.raises(StoreLoadError, match="checksum|truncated"):
+            IsochronalStore.load(path)
+
+    def test_bad_version_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", 2)))
+        with pytest.raises(StoreLoadError, match="unsupported store version 2"):
+            IsochronalStore.load(path)
+
+    def test_bad_magic_with_valid_checksum_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite(path, lambda b: b.__setitem__(slice(0, 4), b"ISO2"))
+        with pytest.raises(StoreLoadError, match="bad magic"):
+            IsochronalStore.load(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b.extend(b"\0"),  # one byte too many
+            lambda b: b.__delitem__(slice(-3, None)),  # last slot's days cut short
+            # grid_h 2 -> 3; it sits after magic, version, decay, id length, "cam0", grid_w
+            lambda b: b.__setitem__(slice(22, 24), struct.pack("<H", 3)),
+        ],
+        ids=["extra-byte", "short-slot", "wrong-grid"],
+    )
+    def test_wrong_payload_size_rejected(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        _rewrite(path, edit)
+        with pytest.raises(StoreLoadError, match="payload bytes"):
+            IsochronalStore.load(path)
+
+    @pytest.mark.parametrize(
+        "rest",
+        [
+            struct.pack("<H", 50) + b"cam",  # cut inside the camera id
+            struct.pack("<H", 3) + b"cam" + struct.pack("<H", 2),  # cut inside the grid dims
+            struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<HH", 1, 1),  # id not UTF-8
+            struct.pack("<H", 1) + b"c" + struct.pack("<HH", 0, 1),  # empty grid
+        ],
+        ids=["short-id", "short-grid", "bad-utf8", "zero-grid"],
+    )
+    def test_bad_header_with_valid_checksum_rejected(self, tmp_path, rest):
+        path = tmp_path / "s.iso"
+        payload = b"ISO1" + struct.pack("<Hd", 1, 10.0) + rest
+        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(StoreLoadError, match="bad header"):
+            IsochronalStore.load(path)
 
 
 class TestProfileCsv:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.motion import (
+    _OCTANT,
     GrayFrame,
     MotionFrame,
+    _magnitude_and_octant,
     aggregate_minute,
     extract_motion,
     motion_from_json,
@@ -277,6 +279,68 @@ class TestExtractMotion:
             img = rng.integers(0, 256, (20, 28), dtype=np.uint8)
             mf = extract_motion(_gray(img), _gray(img), block_size=7, noise_floor=0)
             assert np.all(mf.density == 0) and np.all(mf.dir_hist == 0)
+
+
+# |gx|, |gy| bound of the Sobel of the sum of two 8-bit frames: 4 * 510.
+SOBEL_SUM_MAX = 2040
+
+
+def _atan2_bins(vx, vy):
+    """Direction bins as the full-frame reference computes them."""
+    return np.round(np.arctan2(vy, vx) / (math.pi / 4.0)).astype(np.int64) & 7
+
+
+def _integer_gradients(rows=256):
+    """Every integer gradient pair in [-2040, 2040]^2, in int16 chunks of
+    ``rows`` gx values by all gy values."""
+    gy = np.arange(-SOBEL_SUM_MAX, SOBEL_SUM_MAX + 1, dtype=np.int16)
+    for start in range(-SOBEL_SUM_MAX, SOBEL_SUM_MAX + 1, rows):
+        gx = np.arange(start, min(start + rows, SOBEL_SUM_MAX + 1), dtype=np.int16)
+        gxx, gyy = np.meshgrid(gx, gy, indexing="ij")
+        yield gxx.ravel(), gyy.ravel()
+
+
+class TestGradientArithmetic:
+    def test_octant_equals_rounded_atan2_on_every_integer_gradient(self):
+        checked = 0
+        for gx, gy in _integer_gradients():
+            # A zero gradient has zero weight, so its bin never counts.
+            moving = (gx != 0) | (gy != 0)
+            for sign in (1, -1):
+                _, key = _magnitude_and_octant(gx, gy, np.full(gx.shape, sign < 0))
+                want = _atan2_bins(-sign * gx.astype(np.int64), sign * gy.astype(np.int64))
+                np.testing.assert_array_equal(_OCTANT[key][moving], want[moving])
+                checked += int(moving.sum())
+        assert checked == 2 * ((2 * SOBEL_SUM_MAX + 1) ** 2 - 1)
+
+    def test_magnitude_within_one_ulp_of_hypot(self):
+        for gx, gy in _integer_gradients():
+            magnitude, _ = _magnitude_and_octant(gx, gy, np.zeros(gx.shape, dtype=bool))
+            assert magnitude.dtype == np.float64
+            want = np.hypot(gx.astype(np.float64), gy.astype(np.float64))
+            assert np.all(np.abs(magnitude - want) <= np.spacing(want))
+
+    def test_float_gradients_match_atan2_and_hypot(self):
+        rng = np.random.default_rng(17)
+        gx = rng.uniform(-SOBEL_SUM_MAX, SOBEL_SUM_MAX, 200_000)
+        gy = rng.uniform(-SOBEL_SUM_MAX, SOBEL_SUM_MAX, 200_000)
+        negative = rng.random(200_000) < 0.5
+        magnitude, key = _magnitude_and_octant(gx, gy, negative)
+        sign = np.where(negative, -1.0, 1.0)
+        np.testing.assert_array_equal(_OCTANT[key], _atan2_bins(-sign * gx, sign * gy))
+        np.testing.assert_allclose(magnitude, np.hypot(gx, gy), rtol=1e-15, atol=0)
+
+    def test_direction_bins_bit_identical_on_integer_frames(self):
+        # One moving pixel per block isolates each pixel's bin in the
+        # histogram; the reference bins it with atan2.
+        rng = np.random.default_rng(23)
+        prev = rng.integers(0, 256, (64, 96), dtype=np.uint8)
+        curr = prev.copy()
+        curr[2::4, 1::4] = rng.integers(0, 256, curr[2::4, 1::4].shape)
+        mf = extract_motion(_gray(prev), _gray(curr), block_size=4, noise_floor=1)
+        _, hist = _reference_extract(prev, curr, 4, 1)
+        np.testing.assert_array_equal(mf.dir_hist > 0, hist > 0)
+        np.testing.assert_allclose(mf.dir_hist, hist, rtol=1e-14, atol=0)
 
 
 class TestGrayFrame:

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .filters import BandOutputs, BandParams, CascadeFilter, ReferenceFilter, alpha_from_decay
 from .isochron import IsochronalStore, minute_of_day
-from .motion import GrayFrame, MotionBlock, MotionFrame, aggregate_minute, extract_motion
+from .motion import GrayFrame, MotionFrame, extract_motion
 
 __all__ = [
     "BandOutputs",
@@ -25,13 +25,11 @@ __all__ = [
     "GrayFrame",
     "InvalidParameterError",
     "IsochronalStore",
-    "MotionBlock",
     "MotionFrame",
     "RejectedInputError",
     "ReferenceFilter",
     "StoreLoadError",
     "UnknownSegmentError",
-    "aggregate_minute",
     "alpha_from_decay",
     "extract_motion",
     "minute_of_day",

@@ -60,6 +60,9 @@ class ActivityEvent:
             "end_ms": self.end_ms,
             "peak": self.peak,
             "band": self.band,
+            "threshold_mean": self.threshold_mean,
+            "threshold_std": self.threshold_std,
+            "k_sigma": self.k_sigma,
         }
 
 

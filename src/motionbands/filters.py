@@ -1,4 +1,4 @@
-"""Temporal filter primitives and the four-band cascade.
+"""The four-band temporal filter cascade.
 
 All IIR stages are first-order exponential moving averages parameterized by
 a 10%-decay duration: alpha = 0.1 ** (1 / (rate * duration)), so an impulse
@@ -23,22 +23,30 @@ fully-updated tick (including the isochronal stage applied downstream):
 4 per tick for the cascade against 5 for the reference, and 2 persistent
 short-term state frames against 3.
 
+The bands filter motion density only. The gate, the isochronal store and
+the planner read nothing else, so the direction bins of an extracted frame
+are checked and dropped at the filter's input, every state is one density
+grid, and each band is a frame with an empty histogram (see
+``MotionFrame``). Density is filtered element-wise, so dropping the bins
+leaves every density bit for bit as it was.
+
 The streaming filters update preallocated state in place (see
 ``_BandFilterBase``): a frame-rate tick allocates only the new noise-free
 band, a short-term tick also the new in-place and moving bands, and every
 band handed out is read-only and never written again. Frames with a
-non-finite or negative value are rejected before any state changes.
+non-finite or negative density or bin are rejected before any state
+changes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, RejectedInputError
-from .motion import N_DIR_BINS, MotionBlock, MotionFrame
+from .motion import MotionFrame
 
 CASCADE_MULTIPLIES_PER_TICK = 4
 REFERENCE_MULTIPLIES_PER_TICK = 5
@@ -58,18 +66,6 @@ def alpha_from_decay(rate_r: float, duration_t: float) -> float:
     if duration_t <= 0:
         raise InvalidParameterError(f"duration must be > 0, got {duration_t}")
     return 0.1 ** (1.0 / (rate_r * duration_t))
-
-
-@dataclass(frozen=True)
-class DecaySpec:
-    """Sampling rate, 10%-decay duration, and the derived coefficient."""
-
-    rate_r: float
-    duration_t: float
-    alpha: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", alpha_from_decay(self.rate_r, self.duration_t))
 
 
 @dataclass(frozen=True)
@@ -130,42 +126,14 @@ class BandParams:
         return int(math.ceil(self.shortterm_rate * self.t_s2_s))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidParameterError(f"alpha must lie in [0, 1], got {alpha}")
-
-
-def ema_step(state: MotionBlock, x: MotionBlock, alpha: float) -> MotionBlock:
-    """One EMA update, component-wise over density and all direction bins.
-
-    The returned block is both the filter output and the next state.
-    """
-    _check_alpha(alpha)
-    return MotionBlock(
-        density=alpha * state.density + (1.0 - alpha) * x.density,
-        dir_hist=alpha * state.dir_hist + (1.0 - alpha) * x.dir_hist,
-    )
-
-
-def highpass_step(state: MotionBlock, x: MotionBlock, alpha: float) -> MotionBlock:
-    """High-pass complement ``x - ema_step(state, x, alpha)``, floored at 0.
-
-    The caller advances the shared low-pass state with :func:`ema_step`.
-    """
-    lp = ema_step(state, x, alpha)
-    return MotionBlock(
-        density=max(0.0, x.density - lp.density),
-        dir_hist=np.maximum(0.0, x.dir_hist - lp.dir_hist),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Streaming band extraction
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BandOutputs:
-    """Immutable per-tick snapshot of the three chronological bands."""
+    """Immutable per-tick snapshot of the three chronological bands, each a
+    density-only frame (see :class:`MotionFrame`)."""
 
     m_l1: MotionFrame
     m_s1: MotionFrame
@@ -192,16 +160,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class _BandFilterBase:
     """Shared stream plumbing for the cascade and reference filters.
 
-    Each state is one flat float64 buffer holding the density grid followed
-    by the direction bins, so one ufunc call updates both; ``_split`` gives
-    its (density, dir_hist) views. The states are the noise-removal
-    low-pass, the sum of the noise-free band since the last short-term
-    tick, the in-place low-pass, and a ring of the last ``fir_window``
-    band-pass inputs; all are updated in place with ``out=`` ufuncs. A
-    frame-rate tick allocates only the new noise-free band. A short-term
-    tick also allocates the new in-place and moving bands, which later
-    ticks hand out again until the next short-term tick. Every band array
-    handed out is read-only and never written again.
+    Every state is one (grid_h, grid_w) float64 density grid: the
+    noise-removal low-pass, the sum of the noise-free band since the last
+    short-term tick, the in-place low-pass, and a ring of the last
+    ``fir_window`` band-pass inputs; all are updated in place with ``out=``
+    ufuncs. Input frames may carry direction bins, which are checked and
+    then dropped, so the bands are density-only frames. A frame-rate tick
+    allocates only the new noise-free band. A short-term tick also
+    allocates the new in-place and moving bands, which later ticks hand
+    out again until the next short-term tick. Every band array handed out
+    is read-only and never written again.
     """
 
     multiplies_per_tick = 0
@@ -211,49 +179,21 @@ class _BandFilterBase:
         if grid_w < 1 or grid_h < 1:
             raise InvalidParameterError("grid dimensions must be positive")
         self.params = params
-        self._grid = (grid_h, grid_w)
-        self._hist_shape = (grid_h, grid_w, N_DIR_BINS)
-        self._n_blocks = grid_h * grid_w
+        self._grid = grid = (grid_h, grid_w)
         self._alpha_l1 = params.alpha_l1
         self._alpha_s1 = params.alpha_s1
         self._stride = params.stride
-        size = grid_h * grid_w * (1 + N_DIR_BINS)
-        self._x = np.zeros(size)  # the current frame, copied in and checked
-        self._x_views = self._split(self._x)
-        self._tmp = np.zeros(size)
-        self._lp_l1 = np.zeros(size)
-        self._acc = np.zeros(size)
+        self._tmp = np.zeros(grid)
+        self._lp_l1 = np.zeros(grid)
+        self._acc = np.zeros(grid)
         self._acc_n = 0
-        self._lp_s1 = np.zeros(size)
-        self._fir = np.zeros((params.fir_window, size))
+        self._lp_s1 = np.zeros(grid)
+        self._fir = np.zeros((params.fir_window,) + grid)
         self._fir_n = 0  # band-pass inputs written to the ring so far
-        self._zeros = _frozen(np.zeros(size))
-        self._m_s1 = self._m_s2 = self._split(self._zeros)
+        self._zeros = _frozen(np.zeros(grid))
+        self._no_bins = _frozen(np.zeros(grid + (0,)))
+        self._m_s1 = self._m_s2 = self._zeros
         self.multiplies = 0
-
-    def _split(self, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(density, dir_hist) views of a flat state buffer."""
-        n = self._n_blocks
-        return buf[:n].reshape(self._grid), buf[n:].reshape(self._hist_shape)
-
-    def _load(self, frame: MotionFrame) -> np.ndarray:
-        """The frame as a flat buffer, or :class:`RejectedInputError` for a
-        wrong grid or a non-finite or negative value."""
-        if frame.density.shape != self._grid:
-            raise RejectedInputError(
-                f"frame grid {(frame.grid_h, frame.grid_w)} does not match "
-                f"filter grid {self._grid}"
-            )
-        density, hist = self._x_views
-        np.copyto(density, frame.density)
-        np.copyto(hist, frame.dir_hist)
-        x = self._x
-        # A NaN fails the comparison with zero, like a negative value.
-        if not (np.minimum.reduce(x) >= 0.0 and np.maximum.reduce(x) < math.inf):
-            raise RejectedInputError(
-                f"frame at {frame.timestamp_ms} ms has a non-finite or negative density or bin"
-            )
-        return x
 
     def _band_hp(self, st_input: np.ndarray, out: np.ndarray) -> None:
         """Write the band-pass high side of ``st_input`` into ``out``."""
@@ -263,10 +203,20 @@ class _BandFilterBase:
         """Advance one frame-rate tick; short-term bands update on the
         reduced-rate ticks and are carried in between.
 
-        A frame with a non-finite or negative value raises
-        :class:`RejectedInputError` and leaves the filter unchanged.
+        A frame on another grid, or with a non-finite or negative density
+        or bin, raises :class:`RejectedInputError` and leaves the filter
+        unchanged.
         """
-        x = self._load(frame)
+        x = frame.density
+        if x.shape != self._grid:
+            raise RejectedInputError(
+                f"frame grid {(frame.grid_h, frame.grid_w)} does not match "
+                f"filter grid {self._grid}"
+            )
+        if not frame.finite_nonnegative():
+            raise RejectedInputError(
+                f"frame at {frame.timestamp_ms} ms has a non-finite or negative density or bin"
+            )
         lp = self._lp_l1
         _ema(lp, x, self._alpha_l1, self._tmp)
         m_l1 = np.subtract(x, lp)
@@ -279,11 +229,11 @@ class _BandFilterBase:
             self._short_term_tick()
 
         t = frame.timestamp_ms
-        wrap = MotionFrame._wrap
+        wrap, bins = MotionFrame._wrap, self._no_bins
         return BandOutputs(
-            m_l1=wrap(*self._split(_frozen(m_l1)), t),
-            m_s1=wrap(*self._m_s1, t),
-            m_s2=wrap(*self._m_s2, t),
+            m_l1=wrap(_frozen(m_l1), bins, t),
+            m_s1=wrap(self._m_s1, bins, t),
+            m_s2=wrap(self._m_s2, bins, t),
         )
 
     def _short_term_tick(self) -> None:
@@ -302,8 +252,8 @@ class _BandFilterBase:
             np.add(m_s2, ring[i % k], out=m_s2)
         np.divide(m_s2, n, out=m_s2)
         np.maximum(0.0, m_s2, out=m_s2)
-        self._m_s1 = self._split(_frozen(lp.copy()))
-        self._m_s2 = self._split(_frozen(m_s2))
+        self._m_s1 = _frozen(lp.copy())
+        self._m_s2 = _frozen(m_s2)
         acc.fill(0.0)
         self._acc_n = 0
         self.multiplies += self.multiplies_per_tick

@@ -1,10 +1,9 @@
 """Long-term activity statistics per minute of day.
 
 One store per camera holds 1440 slots, one per minute of day. Each slot
-keeps an EMA of the per-minute motion aggregate (density plus direction
-bins), an EMA of the squared density deviation, and a day counter. Updates
-arrive once per slot per day; the EMA constant is parameterized by a
-10%-decay span in days.
+keeps an EMA of the per-minute density aggregate, an EMA of the squared
+density deviation, and a day counter. Updates arrive once per slot per
+day; the EMA constant is parameterized by a 10%-decay span in days.
 
 The first observation of a slot initializes the mean directly instead of
 blending with the all-zero prior, avoiding a multi-day warm-up bias.
@@ -15,20 +14,26 @@ the mask and the updated minute's stats, and a freshly constructed or
 loaded store starts with empty caches. ``binarize`` callers get a copy, so
 they cannot alter the cached mask.
 
-File format (little-endian): magic ``ISO1``, version u16, decay span f64,
-length-prefixed camera id, grid dims u16 x2, then 1440 slots of
-(density mean f64[gh*gw], direction bins f64[gh*gw*8], density variance
-f64[gh*gw], days u32), closed by a CRC32 trailer over everything before
-it. Writes go to a temp file renamed into place, so readers never observe
-a partial store. Both directions move the 1440 slots as one packed
-structured array: ``save`` writes it once, and ``load`` checks the CRC
-over a view of the file's bytes and copies each field out of one
+File format v2 (little-endian): magic ``ISO1``, version u16 = 2, decay
+span f64, camera id length u16 and its UTF-8 bytes, grid dims u16 x2
+(width, height), then 1440 slots of (density mean f64[gh*gw], density
+variance f64[gh*gw], days u32), closed by a CRC32 trailer over everything
+before it: 16 * gh * gw + 4 bytes per minute, 19,204 on a 40x30 grid.
+``save`` always writes v2. Writes go to a temp file renamed into place, so
+readers never observe a partial store.
+
+``load`` also reads version 1, whose header is the same and whose slots
+hold direction bins f64[gh*gw*8] between the density mean and the
+variance; it drops the bins. Both versions pass the same checks: CRC,
+magic, version, header fields, and a payload size that must match the
+version's slot layout exactly. The 1440 slots move as one packed
+structured array: ``save`` writes it once, and ``load`` checks the CRC over
+a view of the file's bytes and copies each field out of one
 ``np.frombuffer`` view.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from pathlib import Path
@@ -43,20 +48,16 @@ from .motion import N_DIR_BINS, MotionFrame
 MINUTES_PER_DAY = 1440
 
 _MAGIC = b"ISO1"
-_VERSION = 1
+_VERSION = 2
+_V1_WITH_BINS = 1
 
 
-def _slot_dtype(grid_w: int, grid_h: int) -> np.dtype:
-    """One minute's record in the file, packed: density mean, direction
-    bins, density variance, days."""
-    return np.dtype(
-        [
-            ("density", "<f8", (grid_h, grid_w)),
-            ("hist", "<f8", (grid_h, grid_w, N_DIR_BINS)),
-            ("var", "<f8", (grid_h, grid_w)),
-            ("days", "<u4"),
-        ]
-    )
+def _slot_dtype(grid_w: int, grid_h: int, version: int = _VERSION) -> np.dtype:
+    """One minute's record in a file of ``version``, packed: density mean,
+    the direction bins in version 1 only, density variance, days."""
+    grid = (grid_h, grid_w)
+    bins = [("hist", "<f8", grid + (N_DIR_BINS,))] if version == _V1_WITH_BINS else []
+    return np.dtype([("density", "<f8", grid), *bins, ("var", "<f8", grid), ("days", "<u4")])
 
 
 def minute_of_day(timestamp_ms: int) -> int:
@@ -64,7 +65,7 @@ def minute_of_day(timestamp_ms: int) -> int:
 
 
 class IsochronalStore:
-    """Per-minute-of-day motion statistics for one camera."""
+    """Per-minute-of-day motion density statistics for one camera."""
 
     def __init__(self, camera_id: str, grid_w: int, grid_h: int, t_l2_days: float = 10.0):
         if grid_w < 1 or grid_h < 1:
@@ -75,7 +76,6 @@ class IsochronalStore:
         self.t_l2_days = float(t_l2_days)
         self.alpha_l2 = alpha_from_decay(1.0, self.t_l2_days)
         self._mean_density = np.zeros((MINUTES_PER_DAY, grid_h, grid_w))
-        self._mean_hist = np.zeros((MINUTES_PER_DAY, grid_h, grid_w, N_DIR_BINS))
         self._var = np.zeros((MINUTES_PER_DAY, grid_h, grid_w))
         self._days = np.zeros(MINUTES_PER_DAY, dtype=np.uint32)
         self._support: tuple[float, np.ndarray] | None = None  # (epsilon, mask)
@@ -90,10 +90,12 @@ class IsochronalStore:
             )
 
     def update(self, minute: int, sample: MotionFrame) -> None:
-        """Blend one per-minute aggregate into the slot's statistics.
+        """Blend one per-minute aggregate's density into the slot's
+        statistics.
 
-        Callers feed at most one sample per slot per day. A sample with a
-        NaN, infinite or negative density or bin raises
+        Callers feed at most one sample per slot per day. The sample may
+        carry direction bins, which are checked and not stored. A sample
+        with a NaN, infinite or negative density or bin raises
         :class:`RejectedInputError` and leaves the store unchanged.
         """
         self._check_minute(minute)
@@ -102,24 +104,20 @@ class IsochronalStore:
                 f"sample grid {(sample.grid_h, sample.grid_w)} does not match "
                 f"store grid {(self.grid_h, self.grid_w)}"
             )
-        for values in (sample.density, sample.dir_hist):
-            # A NaN fails the comparison with zero, like a negative value.
-            if not (values.min() >= 0.0 and values.max() < math.inf):
-                raise RejectedInputError(
-                    f"sample for minute {minute} has a non-finite or negative density or bin"
-                )
+        if not sample.finite_nonnegative():
+            raise RejectedInputError(
+                f"sample for minute {minute} has a non-finite or negative density or bin"
+            )
         self._support = None
         self._stats.pop(minute, None)
         a = self.alpha_l2
         if self._days[minute] == 0:
             self._mean_density[minute] = sample.density
-            self._mean_hist[minute] = sample.dir_hist
             self._var[minute] = 0.0
         else:
             self._mean_density[minute] = (
                 a * self._mean_density[minute] + (1.0 - a) * sample.density
             )
-            self._mean_hist[minute] = a * self._mean_hist[minute] + (1.0 - a) * sample.dir_hist
             dev = sample.density - self._mean_density[minute]
             self._var[minute] = a * self._var[minute] + (1.0 - a) * dev * dev
         self._days[minute] += 1
@@ -127,11 +125,12 @@ class IsochronalStore:
     # ------------------------------------------------------------------ query
 
     def query(self, minute: int) -> tuple[MotionFrame, np.ndarray, int]:
-        """Immutable snapshot: (mean frame, per-block density std, days seen)."""
+        """Immutable snapshot: (density-only mean frame, per-block density
+        std, days seen)."""
         self._check_minute(minute)
         mean = MotionFrame(
             density=self._mean_density[minute].copy(),
-            dir_hist=self._mean_hist[minute].copy(),
+            dir_hist=np.zeros((self.grid_h, self.grid_w, 0)),
             timestamp_ms=minute * 60_000,
         )
         std = np.sqrt(self._var[minute])
@@ -185,7 +184,6 @@ class IsochronalStore:
         )
         slots = np.empty(MINUTES_PER_DAY, dtype=_slot_dtype(self.grid_w, self.grid_h))
         slots["density"] = self._mean_density
-        slots["hist"] = self._mean_hist
         slots["var"] = self._var
         slots["days"] = self._days
         body = slots.view(np.uint8)
@@ -216,7 +214,7 @@ class IsochronalStore:
         if payload[: len(_MAGIC)] != _MAGIC:
             raise StoreLoadError(f"bad magic in store file {path}")
         (version,) = struct.unpack_from("<H", payload, 4)
-        if version != _VERSION:
+        if version not in (_V1_WITH_BINS, _VERSION):
             raise StoreLoadError(f"unsupported store version {version} in {path}")
         try:
             t_l2_days, cam_len = struct.unpack_from("<dH", payload, 6)
@@ -226,7 +224,7 @@ class IsochronalStore:
         except (struct.error, UnicodeDecodeError, InvalidParameterError) as exc:
             raise StoreLoadError(f"bad header in store file {path}: {exc}") from exc
         start = 20 + cam_len
-        slot = _slot_dtype(grid_w, grid_h)
+        slot = _slot_dtype(grid_w, grid_h, version)
         expected = len(payload) - start
         needed = MINUTES_PER_DAY * slot.itemsize
         if expected != needed:
@@ -235,7 +233,6 @@ class IsochronalStore:
             )
         slots = np.frombuffer(data, dtype=slot, count=MINUTES_PER_DAY, offset=start)
         store._mean_density[...] = slots["density"]
-        store._mean_hist[...] = slots["hist"]
         store._var[...] = slots["var"]
         store._days[...] = slots["days"]
         return store
@@ -249,7 +246,6 @@ class IsochronalStore:
             and self.grid_h == other.grid_h
             and self.t_l2_days == other.t_l2_days
             and np.array_equal(self._mean_density, other._mean_density)
-            and np.array_equal(self._mean_hist, other._mean_hist)
             and np.array_equal(self._var, other._var)
             and np.array_equal(self._days, other._days)
         )

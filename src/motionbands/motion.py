@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -87,30 +87,16 @@ class GrayFrame:
 
 
 @dataclass
-class MotionBlock:
-    """Per-block motion features: scalar density plus 8 direction bins."""
-
-    density: float = 0.0
-    dir_hist: np.ndarray = field(default_factory=lambda: np.zeros(N_DIR_BINS))
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.dir_hist, dtype=np.float64)
-        if h.shape != (N_DIR_BINS,):
-            raise RejectedInputError(f"dir_hist must have {N_DIR_BINS} bins, got {h.shape}")
-        self.dir_hist = h
-
-    def dominant_direction(self) -> int:
-        """Argmax bin index; ties resolve to the lowest index."""
-        return int(np.argmax(self.dir_hist))
-
-
-@dataclass
 class MotionFrame:
     """Grid of block-motion features at one instant.
 
-    ``density`` has shape (grid_h, grid_w); ``dir_hist`` has shape
-    (grid_h, grid_w, 8). Blocks are addressed as (bx, by) with bx the
-    column index.
+    ``density`` has shape (grid_h, grid_w). ``dir_hist`` has shape
+    (grid_h, grid_w, 8) on a frame from :func:`extract_motion`, and
+    (grid_h, grid_w, 0) on everything downstream of it: the cascade's
+    bands and the isochronal store's means carry density only, because no
+    decision reads direction, so their frames hold an empty histogram
+    rather than eight bins of nothing. Blocks are addressed as (bx, by)
+    with bx the column index.
     """
 
     density: np.ndarray
@@ -122,7 +108,7 @@ class MotionFrame:
         h = np.asarray(self.dir_hist, dtype=np.float64)
         if d.ndim != 2 or d.size == 0:
             raise RejectedInputError(f"density must be a non-empty 2-D grid, got shape {d.shape}")
-        if h.shape != d.shape + (N_DIR_BINS,):
+        if h.shape not in (d.shape + (N_DIR_BINS,), d.shape + (0,)):
             raise RejectedInputError(
                 f"dir_hist shape {h.shape} does not match density grid {d.shape}"
             )
@@ -151,6 +137,10 @@ class MotionFrame:
             timestamp_ms=timestamp_ms,
         )
 
+    def finite_nonnegative(self) -> bool:
+        """True iff every density and bin is finite and >= 0."""
+        return _finite_nonnegative(self.density) and _finite_nonnegative(self.dir_hist)
+
     @property
     def grid_w(self) -> int:
         return self.density.shape[1]
@@ -163,14 +153,17 @@ class MotionFrame:
     def n_blocks(self) -> int:
         return self.density.size
 
-    def block(self, bx: int, by: int) -> MotionBlock:
-        return MotionBlock(float(self.density[by, bx]), self.dir_hist[by, bx].copy())
-
     def copy(self) -> "MotionFrame":
         return MotionFrame(self.density.copy(), self.dir_hist.copy(), self.timestamp_ms)
 
-    def same_grid(self, other: "MotionFrame") -> bool:
-        return self.density.shape == other.density.shape
+
+def _finite_nonnegative(values: np.ndarray) -> bool:
+    # A NaN fails the comparison with zero, like a negative value. An empty
+    # array passes: the reductions have no identity to return for it.
+    return values.size == 0 or bool(
+        np.minimum.reduce(values, axis=None) >= 0.0
+        and np.maximum.reduce(values, axis=None) < math.inf
+    )
 
 
 def extract_motion(
@@ -340,25 +333,6 @@ def _magnitude_and_octant(
     return magnitude, key
 
 
-def aggregate_minute(frames: Sequence[MotionFrame]) -> MotionFrame:
-    """Per-block arithmetic mean of a minute's worth of motion frames.
-
-    The output timestamp is the first frame's minute boundary.
-    """
-    if len(frames) == 0:
-        raise InvalidParameterError("cannot aggregate an empty frame sequence")
-    first = frames[0]
-    for f in frames[1:]:
-        if not first.same_grid(f):
-            raise RejectedInputError(
-                f"mixed grids in aggregate: {first.density.shape} vs {f.density.shape}"
-            )
-    density = np.mean(np.stack([f.density for f in frames]), axis=0)
-    dir_hist = np.mean(np.stack([f.dir_hist for f in frames]), axis=0)
-    minute_start = first.timestamp_ms // 60_000 * 60_000
-    return MotionFrame(density=density, dir_hist=dir_hist, timestamp_ms=minute_start)
-
-
 # ---------------------------------------------------------------------------
 # Interchange: JSON-lines and PGM
 # ---------------------------------------------------------------------------
@@ -366,8 +340,9 @@ def aggregate_minute(frames: Sequence[MotionFrame]) -> MotionFrame:
 def motion_to_json(frame: MotionFrame, band: str | None = None) -> str:
     """One JSON line: {"t", "gw", "gh", "blocks": [[density, [h0..h7]], ...]}.
 
-    Field order is fixed; floats keep full precision. ``band`` appends a
-    band label for filtered streams.
+    Field order is fixed; floats keep full precision. A density-only frame
+    writes an empty bin list per block. ``band`` appends a band label for
+    filtered streams.
     """
     blocks = [
         [float(frame.density[by, bx]), [float(v) for v in frame.dir_hist[by, bx]]]
@@ -387,9 +362,12 @@ def motion_from_json(line: str) -> tuple[MotionFrame, str | None]:
     blocks = obj["blocks"]
     if len(blocks) != gw * gh:
         raise RejectedInputError(f"expected {gw * gh} blocks, got {len(blocks)}")
+    n_bins = len(blocks[0][1]) if blocks else 0
     density = np.empty((gh, gw))
-    hist = np.empty((gh, gw, N_DIR_BINS))
+    hist = np.empty((gh, gw, n_bins))
     for i, (d, bins) in enumerate(blocks):
+        if len(bins) != n_bins:
+            raise RejectedInputError(f"block {i} has {len(bins)} bins, block 0 has {n_bins}")
         by, bx = divmod(i, gw)
         density[by, bx] = d
         hist[by, bx] = bins

@@ -4,7 +4,9 @@ and event gating glued into one ingest loop.
 One pipeline owns one camera's mutable state (single writer); its outputs
 are immutable snapshots. The isochronal store receives one aggregate per
 completed minute, accumulated as a running sum so frame rate does not
-affect memory.
+affect memory. Frames must arrive in timestamp order: a late or duplicate
+frame is rejected, so a replayed stretch cannot count a minute twice in
+one day.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import RejectedInputError
 from .events import ActivityEvent, EventGate
 from .filters import BandOutputs, BandParams, CascadeFilter
 from .isochron import IsochronalStore, minute_of_day
-from .motion import N_DIR_BINS, MotionFrame
+from .motion import MotionFrame
 
 
 @dataclass
@@ -43,35 +45,23 @@ def band_params_from_config(config: Config) -> BandParams:
 
 @dataclass
 class _MinuteAccumulator:
-    """Running sum of the noise-free band over the current minute."""
+    """Running sum of the noise-free band's density over one minute."""
 
-    minute: int | None = None
-    density: np.ndarray | None = None
-    hist: np.ndarray | None = None
+    minute: int
+    density: np.ndarray
     count: int = 0
 
-    def add(self, frame: MotionFrame) -> None:
-        if self.density is None:
-            self.density = frame.density.copy()
-            self.hist = frame.dir_hist.copy()
-        else:
-            np.add(self.density, frame.density, out=self.density)
-            np.add(self.hist, frame.dir_hist, out=self.hist)
+    def add(self, density: np.ndarray) -> None:
+        np.add(self.density, density, out=self.density)
         self.count += 1
 
     def aggregate(self) -> MotionFrame:
-        assert self.density is not None and self.count > 0
+        """The minute's mean density, timestamped at the minute's start."""
         return MotionFrame(
             density=self.density / self.count,
-            dir_hist=self.hist / self.count,
-            timestamp_ms=(self.minute or 0) * 60_000,
+            dir_hist=np.zeros(self.density.shape + (0,)),
+            timestamp_ms=self.minute * 60_000,
         )
-
-    def reset(self, minute: int, grid_w: int, grid_h: int) -> None:
-        self.minute = minute
-        self.density = np.zeros((grid_h, grid_w))
-        self.hist = np.zeros((grid_h, grid_w, N_DIR_BINS))
-        self.count = 0
 
 
 class CameraPipeline:
@@ -105,30 +95,38 @@ class CameraPipeline:
         self.events: list[ActivityEvent] = []
         self.frames_ingested = 0
         self.frames_rejected = 0
+        self.frames_late = 0
         self.last_bands: BandOutputs | None = None
-        self._acc = _MinuteAccumulator()
+        self._acc: _MinuteAccumulator | None = None
+        self._last_ms: int | None = None  # timestamp of the last accepted frame
         self._last_decision = 0
 
     def ingest(self, frame: MotionFrame) -> IngestResult:
         """Filter, accumulate and gate one frame.
 
-        A frame the cascade rejects (wrong grid, non-finite or negative
-        values) is counted in ``frames_rejected`` and its
-        :class:`RejectedInputError` re-raised; no state changes.
+        A frame whose timestamp is not after the last accepted frame's
+        (late or duplicate) is counted in ``frames_late``; a frame the
+        cascade rejects (wrong grid, non-finite or negative values) is
+        counted in ``frames_rejected``. Either raises
+        :class:`RejectedInputError` and changes no other state.
         """
+        t = frame.timestamp_ms
+        if self._last_ms is not None and t <= self._last_ms:
+            self.frames_late += 1
+            raise RejectedInputError(
+                f"frame at {t} ms is not after the last accepted frame at {self._last_ms} ms"
+            )
         try:
             bands = self.cascade.step(frame)
         except RejectedInputError:
             self.frames_rejected += 1
             raise
-        minute = minute_of_day(frame.timestamp_ms)
-        if self._acc.minute is None:
-            self._acc.reset(minute, self.grid_w, self.grid_h)
-        elif minute != self._acc.minute:
+        self._last_ms = t
+        minute = minute_of_day(t)
+        if self._acc is None or minute != self._acc.minute:
             self._flush_minute()
-            self._acc.reset(minute, self.grid_w, self.grid_h)
-
-        self._acc.add(bands.m_l1)
+            self._acc = _MinuteAccumulator(minute, np.zeros((self.grid_h, self.grid_w)))
+        self._acc.add(bands.m_l1.density)
         self.frames_ingested += 1
         self.last_bands = bands
 
@@ -136,7 +134,7 @@ class CameraPipeline:
         if self.frames_ingested % self.params.stride == 0:
             stats = self.store.scalar_stats(minute)
             decision, closed = self.gate.step(
-                bands.m_s1, bands.m_s2, stats, frame.timestamp_ms
+                bands.m_s1, bands.m_s2, stats, t
             )
             if closed is not None:
                 self.events.append(closed)
@@ -149,13 +147,13 @@ class CameraPipeline:
         )
 
     def _flush_minute(self) -> None:
-        if self._acc.count > 0 and self._acc.minute is not None:
+        if self._acc is not None:
             self.store.update(self._acc.minute, self._acc.aggregate())
 
     def finish(self) -> None:
         """Flush the partial minute and close any open event."""
         self._flush_minute()
-        self._acc = _MinuteAccumulator()
+        self._acc = None
         tail = self.gate.flush()
         if tail is not None:
             self.events.append(tail)

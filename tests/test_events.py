@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,23 @@ class TestGateDecision:
         gate = EventGate("cam0", min_days=0)
         gate.step(_band([[2.0]]), _band([[2.0]]), _stats(0, 0), 0)
         assert gate.flush().band == "both"
+
+
+    def test_event_json_keeps_its_threshold(self):
+        gate = EventGate("cam0", k_sigma=2.5, min_days=0)
+        gate.step(_band([[5.0]]), _band([[1.0]]), _stats(0.25, 0.5), 2000)
+        obj = gate.flush().to_json_obj()
+        assert obj == {
+            "cam": "cam0",
+            "start_ms": 2000,
+            "end_ms": 3000,
+            "peak": 5.0,
+            "band": "in-place",
+            "threshold_mean": 0.25,
+            "threshold_std": 0.5,
+            "k_sigma": 2.5,
+        }
+        assert json.loads(json.dumps(obj)) == obj
 
 
 class TestHysteresis:

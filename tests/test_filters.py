@@ -12,14 +12,12 @@ from motionbands.filters import (
     BandOutputs,
     BandParams,
     CascadeFilter,
-    DecaySpec,
     ReferenceFilter,
+    _ema,
     alpha_from_decay,
     counters_csv,
-    ema_step,
-    highpass_step,
 )
-from motionbands.motion import MotionBlock, MotionFrame
+from motionbands.motion import MotionFrame
 
 
 def _frame(density, t=0):
@@ -70,39 +68,37 @@ class TestAlphaFromDecay:
         assert value == pytest.approx(0.1, abs=1e-9)
 
     def test_decay_spec_carries_alpha(self):
-        spec = DecaySpec(rate_r=1, duration_t=20)
-        assert spec.alpha == alpha_from_decay(1, 20)
-        assert 0 < spec.alpha < 1
+        # BandParams derives each stage's alpha from its rate and span.
+        p = BandParams(t_s1_s=20.0, shortterm_rate=1.0)
+        assert p.alpha_s1 == alpha_from_decay(1, 20)
+        assert p.alpha_l1 == alpha_from_decay(p.frame_rate, p.t_l1_s)
+        assert p.alpha_l2 == alpha_from_decay(1, p.t_l2_days)
+        for alpha in (p.alpha_l1, p.alpha_s1, p.alpha_l2):
+            assert 0 < alpha < 1
+
+
+def _ema_of(state, x, alpha):
+    """The filters' in-place EMA applied to copies of ``state`` and ``x``."""
+    lp = np.array(state, dtype=float)
+    _ema(lp, np.array(x, dtype=float), alpha, np.empty_like(lp))
+    return lp
 
 
 class TestEmaStep:
     def test_alpha_zero_passes_input(self):
-        state = MotionBlock(5.0, np.full(8, 2.0))
-        x = MotionBlock(1.0, np.full(8, 3.0))
-        out = ema_step(state, x, 0.0)
-        assert out.density == 1.0
-        np.testing.assert_array_equal(out.dir_hist, x.dir_hist)
+        out = _ema_of(np.full((2, 3), 5.0), np.full((2, 3), 1.0), 0.0)
+        np.testing.assert_array_equal(out, np.full((2, 3), 1.0))
 
     def test_alpha_one_holds_state(self):
-        state = MotionBlock(5.0, np.full(8, 2.0))
-        x = MotionBlock(1.0, np.full(8, 3.0))
-        out = ema_step(state, x, 1.0)
-        assert out.density == 5.0
-        np.testing.assert_array_equal(out.dir_hist, state.dir_hist)
+        out = _ema_of(np.full((2, 3), 5.0), np.full((2, 3), 1.0), 1.0)
+        np.testing.assert_array_equal(out, np.full((2, 3), 5.0))
 
     def test_ten_percent_decay_after_ten_steps(self):
         alpha = alpha_from_decay(1, 10)
-        block = MotionBlock(10.0, np.zeros(8))
-        zero = MotionBlock(0.0, np.zeros(8))
+        state = np.full((1, 1), 10.0)
         for _ in range(10):
-            block = ema_step(block, zero, alpha)
-        assert block.density == pytest.approx(1.0, abs=1e-9)
-
-    def test_alpha_out_of_range(self):
-        b = MotionBlock(0.0, np.zeros(8))
-        for alpha in (-0.1, 1.1):
-            with pytest.raises(InvalidParameterError):
-                ema_step(b, b, alpha)
+            state = _ema_of(state, np.zeros((1, 1)), alpha)
+        assert state[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     @given(
         alpha=st.floats(0, 1),
@@ -111,46 +107,51 @@ class TestEmaStep:
     )
     @settings(max_examples=50, deadline=None)
     def test_convex_combination(self, alpha, s, x):
-        out = ema_step(MotionBlock(s, np.zeros(8)), MotionBlock(x, np.zeros(8)), alpha)
-        assert min(s, x) - 1e-9 <= out.density <= max(s, x) + 1e-9
-        assert out.density == pytest.approx(alpha * s + (1 - alpha) * x)
+        out = float(_ema_of([[s]], [[x]], alpha)[0, 0])
+        assert min(s, x) - 1e-9 <= out <= max(s, x) + 1e-9
+        assert out == pytest.approx(alpha * s + (1 - alpha) * x)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
     def test_linearity_in_input(self, scale):
         alpha = 0.7
         rng = np.random.default_rng(1)
-        state = MotionBlock(0.0, np.zeros(8))
         xs = rng.uniform(0, 4, 20)
-        a = state
-        b = state
+        a = b = np.zeros((1, 1))
         for x in xs:
-            a = ema_step(a, MotionBlock(float(x), np.zeros(8)), alpha)
-            b = ema_step(b, MotionBlock(float(x * scale), np.zeros(8)), alpha)
-        assert b.density == pytest.approx(a.density * scale, rel=1e-12)
+            a = _ema_of(a, [[x]], alpha)
+            b = _ema_of(b, [[x * scale]], alpha)
+        assert b[0, 0] == pytest.approx(a[0, 0] * scale, rel=1e-12)
+
+
+# Frame rate 1 with a 10 s noise-removal span: alpha_l1 = alpha_from_decay(1, 10).
+_ONE_FPS_PARAMS = BandParams(
+    t_l1_s=10.0, t_s1_s=5.0, t_s2_s=1.0, frame_rate=1.0, shortterm_rate=1.0
+)
 
 
 class TestHighpassStep:
+    """The noise-free band is the high-pass ``max(0, x - lowpass(x))``."""
+
     def test_alpha_zero_gives_zero_output(self):
         rng = np.random.default_rng(2)
-        state = MotionBlock(3.0, rng.uniform(0, 1, 8))
+        lp = np.full((1, 1), 3.0)
         for x in rng.uniform(0, 10, 10):
-            out = highpass_step(state, MotionBlock(float(x), np.zeros(8)), 0.0)
-            assert out.density == 0.0
+            lp = _ema_of(lp, [[x]], 0.0)
+            assert x - lp[0, 0] == 0.0
 
     def test_constant_input_decays_to_zero(self):
-        alpha = alpha_from_decay(1, 10)  # n = 10
+        f = CascadeFilter(1, 1, _ONE_FPS_PARAMS)  # n = 10
         c = 7.0
-        state = MotionBlock(0.0, np.zeros(8))
         out = None
-        for _ in range(5 * 10):
-            out = highpass_step(state, MotionBlock(c, np.zeros(8)), alpha)
-            state = ema_step(state, MotionBlock(c, np.zeros(8)), alpha)
-        assert out.density < 1e-3 * c
+        for i in range(5 * 10):
+            out = f.step(_frame([[c]], t=i * 1000))
+        assert out.m_l1.density[0, 0] < 1e-3 * c
 
     def test_impulse_response_matches_recursion_oracle(self):
         # Independent oracle: scalar recursion of lp' = a*lp + (1-a)*x,
         # hp = x - lp', in plain Python floats.
-        alpha = 0.794328
+        alpha = _ONE_FPS_PARAMS.alpha_l1
+        assert alpha == pytest.approx(0.794328, abs=1e-6)
         v = 3.0
         xs = [v, 0.0, 0.0, 0.0, 0.0]
         lp = 0.0
@@ -159,11 +160,8 @@ class TestHighpassStep:
             lp = alpha * lp + (1 - alpha) * x
             expected.append(max(0.0, x - lp))
 
-        state = MotionBlock(0.0, np.zeros(8))
-        got = []
-        for x in xs:
-            got.append(highpass_step(state, MotionBlock(x, np.zeros(8)), alpha).density)
-            state = ema_step(state, MotionBlock(x, np.zeros(8)), alpha)
+        f = CascadeFilter(1, 1, _ONE_FPS_PARAMS)
+        got = [f.step(_frame([[x]], t=i * 1000)).m_l1.density[0, 0] for i, x in enumerate(xs)]
         np.testing.assert_allclose(got, expected, atol=1e-12)
         # First response to an impulse from rest is alpha * v.
         assert got[0] == pytest.approx(alpha * v)
@@ -249,6 +247,15 @@ class TestCascade:
                 )
                 acc = []
 
+    def test_density_only_frames_filter_like_frames_with_bins(self):
+        rng = np.random.default_rng(13)
+        params = self._params()
+        with_bins, without = CascadeFilter(4, 3, params), CascadeFilter(4, 3, params)
+        for i in range(3 * params.stride):
+            frame = _rand_frame(rng, 4, 3, t=i * 200)
+            bare = MotionFrame(frame.density, np.zeros((3, 4, 0)), frame.timestamp_ms)
+            _assert_bands_equal(with_bins.step(frame), without.step(bare))
+
     def test_multiply_counter_four_per_fully_updated_tick(self):
         params = self._params()
         f = CascadeFilter(1, 1, params)
@@ -276,7 +283,6 @@ class TestCascadeVsReference:
             ob = ref.step(fb)
             for a, b in ((oa.m_l1, ob.m_l1), (oa.m_s1, ob.m_s1), (oa.m_s2, ob.m_s2)):
                 worst = max(worst, float(np.abs(a.density - b.density).max()))
-                worst = max(worst, float(np.abs(a.dir_hist - b.dir_hist).max()))
         assert worst <= 1e-9
 
     def test_counter_ratios(self):
@@ -401,10 +407,12 @@ def _reference_step(s, frame):
 
 
 def _assert_bands_equal(got, want):
+    """Equal densities; ``got`` carries no bins. The oracle also filters
+    the bins, which nothing downstream reads."""
     assert got.timestamp_ms == want.timestamp_ms
     for a, b in ((got.m_l1, want.m_l1), (got.m_s1, want.m_s1), (got.m_s2, want.m_s2)):
         np.testing.assert_array_equal(a.density, b.density)
-        np.testing.assert_array_equal(a.dir_hist, b.dir_hist)
+        assert a.dir_hist.shape == a.density.shape + (0,)
 
 
 @st.composite
@@ -492,7 +500,7 @@ _FIVE_FPS_PARAMS = BandParams(
 
 
 def _band_arrays(out):
-    return [a for band in (out.m_l1, out.m_s1, out.m_s2) for a in (band.density, band.dir_hist)]
+    return [band.density for band in (out.m_l1, out.m_s1, out.m_s2)]
 
 
 class TestBandSnapshots:
@@ -521,7 +529,7 @@ class TestBandSnapshots:
         # Ticks 4 and 9 are short-term ticks; 5..8 carry tick 4's bands.
         for o in outs[5:9]:
             assert o.m_s1.density is outs[4].m_s1.density
-            assert o.m_s2.dir_hist is outs[4].m_s2.dir_hist
+            assert o.m_s2.density is outs[4].m_s2.density
         assert outs[9].m_s1.density is not outs[4].m_s1.density
 
 

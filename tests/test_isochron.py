@@ -3,6 +3,7 @@ import struct
 import zlib
 from io import BytesIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ def _frame(density, t=0):
 
 
 # The store file format v1 as the per-slot writer and reader produced it,
-# kept as the reference for the one-pass ``save`` and ``load``.
+# kept as the reference for reading v1 files. The writer takes a store's
+# fields plus direction bins (see ``_with_bins``); the reader drops the
+# bins, as ``load`` does.
 
 def _reference_save(store, path):
     buf = BytesIO()
@@ -59,12 +62,44 @@ def _reference_load(path):
         store._mean_density[m] = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(
             grid_h, grid_w
         )
-        store._mean_hist[m] = np.frombuffer(
-            buf.read(8 * n * N_DIR_BINS), dtype="<f8"
-        ).reshape(grid_h, grid_w, N_DIR_BINS)
+        buf.read(8 * n * N_DIR_BINS)  # direction bins
         store._var[m] = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(grid_h, grid_w)
         (store._days[m],) = struct.unpack("<I", buf.read(4))
     return store
+
+
+def _with_bins(store, seed=0):
+    """``store``'s fields with random direction bins beside them, as a v1
+    store held them."""
+    rng = np.random.default_rng(seed)
+    return SimpleNamespace(
+        camera_id=store.camera_id,
+        t_l2_days=store.t_l2_days,
+        grid_w=store.grid_w,
+        grid_h=store.grid_h,
+        _mean_density=store._mean_density,
+        _mean_hist=rng.uniform(0, 1, store._mean_density.shape + (N_DIR_BINS,)),
+        _var=store._var,
+        _days=store._days,
+    )
+
+
+def _reference_save_v2(store, path):
+    """Per-slot writer of the v2 format: v1 without the bins."""
+    buf = BytesIO()
+    buf.write(b"ISO1")
+    buf.write(struct.pack("<H", 2))
+    buf.write(struct.pack("<d", store.t_l2_days))
+    cam = store.camera_id.encode("utf-8")
+    buf.write(struct.pack("<H", len(cam)))
+    buf.write(cam)
+    buf.write(struct.pack("<HH", store.grid_w, store.grid_h))
+    for m in range(MINUTES_PER_DAY):
+        buf.write(store._mean_density[m].astype("<f8").tobytes())
+        buf.write(store._var[m].astype("<f8").tobytes())
+        buf.write(struct.pack("<I", int(store._days[m])))
+    payload = buf.getvalue()
+    Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 def _populated(camera_id, grid_w, grid_h, seed, t_l2_days=10.0):
@@ -200,7 +235,6 @@ class TestUpdateQuery:
         store = _populated("cam0", 3, 2, seed=4)
         before = IsochronalStore("cam0", 3, 2)
         before._mean_density[...] = store._mean_density
-        before._mean_hist[...] = store._mean_hist
         before._var[...] = store._var
         before._days[...] = store._days
         stats = store.scalar_stats(5)
@@ -214,6 +248,21 @@ class TestUpdateQuery:
         assert store.scalar_stats(5) == stats
         np.testing.assert_array_equal(store.binarize(), mask)
         assert not math.isnan(store.scalar_stats(6)[0])
+
+    def test_density_only_sample_updates_like_one_with_bins(self):
+        rng = np.random.default_rng(6)
+        with_bins, without = IsochronalStore("cam0", 3, 2), IsochronalStore("cam0", 3, 2)
+        for _ in range(5):
+            d = rng.uniform(0, 1, (2, 3))
+            with_bins.update(9, MotionFrame(d, rng.uniform(0, 1, (2, 3, N_DIR_BINS))))
+            without.update(9, MotionFrame(d, np.zeros((2, 3, 0))))
+        assert with_bins.equals(without)
+        bad = MotionFrame(np.full((2, 3), math.nan), np.zeros((2, 3, 0)))
+        with pytest.raises(RejectedInputError, match="non-finite or negative"):
+            without.update(9, bad)
+        assert with_bins.equals(without)
+        mean, _, _ = without.query(9)
+        assert mean.dir_hist.shape == (2, 3, 0)
 
     def test_query_returns_snapshot(self):
         store = IsochronalStore("cam0", 1, 1)
@@ -412,40 +461,14 @@ class TestPersistence:
             IsochronalStore.load(tmp_path / "absent.iso")
 
 
-class TestPersistenceAgainstReference:
-    STORES = [
-        ("fresh", lambda: IsochronalStore("camA", 2, 2)),
-        ("one-block", lambda: _populated("c", 1, 1, seed=1)),
-        ("wide", lambda: _populated("hallway-3", 7, 3, seed=2, t_l2_days=3.5)),
-        ("unicode-id", lambda: _populated("caméra-β", 4, 5, seed=3)),
-        ("empty-id", lambda: _populated("", 2, 3, seed=5)),
-    ]
+class _StoreDamage:
+    """Damaged files of one format version, each behind a valid CRC where
+    the CRC is not what the case tests."""
 
-    @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
-    def test_save_is_byte_identical_to_reference(self, tmp_path, make):
-        store = make()
-        store.save(tmp_path / "new.iso")
-        _reference_save(store, tmp_path / "ref.iso")
-        assert (tmp_path / "new.iso").read_bytes() == (tmp_path / "ref.iso").read_bytes()
-
-    @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
-    def test_load_equals_reference_load(self, tmp_path, make):
-        store = make()
-        path = tmp_path / "ref.iso"
-        _reference_save(store, path)
-        loaded = IsochronalStore.load(path)
-        assert loaded.equals(_reference_load(path))
-        assert loaded.equals(store)
-        for name in ("_mean_density", "_mean_hist", "_var", "_days"):
-            got, want = getattr(loaded, name), getattr(store, name)
-            assert got.dtype == want.dtype and got.flags.c_contiguous and got.flags.writeable
-        loaded.update(0, _frame(np.ones((store.grid_h, store.grid_w))))
-        assert loaded.query(0)[2] == store.query(0)[2] + 1
+    VERSION = 0
 
     def _saved(self, tmp_path):
-        path = tmp_path / "s.iso"
-        _populated("cam0", 3, 2, seed=9).save(path)
-        return path
+        raise NotImplementedError
 
     def test_flipped_byte_anywhere_rejected(self, tmp_path):
         path = self._saved(tmp_path)
@@ -467,8 +490,16 @@ class TestPersistenceAgainstReference:
 
     def test_bad_version_rejected(self, tmp_path):
         path = self._saved(tmp_path)
-        _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", 2)))
-        with pytest.raises(StoreLoadError, match="unsupported store version 2"):
+        for version in (0, 3, 0xFFFF):
+            _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", version)))
+            with pytest.raises(StoreLoadError, match=f"unsupported store version {version}"):
+                IsochronalStore.load(path)
+
+    def test_slots_of_the_other_version_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        other = 3 - self.VERSION
+        _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", other)))
+        with pytest.raises(StoreLoadError, match="payload bytes"):
             IsochronalStore.load(path)
 
     def test_bad_magic_with_valid_checksum_rejected(self, tmp_path):
@@ -505,10 +536,68 @@ class TestPersistenceAgainstReference:
     )
     def test_bad_header_with_valid_checksum_rejected(self, tmp_path, rest):
         path = tmp_path / "s.iso"
-        payload = b"ISO1" + struct.pack("<Hd", 1, 10.0) + rest
+        payload = b"ISO1" + struct.pack("<Hd", self.VERSION, 10.0) + rest
         path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(StoreLoadError, match="bad header"):
             IsochronalStore.load(path)
+
+
+class TestPersistenceAgainstReference(_StoreDamage):
+    """``save`` writes v2 as the per-slot v2 writer does; ``load`` reads v1
+    files as the per-slot v1 reader does. The damage cases run on v2."""
+
+    VERSION = 2
+    STORES = [
+        ("fresh", lambda: IsochronalStore("camA", 2, 2)),
+        ("one-block", lambda: _populated("c", 1, 1, seed=1)),
+        ("wide", lambda: _populated("hallway-3", 7, 3, seed=2, t_l2_days=3.5)),
+        ("unicode-id", lambda: _populated("caméra-β", 4, 5, seed=3)),
+        ("empty-id", lambda: _populated("", 2, 3, seed=5)),
+    ]
+
+    @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
+    def test_save_is_byte_identical_to_reference(self, tmp_path, make):
+        store = make()
+        store.save(tmp_path / "new.iso")
+        _reference_save_v2(store, tmp_path / "ref.iso")
+        data = (tmp_path / "new.iso").read_bytes()
+        assert data == (tmp_path / "ref.iso").read_bytes()
+        header = 20 + len(store.camera_id.encode("utf-8"))
+        cells = store.grid_w * store.grid_h
+        assert len(data) == header + MINUTES_PER_DAY * (16 * cells + 4) + 4
+
+    @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
+    def test_load_equals_reference_load(self, tmp_path, make):
+        # A v1 file with random bins loads as the store it was written from.
+        store = make()
+        path = tmp_path / "ref.iso"
+        _reference_save(_with_bins(store, seed=len(store.camera_id)), path)
+        loaded = IsochronalStore.load(path)
+        assert loaded.equals(_reference_load(path))
+        assert loaded.equals(store)
+        for name in ("_mean_density", "_var", "_days"):
+            got, want = getattr(loaded, name), getattr(store, name)
+            assert got.dtype == want.dtype and got.flags.c_contiguous and got.flags.writeable
+        # Saving it again writes v2.
+        loaded.save(tmp_path / "v2.iso")
+        _reference_save_v2(store, tmp_path / "ref-v2.iso")
+        assert (tmp_path / "v2.iso").read_bytes() == (tmp_path / "ref-v2.iso").read_bytes()
+        loaded.update(0, _frame(np.ones((store.grid_h, store.grid_w))))
+        assert loaded.query(0)[2] == store.query(0)[2] + 1
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "s.iso"
+        _populated("cam0", 3, 2, seed=9).save(path)
+        return path
+
+
+class TestV1FileDamage(_StoreDamage):
+    VERSION = 1
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "s.iso"
+        _reference_save(_with_bins(_populated("cam0", 3, 2, seed=9)), path)
+        return path
 
 
 class TestProfileCsv:

@@ -12,7 +12,6 @@ from motionbands.motion import (
     GrayFrame,
     MotionFrame,
     _magnitude_and_octant,
-    aggregate_minute,
     extract_motion,
     motion_from_json,
     motion_to_json,
@@ -367,49 +366,28 @@ class TestGrayFrame:
             assert GrayFrame(px).pixels.shape == (1, 2)
 
 
-class TestAggregateMinute:
-    def _frame(self, d, t=0):
-        d = np.asarray(d, dtype=float)
-        hist = np.zeros(d.shape + (8,))
-        hist[..., 0] = d
-        return MotionFrame(density=d, dir_hist=hist, timestamp_ms=t)
+class TestMotionFrame:
+    @pytest.mark.parametrize("bins", [8, 0])
+    def test_eight_or_no_bins_accepted(self, bins):
+        f = MotionFrame(np.ones((2, 3)), np.ones((2, 3, bins)))
+        assert f.dir_hist.shape == (2, 3, bins)
 
-    def test_single_frame_identity(self):
-        f = self._frame([[1.5, 2.0]], t=61_000)
-        agg = aggregate_minute([f])
-        np.testing.assert_array_equal(agg.density, f.density)
-        np.testing.assert_array_equal(agg.dir_hist, f.dir_hist)
-        assert agg.timestamp_ms == 60_000  # snapped to the minute boundary
-
-    def test_two_frame_mean(self):
-        a = self._frame([[2.0]])
-        b = self._frame([[4.0]])
-        agg = aggregate_minute([a, b])
-        assert agg.density[0, 0] == pytest.approx(3.0)
-
-    def test_many_frames_match_double_precision_oracle(self):
-        rng = np.random.default_rng(11)
-        frames = [self._frame(rng.uniform(0, 5, (3, 4)), t=i * 33) for i in range(1800)]
-        agg = aggregate_minute(frames)
-        oracle = np.zeros((3, 4))
-        for f in frames:
-            oracle += f.density
-        oracle /= len(frames)
-        np.testing.assert_allclose(agg.density, oracle, rtol=1e-12)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(5)
-        frames = [self._frame(rng.uniform(0, 5, (2, 2)), t=i) for i in range(50)]
-        fwd = aggregate_minute(frames)
-        rev = aggregate_minute(frames[::-1])
-        np.testing.assert_allclose(fwd.density, rev.density, atol=1e-12)
-        np.testing.assert_allclose(fwd.dir_hist, rev.dir_hist, atol=1e-12)
-
-    def test_empty_and_mixed_grids_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            aggregate_minute([])
+    @pytest.mark.parametrize("hist_shape", [(2, 3, 1), (2, 3, 7), (2, 3, 9), (3, 2, 8), (2, 3)])
+    def test_other_histogram_shapes_rejected(self, hist_shape):
         with pytest.raises(RejectedInputError):
-            aggregate_minute([self._frame([[1.0]]), self._frame([[1.0, 2.0]])])
+            MotionFrame(np.ones((2, 3)), np.ones(hist_shape))
+
+    @pytest.mark.parametrize("bins", [8, 0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_finite_nonnegative(self, bins, bad):
+        f = MotionFrame(np.zeros((2, 3)), np.zeros((2, 3, bins)))
+        assert f.finite_nonnegative()
+        f.density[1, 2] = bad
+        assert not f.finite_nonnegative()
+        if bins:
+            f.density[1, 2] = 0.0
+            f.dir_hist[0, 1, 7] = bad
+            assert not f.finite_nonnegative()
 
 
 class TestInterchange:
@@ -428,6 +406,21 @@ class TestInterchange:
         np.testing.assert_array_equal(back.density, f.density)
         np.testing.assert_array_equal(back.dir_hist, f.dir_hist)
         assert back.timestamp_ms == 1234
+
+    def test_density_only_round_trip(self):
+        f = MotionFrame(np.array([[0.25, 1.5]]), np.zeros((1, 2, 0)), timestamp_ms=9)
+        back, band = motion_from_json(motion_to_json(f, band="L1"))
+        assert band == "L1"
+        np.testing.assert_array_equal(back.density, f.density)
+        assert back.dir_hist.shape == (1, 2, 0)
+        assert back.timestamp_ms == 9
+
+    def test_blocks_with_unequal_bin_counts_rejected(self):
+        line = motion_to_json(MotionFrame.zeros(2, 1))
+        obj = json.loads(line)
+        obj["blocks"][1][1] = [0.0]
+        with pytest.raises(RejectedInputError):
+            motion_from_json(json.dumps(obj))
 
     def test_band_label_round_trip(self):
         f = MotionFrame.zeros(2, 2, 7)

@@ -8,7 +8,7 @@ from motionbands.errors import RejectedInputError
 from motionbands.events import scalar_activity
 from motionbands.isochron import MINUTES_PER_DAY, minute_of_day
 from motionbands.motion import MotionFrame, extract_motion
-from motionbands.pipeline import CameraPipeline
+from motionbands.pipeline import CameraPipeline, _MinuteAccumulator
 from motionbands.sim import gen_blob_frames
 
 
@@ -114,3 +114,79 @@ def test_activity_is_the_value_the_gate_tested():
         else:
             assert result.activity == tested
     assert tested is not None and tested > 0
+
+
+def test_late_and_duplicate_timestamps_rejected_before_any_change():
+    frame = _noise_frames(1)[0]
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    clean = CameraPipeline("cam0", 5, 4, Config())
+    for t, late in ((0, False), (60_000, False), (0, True), (60_000, True), (0, True)):
+        f = dataclasses.replace(frame, timestamp_ms=t)
+        if late:
+            with pytest.raises(RejectedInputError, match="not after the last accepted"):
+                pipe.ingest(f)
+        else:
+            got, want = pipe.ingest(f), clean.ingest(f)
+            np.testing.assert_array_equal(got.bands.m_l1.density, want.bands.m_l1.density)
+    after = dataclasses.replace(frame, timestamp_ms=60_033)
+    np.testing.assert_array_equal(
+        pipe.ingest(after).bands.m_l1.density, clean.ingest(after).bands.m_l1.density
+    )
+    pipe.finish()
+    clean.finish()
+    assert pipe.store.query(0)[2] == pipe.store.query(1)[2] == 1
+    assert (pipe.frames_late, pipe.frames_rejected, pipe.frames_ingested) == (3, 0, 3)
+    assert pipe.store.equals(clean.store)
+
+
+class TestMinuteAccumulator:
+    @staticmethod
+    def _sum(densities, minute=0):
+        acc = _MinuteAccumulator(minute, np.zeros(np.shape(densities[0])))
+        for d in densities:
+            acc.add(np.asarray(d, dtype=float))
+        return acc.aggregate()
+
+    def test_single_frame_identity(self):
+        d = np.array([[1.5, 2.0]])
+        agg = self._sum([d], minute=1)
+        np.testing.assert_array_equal(agg.density, d)
+        assert agg.dir_hist.shape == (1, 2, 0)
+        assert agg.timestamp_ms == 60_000  # the minute's start
+
+    def test_two_frame_mean(self):
+        agg = self._sum([[[2.0]], [[4.0]]])
+        assert agg.density[0, 0] == pytest.approx(3.0)
+
+    def test_many_frames_match_double_precision_oracle(self):
+        rng = np.random.default_rng(11)
+        frames = [rng.uniform(0, 5, (3, 4)) for _ in range(1800)]
+        agg = self._sum(frames)
+        oracle = np.zeros((3, 4))
+        for d in frames:
+            oracle += d
+        oracle /= len(frames)
+        np.testing.assert_allclose(agg.density, oracle, rtol=1e-12)
+
+    def test_permutation_invariant(self):
+        rng = np.random.default_rng(5)
+        frames = [rng.uniform(0, 5, (2, 2)) for _ in range(50)]
+        fwd = self._sum(frames)
+        rev = self._sum(frames[::-1])
+        np.testing.assert_allclose(fwd.density, rev.density, atol=1e-12)
+
+    def test_empty_and_mixed_grids_rejected(self):
+        # The pipeline opens a minute only with a frame, and a frame on
+        # another grid is rejected before it reaches the minute's sum.
+        pipe = CameraPipeline("cam0", 5, 4, Config())
+        pipe.finish()
+        assert all(pipe.store.query(m)[2] == 0 for m in range(MINUTES_PER_DAY))
+        frame = _noise_frames(1)[0]
+        first = pipe.ingest(frame).bands.m_l1.density.copy()
+        with pytest.raises(RejectedInputError):
+            pipe.ingest(MotionFrame.zeros(4, 5, timestamp_ms=frame.timestamp_ms + 33))
+        pipe.finish()
+        minute = minute_of_day(frame.timestamp_ms)
+        mean, _, days = pipe.store.query(minute)
+        assert days == 1
+        np.testing.assert_array_equal(mean.density, first)

@@ -17,6 +17,35 @@ only those pixels get a gradient, a direction and a block vote. With a
 noise floor of 0 every pixel is active and the cost is that of a dense
 pass.
 
+The Sobel gradient at the active pixels comes from one of two paths,
+chosen per frame by the active count. Above one active pixel in ten, a
+separable Sobel runs over the whole sum frame in the work dtype ([1, 2, 1]
+smoothing across, then a difference along) and gx, gy are gathered at the
+active pixels: two gathers. At or below that share, the eight neighbours
+of each active pixel are gathered from the sum frame. Both give the same
+integers. Crossover on the benchmark's flicker VGA scene, noise floor
+varied (p50 per frame; 2-vCPU Intel Xeon, Python 3.11, numpy 2.4, glibc
+malloc thresholds pinned):
+
+    active pixels   neighbour gathers   full frame
+        5.5%             1.91 ms          2.09 ms
+       10.2%             2.03 ms          2.23 ms
+       13.2%             2.41 ms          2.38 ms
+       16.7%             2.96 ms          2.58 ms
+       25.0%             3.83 ms          3.16 ms
+       49.4%             6.33 ms          4.43 ms
+
+Work buffers are fixed by (frame shape, work dtype, block size); each
+thread keeps the buffers of the last key it extracted and rebuilds them
+when the key changes. They are the difference, mask, padded sum and
+full-frame gradient frames, a per-pixel table of block slots in place of
+row, column and block arithmetic, and active-pixel buffers. A VGA uint8
+extractor reserves about 16 MB and writes about 4.6 MB plus about 37
+bytes per active pixel (about 10 MB with half the pixels active).
+Returned arrays are always fresh: they never alias these buffers, so a
+later call, in any thread or in a forked process, cannot change an
+earlier result.
+
 On integer frames the gradient arithmetic is exact. The Sobel gradient of
 the sum frame is an integer pair with |gx|, |gy| <= 2040; its magnitude is
 the correctly rounded ``sqrt`` of the exact int32 sum gx**2 + gy**2, and
@@ -31,6 +60,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -53,6 +83,12 @@ _WEIGHT_SCALE = 0.5 / (255.0 * _SOBEL_MAX)
 # so keys 12..15 never occur.
 _OCTANT = np.array([5, 3, 7, 1, 6, 2, 6, 2, 4, 4, 0, 0, 0, 0, 0, 0])
 _KEY_TO_BIN = np.eye(N_DIR_BINS)[_OCTANT]
+
+# Above one active pixel in this many, the Sobel gradient is computed over
+# the whole frame and gathered at the active pixels; at or below, it is
+# built from eight neighbour gathers per active pixel (crossover measured on
+# VGA frames; see the module docstring).
+_FULL_FRAME_ONE_IN = 10
 
 
 @dataclass(frozen=True)
@@ -176,13 +212,22 @@ def extract_motion(
 
     The cost is a few integer passes over the frame (difference, threshold,
     sum image) plus work proportional to the number of *active* pixels,
-    those with ``|curr - prev| >= noise_floor``: only they get a Sobel
-    gradient, a direction and a block vote. ``noise_floor=0`` makes every
-    pixel active. Integer pixel arrays are processed in ``int16``, so the
-    gradients are exact; other dtypes use ``float64``. The gradient
-    magnitude is the square root of the exact sum of squares, and the
-    direction bin is the octant of the motion vector from integer
-    comparisons, equal to ``round(atan2(vy, vx) / 45 deg) mod 8``.
+    those with ``|curr - prev| >= noise_floor``: only they get a direction
+    and a block vote. Their Sobel gradients are gathered from a gradient
+    computed over the whole frame when more than one pixel in ten is
+    active, and from their eight neighbours in the sum frame otherwise
+    (see the module docstring for the crossover). ``noise_floor=0`` makes
+    every pixel active. Integer pixel arrays are processed in ``int16``,
+    so the gradients are exact and both paths give the same bits; other
+    dtypes use ``float64``. The gradient magnitude is the square root of
+    the exact sum of squares, and the direction bin is the octant of the
+    motion vector from integer comparisons, equal to
+    ``round(atan2(vy, vx) / 45 deg) mod 8``.
+
+    Each thread keeps the work buffers of its last (frame shape, work
+    dtype, block size), so repeated calls on one stream allocate little;
+    the returned arrays are always fresh and never share memory with them
+    or with an earlier result.
 
     Parameters
     ----------
@@ -212,87 +257,182 @@ def extract_motion(
 
     h, w = curr.pixels.shape
     integral = prev.pixels.dtype.kind in "biu" and curr.pixels.dtype.kind in "biu"
-    work = np.int16 if integral else np.float64
+    work = np.dtype(np.int16 if integral else np.float64)
     # Integer differences are whole numbers (at most 255 in magnitude), so
     # the rounded-up floor selects the same pixels.
     floor = math.ceil(min(noise_floor, 256.0)) if integral else noise_floor
-
-    signed = np.subtract(curr.pixels, prev.pixels, dtype=work).ravel()
-    active = np.flatnonzero(np.abs(signed) >= floor)
-    signed = signed[active]
-
-    # Sobel of the sum frame (twice the Sobel of the mean frame), exact in
-    # int16. Neighbours are gathered from the flattened, edge-padded sum at
-    # the active pixels only. The edges are copied by hand: ``np.pad``
-    # costs about 50 us more per VGA frame.
-    total = np.empty((h + 2, w + 2), dtype=work)
-    np.add(prev.pixels, curr.pixels, out=total[1:-1, 1:-1], dtype=work)
-    total[0, 1:-1] = total[1, 1:-1]
-    total[-1, 1:-1] = total[-2, 1:-1]
-    total[:, 0] = total[:, 1]
-    total[:, -1] = total[:, -2]
-    total = total.ravel()
-    # Index arithmetic runs in int32 whenever the largest index below,
-    # the (block, key) slot, fits; int32 divides about three times as fast.
-    index = np.int32 if len(_OCTANT) * h * w < 2**31 else np.intp
-    flat = active.astype(index)
-    row = flat // w
-    # ``corner`` indexes each active pixel's top-left neighbour in the
-    # padded sum; the neighbour ``k`` places further on is total[k:][corner].
-    wp = w + 2
-    corner = (flat + 2 * row).astype(np.intp)
-    nw, n, ne, west, east, sw, s, se = (
-        total[k:][corner] for k in (0, 1, 2, wp, wp + 2, 2 * wp, 2 * wp + 1, 2 * wp + 2)
+    density, dir_hist = _extractor(h, w, work, block_size).extract(
+        prev.pixels, curr.pixels, floor
     )
-    # gx = (ne + 2 east + se) - (nw + 2 west + sw) and
-    # gy = (sw + 2 s + se) - (nw + 2 n + ne), from the two diagonals.
-    se -= nw
-    ne -= sw
-    east -= west
-    east *= 2
-    s -= n
-    s *= 2
-    gx = se + ne
-    gx += east
-    gy = se - ne
-    gy += s
+    return MotionFrame._wrap(density, dir_hist, curr.timestamp_ms)
 
-    # Motion direction: gradient of the mean frame, sign-corrected by the
-    # temporal difference (y measured upward, i.e. toward decreasing rows).
-    magnitude, key = _magnitude_and_octant(gx, gy, signed < 0)
-    # Per-pixel weight (|curr - prev| / 255) * (|Sobel of the mean| /
-    # _SOBEL_MAX), in [0, 1]; zero wherever either factor vanishes.
-    weight = magnitude
-    weight *= np.abs(signed)
-    weight *= _WEIGHT_SCALE
 
-    grid_h = -(-h // block_size)
-    grid_w = -(-w // block_size)
-    n_blocks = grid_h * grid_w
-    flat -= row * w  # now the column
-    slot = row // block_size * grid_w + flat // block_size
-    # One weighted vote per pixel into (block, octant key); the lookup then
-    # folds each block's 16 key sums into its 8 direction bins. A bin draws
-    # on at most two keys, so the fold adds at most two nonzero terms.
-    slot *= len(_OCTANT)
-    slot += key
-    per_key = np.bincount(slot, weights=weight, minlength=n_blocks * len(_OCTANT))
-    hist = (per_key.reshape(n_blocks, len(_OCTANT)) @ _KEY_TO_BIN).reshape(
-        grid_h, grid_w, N_DIR_BINS
-    )
-    counts = np.outer(
-        np.minimum(block_size, h - block_size * np.arange(grid_h)),
-        np.minimum(block_size, w - block_size * np.arange(grid_w)),
-    )
-    return MotionFrame(
-        density=hist.sum(axis=2) / counts,
-        dir_hist=hist / counts[..., None],
-        timestamp_ms=curr.timestamp_ms,
+# One extractor per thread, so that threads never share buffers.
+_local = threading.local()
+
+
+def _extractor(h: int, w: int, work: np.dtype, block_size: int) -> "_Extractor":
+    """This thread's extractor, rebuilt when the key differs from the last."""
+    extractor = getattr(_local, "extractor", None)
+    if extractor is None or extractor.key != (h, w, work, block_size):
+        extractor = _local.extractor = _Extractor(h, w, work, block_size)
+    return extractor
+
+
+class _Extractor:
+    """Buffers and indices fixed by the frame shape, the work dtype and the
+    block size.
+
+    A per-pixel table of each pixel's first (block, octant key) slot
+    replaces the row, column and block arithmetic; only the neighbour
+    path, on at most a tenth of the pixels, still derives rows. Active-pixel
+    arrays are the first n entries of buffers sized for a fully active
+    frame; the extractor never writes pages a scene does not reach.
+    """
+
+    def __init__(self, h: int, w: int, work: np.dtype, block_size: int):
+        self.key = (h, w, work, block_size)
+        self.h, self.w = h, w
+        n = h * w
+        self._diff = np.empty((h, w), work)
+        self._mask = np.empty((h, w), bool)
+        self._sum = np.empty((h + 2, w + 2), work)
+        self._gx = np.empty((h, w), work)
+        self._gy = np.empty((h, w), work)
+        # Holds |curr - prev|, then each separable Sobel's smoothing.
+        self._scratch = np.empty(max(h * (w + 2), (h + 2) * w), work)
+
+        grid_h = -(-h // block_size)
+        grid_w = -(-w // block_size)
+        self.grid = (grid_h, grid_w)
+        index = np.int32 if grid_h * grid_w * len(_OCTANT) < 2**31 else np.intp
+        row, col = np.divmod(np.arange(n), w)
+        self._slot = np.empty(n, index)
+        np.multiply(
+            row // block_size * grid_w + col // block_size, len(_OCTANT), out=self._slot
+        )
+        self.counts = np.outer(
+            np.minimum(block_size, h - block_size * np.arange(grid_h)),
+            np.minimum(block_size, w - block_size * np.arange(grid_w)),
+        )
+
+        self._active_gx = np.empty(n, work)
+        self._active_gy = np.empty(n, work)
+        self._active_diff = np.empty(n, work)
+        self._active_slot = np.empty(n, index)
+        self._negative = np.empty(n, bool)
+        self._octant = _octant_buffers(n, np.int32 if work.kind == "i" else np.float64)
+
+    def extract(
+        self, prev: np.ndarray, curr: np.ndarray, floor: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(density, dir_hist) of a frame pair, as fresh arrays."""
+        h, w = self.h, self.w
+        diff = self._diff
+        np.subtract(curr, prev, out=diff, dtype=diff.dtype)
+        absolute = self._scratch[: h * w].reshape(h, w)
+        np.greater_equal(np.abs(diff, out=absolute), floor, out=self._mask)
+        active = np.flatnonzero(self._mask)
+        n = active.size
+
+        # Sobel of the sum frame (twice the Sobel of the mean frame), exact
+        # in int16. The edges are copied by hand: ``np.pad`` costs about
+        # 50 us more per VGA frame.
+        total = self._sum
+        np.add(prev, curr, out=total[1:-1, 1:-1], dtype=total.dtype)
+        total[0, 1:-1] = total[1, 1:-1]
+        total[-1, 1:-1] = total[-2, 1:-1]
+        total[:, 0] = total[:, 1]
+        total[:, -1] = total[:, -2]
+        gx, gy = self._active_gx[:n], self._active_gy[:n]
+        # Every index is in range, so ``take`` skips its bounds copy under
+        # mode="wrap".
+        if n * _FULL_FRAME_ONE_IN > h * w:
+            # Separable full-frame Sobel: gx is the horizontal difference of
+            # the [1, 2, 1] vertical smoothing, gy the vertical difference
+            # of the horizontal one. Then two gathers.
+            smooth = self._scratch[: h * (w + 2)].reshape(h, w + 2)
+            np.add(total[:-2], total[2:], out=smooth)
+            smooth += total[1:-1]
+            smooth += total[1:-1]
+            np.subtract(smooth[:, 2:], smooth[:, :-2], out=self._gx)
+            smooth = self._scratch[: (h + 2) * w].reshape(h + 2, w)
+            np.add(total[:, :-2], total[:, 2:], out=smooth)
+            smooth += total[:, 1:-1]
+            smooth += total[:, 1:-1]
+            np.subtract(smooth[2:], smooth[:-2], out=self._gy)
+            np.take(self._gx.ravel(), active, out=gx, mode="wrap")
+            np.take(self._gy.ravel(), active, out=gy, mode="wrap")
+        else:
+            # Eight neighbour gathers from the sum frame: ``corner`` indexes
+            # each active pixel's top-left neighbour in the padded sum, and
+            # the neighbour k places further on is total[k:][corner]. gx =
+            # (ne + 2 east + se) - (nw + 2 west + sw) and gy = (sw + 2 s +
+            # se) - (nw + 2 n + ne), from the diagonals a = se - nw and b =
+            # ne - sw. The full-frame gradient buffers, unused on this path,
+            # hold the scratch.
+            corner = active // w
+            corner *= 2
+            corner += active
+            total = total.ravel()
+            wp = w + 2
+            a, b = self._gx.ravel()[:n], self._gy.ravel()[:n]
+
+            def neighbour(k: int, out: np.ndarray) -> np.ndarray:
+                return np.take(total[k:], corner, out=out, mode="wrap")
+
+            np.subtract(neighbour(2 * wp + 2, gx), neighbour(0, a), out=a)
+            np.subtract(neighbour(2, gy), neighbour(2 * wp, b), out=b)
+            np.add(a, b, out=gx)
+            np.subtract(a, b, out=gy)
+            np.subtract(neighbour(wp + 2, a), neighbour(wp, b), out=a)
+            a += a
+            gx += a
+            np.subtract(neighbour(2 * wp + 1, a), neighbour(1, b), out=a)
+            a += a
+            gy += a
+
+        # Motion direction: gradient of the mean frame, sign-corrected by the
+        # temporal difference (y measured upward, i.e. toward decreasing rows).
+        signed = np.take(diff.ravel(), active, out=self._active_diff[:n], mode="wrap")
+        negative = np.less(signed, 0, out=self._negative[:n])
+        magnitude, key = _magnitude_and_octant(gx, gy, negative, self._octant)
+        # Per-pixel weight (|curr - prev| / 255) * (|Sobel of the mean| /
+        # _SOBEL_MAX), in [0, 1]; zero wherever either factor vanishes.
+        weight = magnitude
+        weight *= np.abs(signed, out=signed)
+        weight *= _WEIGHT_SCALE
+
+        # One weighted vote per pixel into (block, octant key); the lookup then
+        # folds each block's 16 key sums into its 8 direction bins. A bin draws
+        # on at most two keys, so the fold adds at most two nonzero terms.
+        slot = np.take(self._slot, active, out=self._active_slot[:n], mode="wrap")
+        slot += key
+        grid_h, grid_w = self.grid
+        n_blocks = grid_h * grid_w
+        per_key = np.bincount(slot, weights=weight, minlength=n_blocks * len(_OCTANT))
+        hist = (per_key.reshape(n_blocks, len(_OCTANT)) @ _KEY_TO_BIN).reshape(
+            grid_h, grid_w, N_DIR_BINS
+        )
+        return hist.sum(axis=2) / self.counts, hist / self.counts[..., None]
+
+
+def _octant_buffers(n: int, wide: type) -> tuple[np.ndarray, ...]:
+    """Work arrays for :func:`_magnitude_and_octant` on up to ``n``
+    gradients: four in ``wide``, the magnitudes, a mask and the keys."""
+    return (
+        *(np.empty(n, wide) for _ in range(4)),
+        np.empty(n, np.float64),
+        np.empty(n, bool),
+        np.empty(n, np.uint8),
     )
 
 
 def _magnitude_and_octant(
-    gx: np.ndarray, gy: np.ndarray, negative: np.ndarray
+    gx: np.ndarray,
+    gy: np.ndarray,
+    negative: np.ndarray,
+    buffers: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient magnitude and direction key of the motion vectors
     ``(vx, vy) = (-sign * gx, sign * gy)``, where ``negative`` marks the
@@ -310,26 +450,40 @@ def _magnitude_and_octant(
     arbitrary where its component is zero; the vector is then near the
     other axis (or zero), whose bins ignore that bit. Float gradients go
     through the same arithmetic in float64.
+
+    ``buffers`` (from :func:`_octant_buffers`, at least ``len(gx)`` long)
+    receive the work and the results, which are views of them. The inputs
+    are only read.
     """
-    wide = np.int32 if gx.dtype.kind == "i" else np.float64
-    gx = gx.astype(wide)
-    gy = gy.astype(wide)
-    gx2 = gx * gx
-    gy2 = gy * gy
-    magnitude = (gx2 + gy2).astype(np.float64)
-    np.sqrt(magnitude, out=magnitude)
-    l1_sq = np.abs(gx)
-    l1_sq += np.abs(gy)
-    l1_sq *= l1_sq
-    gx2 += gx2
-    gy2 += gy2
-    # The bits go in with multiplies and adds, which numpy vectorises on
+    n = len(gx)
+    x2, y2, l1_sq, wide, magnitude, mask, key = (b[:n] for b in buffers)
+    # The bits go in with adds and multiplies, which numpy vectorises on
     # uint8; it does not vectorise shifts. vx = -sign * gx > 0 iff gx < 0
     # xor sign < 0, and vy = sign * gy > 0 iff gy > 0 xor sign < 0.
-    key = (l1_sq < gx2).view(np.uint8) * np.uint8(8)
-    key += (l1_sq < gy2).view(np.uint8) * np.uint8(4)
-    key += ((gx < 0) ^ negative).view(np.uint8) * np.uint8(2)
-    key += (gy > 0) ^ negative
+    bit = mask.view(np.uint8)
+    np.not_equal(np.less(gx, 0, out=mask), negative, out=mask)
+    np.add(bit, bit, out=key)
+    np.not_equal(np.greater(gy, 0, out=mask), negative, out=mask)
+    key += bit
+    # Widening copies first: a ufunc that casts its inputs costs about
+    # twice as much as a copy and a same-type operation.
+    np.copyto(x2, gx)
+    np.copyto(y2, gy)
+    np.abs(x2, out=l1_sq)
+    l1_sq += np.abs(y2, out=wide)
+    l1_sq *= l1_sq
+    x2 *= x2
+    y2 *= y2
+    np.copyto(magnitude, np.add(x2, y2, out=wide))
+    np.sqrt(magnitude, out=magnitude)
+    x2 += x2
+    np.less(l1_sq, x2, out=mask)
+    bit *= np.uint8(8)
+    key += bit
+    y2 += y2
+    np.less(l1_sq, y2, out=mask)
+    bit *= np.uint8(4)
+    key += bit
     return magnitude, key
 
 

@@ -6,7 +6,9 @@ are immutable snapshots. The isochronal store receives one aggregate per
 completed minute, accumulated as a running sum so frame rate does not
 affect memory. Frames must arrive in timestamp order: a late or duplicate
 frame is rejected, so a replayed stretch cannot count a minute twice in
-one day.
+one day. Minutes are told apart by absolute time (``timestamp_ms //
+60_000``), so a gap of exactly a day starts a new sample rather than
+joining the old day's, and each is stored under its minute of day.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .config import Config
 from .errors import RejectedInputError
 from .events import ActivityEvent, EventGate
 from .filters import BandOutputs, BandParams, CascadeFilter
-from .isochron import IsochronalStore, minute_of_day
+from .isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
 from .motion import MotionFrame
 
 
@@ -45,7 +47,8 @@ def band_params_from_config(config: Config) -> BandParams:
 
 @dataclass
 class _MinuteAccumulator:
-    """Running sum of the noise-free band's density over one minute."""
+    """Running sum of the noise-free band's density over one minute,
+    ``minute`` counted from the epoch (``timestamp_ms // 60_000``)."""
 
     minute: int
     density: np.ndarray
@@ -98,6 +101,9 @@ class CameraPipeline:
         self.frames_late = 0
         self.last_bands: BandOutputs | None = None
         self._acc: _MinuteAccumulator | None = None
+        # Absolute minute of the last sample stored: after ``finish`` its
+        # later frames must not store a second sample for it.
+        self._flushed_minute: int | None = None
         self._last_ms: int | None = None  # timestamp of the last accepted frame
         self._last_decision = 0
 
@@ -122,16 +128,21 @@ class CameraPipeline:
             self.frames_rejected += 1
             raise
         self._last_ms = t
-        minute = minute_of_day(t)
-        if self._acc is None or minute != self._acc.minute:
+        absolute_minute = t // 60_000
+        if self._acc is None or absolute_minute != self._acc.minute:
             self._flush_minute()
-            self._acc = _MinuteAccumulator(minute, np.zeros((self.grid_h, self.grid_w)))
-        self._acc.add(bands.m_l1.density)
+            if absolute_minute != self._flushed_minute:
+                self._acc = _MinuteAccumulator(
+                    absolute_minute, np.zeros((self.grid_h, self.grid_w))
+                )
+        if self._acc is not None:
+            self._acc.add(bands.m_l1.density)
         self.frames_ingested += 1
         self.last_bands = bands
 
         closed = None
         if self.frames_ingested % self.params.stride == 0:
+            minute = minute_of_day(t)
             stats = self.store.scalar_stats(minute)
             decision, closed = self.gate.step(
                 bands.m_s1, bands.m_s2, stats, t
@@ -148,12 +159,15 @@ class CameraPipeline:
 
     def _flush_minute(self) -> None:
         if self._acc is not None:
-            self.store.update(self._acc.minute, self._acc.aggregate())
+            self.store.update(self._acc.minute % MINUTES_PER_DAY, self._acc.aggregate())
+            self._flushed_minute = self._acc.minute
+            self._acc = None
 
     def finish(self) -> None:
-        """Flush the partial minute and close any open event."""
+        """Flush the partial minute and close any open event. Frames that
+        arrive later in the same minute are filtered and gated but add no
+        second sample for it."""
         self._flush_minute()
-        self._acc = None
         tail = self.gate.flush()
         if tail is not None:
             self.events.append(tail)

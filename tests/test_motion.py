@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from motionbands.motion import (
     GrayFrame,
     MotionFrame,
     _magnitude_and_octant,
+    _octant_buffers,
     extract_motion,
     motion_from_json,
     motion_to_json,
@@ -118,6 +122,86 @@ def _reference_extract(prev, curr, block_size, noise_floor):
         hist = np.bincount(idx, weights=weight.ravel()[moving], minlength=hist.size)
     dir_hist = hist.reshape(grid_h, grid_w, 8) / counts.reshape(grid_h, grid_w, 1)
     return density, dir_hist
+
+
+def _reference_active_extract(prev, curr, block_size, noise_floor):
+    """The active-pixel ``extract_motion`` before the per-shape extractor,
+    frozen as the oracle for both Sobel paths: (density, dir_hist).
+    Integer frames must match it bit for bit."""
+    h, w = curr.shape
+    integral = prev.dtype.kind in "biu" and curr.dtype.kind in "biu"
+    work = np.int16 if integral else np.float64
+    floor = math.ceil(min(noise_floor, 256.0)) if integral else noise_floor
+
+    signed = np.subtract(curr, prev, dtype=work).ravel()
+    active = np.flatnonzero(np.abs(signed) >= floor)
+    signed = signed[active]
+
+    total = np.empty((h + 2, w + 2), dtype=work)
+    np.add(prev, curr, out=total[1:-1, 1:-1], dtype=work)
+    total[0, 1:-1] = total[1, 1:-1]
+    total[-1, 1:-1] = total[-2, 1:-1]
+    total[:, 0] = total[:, 1]
+    total[:, -1] = total[:, -2]
+    total = total.ravel()
+    index = np.int32 if len(_OCTANT) * h * w < 2**31 else np.intp
+    flat = active.astype(index)
+    row = flat // w
+    wp = w + 2
+    corner = (flat + 2 * row).astype(np.intp)
+    nw, n, ne, west, east, sw, s, se = (
+        total[k:][corner] for k in (0, 1, 2, wp, wp + 2, 2 * wp, 2 * wp + 1, 2 * wp + 2)
+    )
+    se -= nw
+    ne -= sw
+    east -= west
+    east *= 2
+    s -= n
+    s *= 2
+    gx = se + ne
+    gx += east
+    gy = se - ne
+    gy += s
+
+    # Magnitude and octant key, as ``_magnitude_and_octant`` computed them.
+    wide = np.int32 if gx.dtype.kind == "i" else np.float64
+    gx = gx.astype(wide)
+    gy = gy.astype(wide)
+    negative = signed < 0
+    gx2 = gx * gx
+    gy2 = gy * gy
+    magnitude = (gx2 + gy2).astype(np.float64)
+    np.sqrt(magnitude, out=magnitude)
+    l1_sq = np.abs(gx)
+    l1_sq += np.abs(gy)
+    l1_sq *= l1_sq
+    gx2 += gx2
+    gy2 += gy2
+    key = (l1_sq < gx2).view(np.uint8) * np.uint8(8)
+    key += (l1_sq < gy2).view(np.uint8) * np.uint8(4)
+    key += ((gx < 0) ^ negative).view(np.uint8) * np.uint8(2)
+    key += (gy > 0) ^ negative
+
+    weight = magnitude
+    weight *= np.abs(signed)
+    weight *= 0.5 / (255.0 * SOBEL_MAX)
+
+    grid_h = -(-h // block_size)
+    grid_w = -(-w // block_size)
+    n_blocks = grid_h * grid_w
+    flat -= row * w
+    slot = row // block_size * grid_w + flat // block_size
+    slot *= len(_OCTANT)
+    slot += key
+    per_key = np.bincount(slot, weights=weight, minlength=n_blocks * len(_OCTANT))
+    hist = (per_key.reshape(n_blocks, len(_OCTANT)) @ np.eye(8)[_OCTANT]).reshape(
+        grid_h, grid_w, 8
+    )
+    counts = np.outer(
+        np.minimum(block_size, h - block_size * np.arange(grid_h)),
+        np.minimum(block_size, w - block_size * np.arange(grid_w)),
+    )
+    return hist.sum(axis=2) / counts, hist / counts[..., None]
 
 
 @st.composite
@@ -280,8 +364,233 @@ class TestExtractMotion:
             assert np.all(mf.density == 0) and np.all(mf.dir_hist == 0)
 
 
+
+def _changed_pixels(shape, count, seed):
+    """uint8 pair differing by 128 at exactly ``count`` pixels."""
+    rng = np.random.default_rng(seed)
+    prev = rng.integers(0, 256, shape).astype(np.uint8)
+    curr = prev.copy().ravel()
+    idx = rng.choice(curr.size, count, replace=False)
+    curr[idx] += np.uint8(128)
+    return prev, curr.reshape(shape)
+
+
+def _vga_scene_pair(seed, flicker):
+    """Two 480x640 frames of a fixed camera: smooth textured background,
+    sensor noise, a moving disc and, with ``flicker``, a region of foliage
+    (about half the frame) that changes every frame."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:480, 0:640]
+    bg = 120 + 50 * np.sin(xx / 23.0) * np.cos(yy / 17.0) + rng.integers(-30, 31, (480, 640))
+    foliage = ((xx - 320) / 300.0) ** 2 + ((yy - 240) / 210.0) ** 2 <= 1.0
+    frames = []
+    for k in range(2):
+        img = bg + rng.integers(-3, 4, bg.shape)
+        if flicker:
+            img[foliage] += rng.integers(-40, 41, int(foliage.sum()))
+        disc = (xx - 100 - 4 * k) ** 2 + (yy - 200) ** 2 <= 18**2
+        img[disc] = 240
+        frames.append(np.clip(img, 0, 255).astype(np.uint8))
+    return frames
+
+
+def _extract(prev, curr, block_size=16, noise_floor=8):
+    mf = extract_motion(GrayFrame(prev), GrayFrame(curr), block_size, noise_floor)
+    return mf.density, mf.dir_hist
+
+
+def _assert_same(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestSobelPaths:
+    """Both Sobel paths against the frozen active-pixel implementation, bit
+    for bit on integer frames. Above one active pixel in ten the gradient
+    is computed over the whole frame; at or below, from the neighbours of
+    the active pixels."""
+
+    @pytest.mark.parametrize("count", [480, 481])  # of 60 x 80 = 4800 pixels
+    def test_either_side_of_the_full_frame_threshold(self, count):
+        prev, curr = _changed_pixels((60, 80), count, seed=count)
+        for block_size in (7, 16):
+            _assert_same(
+                _extract(prev, curr, block_size),
+                _reference_active_extract(prev, curr, block_size, 8),
+            )
+
+    def test_zero_noise_floor(self):
+        rng = np.random.default_rng(31)
+        prev = rng.integers(0, 256, (45, 70)).astype(np.uint8)
+        curr = rng.integers(0, 256, (45, 70)).astype(np.uint8)
+        _assert_same(_extract(prev, curr, 8, 0), _reference_active_extract(prev, curr, 8, 0))
+        _assert_same(_extract(prev, prev, 8, 0), _reference_active_extract(prev, prev, 8, 0))
+
+    @pytest.mark.parametrize("floor", [0, 8])
+    def test_saturated_checkerboards_use_the_full_int16_range(self, floor):
+        # Edges between 0 and 255 in both frames give |gx|, |gy| = 2040,
+        # the largest Sobel response of the sum frame.
+        yy, xx = np.mgrid[0:48, 0:64]
+        prev = (255 * ((yy // 4 + xx // 4) % 2)).astype(np.uint8)
+        curr = (255 * ((yy // 4 + (xx + 1) // 4) % 2)).astype(np.uint8)
+        _assert_same(
+            _extract(prev, curr, 16, floor), _reference_active_extract(prev, curr, 16, floor)
+        )
+
+    @pytest.mark.parametrize("flicker", [False, True])
+    def test_vga_scenes(self, flicker):
+        prev, curr = _vga_scene_pair(seed=5, flicker=flicker)
+        active = np.mean(np.abs(curr.astype(int) - prev) >= 8)
+        assert (active > 0.1) == flicker
+        _assert_same(_extract(prev, curr), _reference_active_extract(prev, curr, 16, 8))
+
+
+class TestPixelLayouts:
+    """Any real pixel dtype and memory layout gives the contiguous uint8
+    result, bit for bit."""
+
+    @pytest.fixture(params=[0.02, 0.5], ids=["sparse", "dense"])
+    def pair(self, request):
+        rng = np.random.default_rng(13)
+        prev = rng.integers(0, 256, (37, 53)).astype(np.uint8)
+        curr = prev.copy()
+        changed = rng.random(prev.shape) < request.param
+        curr[changed] = rng.integers(0, 256, int(changed.sum()))
+        return prev, curr
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.int64])
+    def test_integer_dtypes(self, pair, dtype):
+        prev, curr = pair
+        _assert_same(_extract(prev.astype(dtype), curr.astype(dtype)), _extract(prev, curr))
+
+    def test_bool_pixels(self, pair):
+        prev, curr = (p % 2 for p in pair)
+        _assert_same(
+            _extract(prev.astype(bool), curr.astype(bool), noise_floor=1),
+            _extract(prev, curr, noise_floor=1),
+        )
+
+    def test_fortran_order_and_negative_strides(self, pair):
+        prev, curr = pair
+        want = _extract(prev, curr)
+        _assert_same(_extract(np.asfortranarray(prev), np.asfortranarray(curr)), want)
+        flipped = [p[::-1, ::-1].copy()[::-1, ::-1] for p in (prev, curr)]
+        assert flipped[0].strides[0] < 0
+        _assert_same(_extract(*flipped), want)
+
+    def test_mixed_uint8_and_float_pair(self, pair):
+        prev, curr = pair
+        _assert_same(_extract(prev, curr.astype(np.float64)), _extract(prev, curr))
+
+
+class TestReusedBuffers:
+    def test_threads_extracting_at_once_match_a_serial_run(self):
+        def sequence(seed):
+            rng = np.random.default_rng(seed)
+            return [rng.integers(0, 256, (40, 56)).astype(np.uint8) for _ in range(30)]
+
+        seqs = [sequence(seed) for seed in range(4)]
+
+        def run(frames, floor):
+            return [_extract(a, b, 8, floor) for a, b in zip(frames, frames[1:])]
+
+        # Floors 8 and 200 put the two halves of the threads on different paths.
+        floors = [8, 200, 8, 200]
+        want = [run(f, floor) for f, floor in zip(seqs, floors)]
+        got = [None] * len(seqs)
+        errors = []
+
+        def worker(i):
+            try:
+                got[i] = run(seqs[i], floors[i])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(seqs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                _assert_same(a, b)
+
+    @pytest.mark.parametrize("floor", [8, 200])
+    def test_a_later_call_leaves_an_earlier_result_unchanged(self, floor):
+        rng = np.random.default_rng(41)
+        frames = [rng.integers(0, 256, (33, 47)).astype(np.uint8) for _ in range(4)]
+        first = _extract(frames[0], frames[1], 8, floor)
+        kept = tuple(a.copy() for a in first)
+        _extract(frames[2], frames[3], 8, floor)
+        _assert_same(first, kept)
+        # Writing into a result does not reach the next call either.
+        first[0][...] = -1.0
+        first[1][...] = -1.0
+        _assert_same(_extract(frames[0], frames[1], 8, floor), kept)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_processes_extracting_at_once_stay_correct(self):
+        # A process that extracted and then forked keeps its thread's
+        # extractor in the child. Both then extract the same shape at once;
+        # neither may see the other's writes.
+        rng = np.random.default_rng(47)
+        frames = [rng.integers(0, 256, (120, 160)).astype(np.uint8) for _ in range(81)]
+        pairs = list(zip(frames, frames[1:]))
+        floors = [8, 200] * (len(pairs) // 2)
+        want = [_reference_active_extract(a, b, 8, f) for (a, b), f in zip(pairs, floors)]
+        _extract(*pairs[0], 8)
+        half = len(pairs) // 2
+
+        def matches(part):
+            got = [_extract(a, b, 8, f) for (a, b), f in list(zip(pairs, floors))[part]]
+            return all(
+                np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+                for g, w in zip(got, want[part])
+            )
+
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os._exit(0 if matches(slice(half, None)) else 1)
+            finally:
+                os._exit(2)
+        parent_ok = matches(slice(None, half))
+        _, status = os.waitpid(pid, 0)
+        assert parent_ok
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_interleaved_shapes_and_block_sizes(self):
+        rng = np.random.default_rng(43)
+        cases = [((h, w), bs) for h, w in ((20, 30), (31, 17), (8, 64)) for bs in (4, 16)]
+        pairs = {
+            case: [rng.integers(0, 256, case[0]).astype(np.uint8) for _ in range(2)]
+            for case in cases
+        }
+        for _ in range(3):
+            for case in cases:
+                prev, curr = pairs[case]
+                for floor in (0, 8, 200):
+                    _assert_same(
+                        _extract(prev, curr, case[1], floor),
+                        _reference_active_extract(prev, curr, case[1], floor),
+                    )
+
+
 # |gx|, |gy| bound of the Sobel of the sum of two 8-bit frames: 4 * 510.
 SOBEL_SUM_MAX = 2040
+
+
+def _magnitude_and_key(gx, gy, negative):
+    """``_magnitude_and_octant`` with fresh work buffers."""
+    wide = np.int32 if gx.dtype.kind == "i" else np.float64
+    return _magnitude_and_octant(gx, gy, negative, _octant_buffers(len(gx), wide))
 
 
 def _atan2_bins(vx, vy):
@@ -306,7 +615,7 @@ class TestGradientArithmetic:
             # A zero gradient has zero weight, so its bin never counts.
             moving = (gx != 0) | (gy != 0)
             for sign in (1, -1):
-                _, key = _magnitude_and_octant(gx, gy, np.full(gx.shape, sign < 0))
+                _, key = _magnitude_and_key(gx, gy, np.full(gx.shape, sign < 0))
                 want = _atan2_bins(-sign * gx.astype(np.int64), sign * gy.astype(np.int64))
                 np.testing.assert_array_equal(_OCTANT[key][moving], want[moving])
                 checked += int(moving.sum())
@@ -314,7 +623,7 @@ class TestGradientArithmetic:
 
     def test_magnitude_within_one_ulp_of_hypot(self):
         for gx, gy in _integer_gradients():
-            magnitude, _ = _magnitude_and_octant(gx, gy, np.zeros(gx.shape, dtype=bool))
+            magnitude, _ = _magnitude_and_key(gx, gy, np.zeros(gx.shape, dtype=bool))
             assert magnitude.dtype == np.float64
             want = np.hypot(gx.astype(np.float64), gy.astype(np.float64))
             assert np.all(np.abs(magnitude - want) <= np.spacing(want))
@@ -324,7 +633,7 @@ class TestGradientArithmetic:
         gx = rng.uniform(-SOBEL_SUM_MAX, SOBEL_SUM_MAX, 200_000)
         gy = rng.uniform(-SOBEL_SUM_MAX, SOBEL_SUM_MAX, 200_000)
         negative = rng.random(200_000) < 0.5
-        magnitude, key = _magnitude_and_octant(gx, gy, negative)
+        magnitude, key = _magnitude_and_key(gx, gy, negative)
         sign = np.where(negative, -1.0, 1.0)
         np.testing.assert_array_equal(_OCTANT[key], _atan2_bins(-sign * gx, sign * gy))
         np.testing.assert_allclose(magnitude, np.hypot(gx, gy), rtol=1e-15, atol=0)

@@ -139,6 +139,36 @@ def test_late_and_duplicate_timestamps_rejected_before_any_change():
     assert pipe.store.equals(clean.store)
 
 
+
+def _frame_at(t, seed=3):
+    return dataclasses.replace(_noise_frames(1, seed=seed)[0], timestamp_ms=t)
+
+
+def test_frames_after_finish_in_a_flushed_minute_store_no_second_sample():
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    pipe.ingest(_frame_at(0))
+    pipe.finish()
+    result = pipe.ingest(_frame_at(1_000))
+    pipe.finish()
+    assert pipe.store.query(0)[2] == 1
+    # The frame still went through the cascade.
+    assert pipe.frames_ingested == 2 and result.bands.m_l1.timestamp_ms == 1_000
+    pipe.ingest(_frame_at(60_000))
+    pipe.finish()
+    assert pipe.store.query(0)[2] == 1
+    assert pipe.store.query(1)[2] == 1
+
+
+def test_a_day_long_gap_starts_a_new_sample_for_the_same_minute_of_day():
+    day_ms = MINUTES_PER_DAY * 60_000
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    for t in (0, day_ms, day_ms + 60_000):
+        pipe.ingest(_frame_at(t))
+    pipe.finish()
+    assert pipe.store.query(0)[2] == 2
+    assert pipe.store.query(1)[2] == 1
+
+
 class TestMinuteAccumulator:
     @staticmethod
     def _sum(densities, minute=0):

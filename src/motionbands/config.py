@@ -1,44 +1,41 @@
 """Runtime configuration: one JSON document, strictly validated.
 
-Unknown keys are rejected so typos fail loudly; every CLI flag overrides
-exactly one dotted config key. Sub-seeds for subcommands derive from the
-master seed by stable hashing, so one (config, seed) pair pins the whole
-artifact tree.
+The document has three optional sections: ``filter`` holds the cascade's
+:class:`~motionbands.filters.BandParams`, ``motion`` the block size and
+noise floor for ``extract_motion``, and ``events`` the gate's thresholds
+and the pipeline's detector policy. A missing key keeps its default.
+Callers may set dotted keys (``events.k_sigma``) over the file's values.
+
+A bad document fails at load with a :class:`ConfigError` naming the key,
+checked in this order: unknown keys (so typos fail loudly), then types
+(numbers only, never a string or a bool, and finite), then ranges (the
+checks ``BandParams`` makes when it is built).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
-from pydantic import BaseModel, ConfigDict, ValidationError
+from .errors import InvalidParameterError
+from .filters import BandParams
 
 
 class ConfigError(ValueError):
     """Configuration could not be loaded or validated."""
 
 
-class _Section(BaseModel):
-    model_config = ConfigDict(extra="forbid")
-
-
-class FilterConfig(_Section):
-    t_l1_s: float = 1800.0
-    t_l2_days: float = 10.0
-    t_s1_s: float = 20.0
-    t_s2_s: float = 1.0
-    frame_rate: float = 30.0
-    shortterm_rate: float = 1.0
-
-
-class MotionConfig(_Section):
+@dataclass
+class MotionConfig:
     block_size: int = 16
     noise_floor: float = 8.0
 
 
-class EventsConfig(_Section):
+@dataclass
+class EventsConfig:
     k_sigma: float = 2.0
     cooldown_s: float = 3.0
     min_threshold: float = 0.02
@@ -46,49 +43,14 @@ class EventsConfig(_Section):
     reinvoke_every_s: float = 0.0
 
 
-class EnergyConfig(_Section):
-    activity_power_w: float = 50.0
-    network_activity_power_w: float = 80.0
-    detector_power_w: float = 153.0
-    detector_fps: float = 14.79
-    cameras: int = 32
-    workday_h: float = 10.0
-    events_per_day: float = 300.0
+@dataclass
+class Config:
+    filter: BandParams = field(default_factory=BandParams)
+    motion: MotionConfig = field(default_factory=MotionConfig)
+    events: EventsConfig = field(default_factory=EventsConfig)
 
 
-class PlannerConfig(_Section):
-    w1: float = 0.5
-    w2: float = 0.5
-    lam: float = 1.0
-    staleness_s: float = 5.0
-    include_moving: bool = False
-    profile_epsilon: float = 1e-3
-
-
-class CostmapConfig(_Section):
-    resolution_m: float = 0.5
-    density_scale: float = 254.0
-
-
-class Config(_Section):
-    seed: int = 0
-    camera_id: str = "cam0"
-    store_dir: str = "stores"
-    scenario: str | None = None
-    filter: FilterConfig = FilterConfig()
-    motion: MotionConfig = MotionConfig()
-    events: EventsConfig = EventsConfig()
-    energy: EnergyConfig = EnergyConfig()
-    planner: PlannerConfig = PlannerConfig()
-    costmap: CostmapConfig = CostmapConfig()
-
-
-def _format_validation_error(exc: ValidationError) -> str:
-    parts = []
-    for err in exc.errors():
-        loc = ".".join(str(p) for p in err["loc"]) or "<root>"
-        parts.append(f"{loc}: {err['msg']}")
-    return "; ".join(parts)
+_SECTIONS = {f.name: f.default_factory for f in fields(Config)}
 
 
 def apply_overrides(data: dict, overrides: dict[str, Any]) -> dict:
@@ -106,6 +68,50 @@ def apply_overrides(data: dict, overrides: dict[str, Any]) -> dict:
     return data
 
 
+def _number(value: Any, kind: type) -> int | float:
+    """``value`` as a ``kind``. Strings and bools are refused, and so are
+    JSON's NaN and Infinity, which Python's ``json`` accepts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
+
+
+def _validate(data: dict) -> Config:
+    unknown, wrong = [], []
+    checked: dict[str, dict] = {}
+    for name, values in data.items():
+        if name not in _SECTIONS:
+            unknown.append(name)
+            continue
+        if not isinstance(values, dict):
+            wrong.append(f"{name}: expected an object, got {values!r}")
+            continue
+        types = get_type_hints(_SECTIONS[name])
+        checked[name] = {}
+        for key, value in values.items():
+            if key not in types:
+                unknown.append(f"{name}.{key}")
+                continue
+            try:
+                checked[name][key] = _number(value, types[key])
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
+                wrong.append(f"{name}.{key}: {exc}")
+    if unknown:
+        raise ConfigError("; ".join(f"{key}: unknown key" for key in unknown))
+    if wrong:
+        raise ConfigError("; ".join(wrong))
+
+    sections = {}
+    for name, values in checked.items():
+        try:
+            sections[name] = _SECTIONS[name](**values)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    return Config(**sections)
+
+
 def load_config(path: str | Path | None, overrides: dict[str, Any] | None = None) -> Config:
     """Load and validate a config file; ``None`` uses pure defaults."""
     data: dict = {}
@@ -121,14 +127,4 @@ def load_config(path: str | Path | None, overrides: dict[str, Any] | None = None
             raise ConfigError(f"config file {path} must hold a JSON object")
     if overrides:
         apply_overrides(data, overrides)
-    try:
-        return Config.model_validate(data)
-    except ValidationError as exc:
-        raise ConfigError(_format_validation_error(exc)) from exc
-
-
-def derive_seed(master_seed: int, *scope: str | int) -> int:
-    """Stable sub-seed for a subcommand (or any named scope)."""
-    text = ":".join([str(master_seed), *map(str, scope)])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return _validate(data)

@@ -12,22 +12,23 @@ Consecutive firings belong to one event; an event closes only after
 fragmenting a single burst of activity. A closed event's duration covers
 its last positive decision's full tick.
 
-Gating exists to spend expensive per-frame detection only where it pays:
-the pipeline invokes the detector once per event onset (optionally
-re-invoking every N seconds during long events) and reports exact counts,
-which feed the energy model.
+Gating exists to spend expensive per-frame detection only where it pays.
+``CameraPipeline`` asks its caller to run the detector on each event
+onset, and again every ``reinvoke_every_s`` while an event stays open if
+that is set; it counts those requests, and the counts feed the energy
+model. The caller owns the detector; :class:`DetectorStub` stands in for
+one in tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidParameterError, RejectedInputError
-from .filters import BandOutputs
-from .isochron import IsochronalStore, minute_of_day
 
 BAND_IN_PLACE = "in-place"
 BAND_MOVING = "moving"
@@ -110,12 +111,17 @@ class EventGate:
         min_days: int = 3,
         decision_rate_hz: float = 1.0,
     ):
-        if k_sigma < 0:
-            raise InvalidParameterError("k_sigma must be >= 0")
-        if cooldown_s < 0:
-            raise InvalidParameterError("cooldown_s must be >= 0")
-        if decision_rate_hz <= 0:
-            raise InvalidParameterError("decision_rate_hz must be > 0")
+        # Written so that NaN fails each check.
+        if not 0 <= k_sigma < math.inf:
+            raise InvalidParameterError(f"k_sigma must be finite and >= 0, got {k_sigma}")
+        if not 0 <= cooldown_s < math.inf:
+            raise InvalidParameterError(f"cooldown_s must be finite and >= 0, got {cooldown_s}")
+        if not 0 < decision_rate_hz < math.inf:
+            raise InvalidParameterError(
+                f"decision_rate_hz must be finite and > 0, got {decision_rate_hz}"
+            )
+        if not math.isfinite(min_threshold):
+            raise InvalidParameterError(f"min_threshold must be finite, got {min_threshold}")
         self.camera_id = camera_id
         self.k_sigma = k_sigma
         self.min_threshold = min_threshold
@@ -126,6 +132,11 @@ class EventGate:
         self._quiet_run = 0
         self._last_hit_ms = 0
         self.last_activity = 0.0  # the activity sample the last decision tested
+
+    @property
+    def in_event(self) -> bool:
+        """Whether an event is open: fired and not yet closed."""
+        return self._open is not None
 
     def threshold(self, mean: float, std: float, days: int) -> float:
         if days < self.min_days:
@@ -189,83 +200,6 @@ class EventGate:
         if self._open is None:
             return None
         return self._close()
-
-
-@dataclass
-class GateReport:
-    """Outcome of running the gate over a band stream."""
-
-    events: list[ActivityEvent]
-    detector_invocations: int
-    frames_processed: int
-    decisions: int = 0
-    detections: list[tuple[int, int]] = field(default_factory=list)  # (t_ms, hits)
-
-
-def gate_pipeline(
-    band_stream: Iterable[BandOutputs] | Iterator[BandOutputs],
-    store: IsochronalStore,
-    detector: DetectorStub,
-    k_sigma: float = 2.0,
-    cooldown_s: float = 3.0,
-    min_threshold: float = 0.02,
-    min_days: int = 3,
-    decision_rate_hz: float = 1.0,
-    reinvoke_every_s: float = 0.0,
-) -> GateReport:
-    """Run event gating over a time-aligned band stream.
-
-    The detector runs once per event onset; ``reinvoke_every_s`` > 0 adds
-    periodic re-invocation while an event stays open (off by default).
-    """
-    gate = EventGate(
-        store.camera_id,
-        k_sigma=k_sigma,
-        cooldown_s=cooldown_s,
-        min_threshold=min_threshold,
-        min_days=min_days,
-        decision_rate_hz=decision_rate_hz,
-    )
-    events: list[ActivityEvent] = []
-    detections: list[tuple[int, int]] = []
-    invocations = 0
-    frames = 0
-    decisions = 0
-    in_event = False
-    last_invoke_ms = 0
-
-    for bands in band_stream:
-        t = bands.timestamp_ms
-        stats = store.scalar_stats(minute_of_day(t))
-        decision, closed = gate.step(bands.m_s1, bands.m_s2, stats, t)
-        frames += 1
-        decisions += decision
-        if closed is not None:
-            events.append(closed)
-            in_event = False
-        if decision:
-            invoke = False
-            if not in_event:
-                in_event = True
-                invoke = True
-            elif reinvoke_every_s > 0 and t - last_invoke_ms >= reinvoke_every_s * 1000.0:
-                invoke = True
-            if invoke:
-                mask = detector.detect(t, bands.m_s1.grid_w, bands.m_s1.grid_h)
-                detections.append((t, int(mask.sum())))
-                invocations += 1
-                last_invoke_ms = t
-
-    tail = gate.flush()
-    if tail is not None:
-        events.append(tail)
-    return GateReport(
-        events=events,
-        detector_invocations=invocations,
-        frames_processed=frames,
-        decisions=decisions,
-        detections=detections,
-    )
 
 
 def duty_cycle(events: Iterable[ActivityEvent], workday_h: float) -> float:

@@ -58,12 +58,9 @@ Float frames take the same arithmetic in float64.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -485,99 +482,3 @@ def _magnitude_and_octant(
     bit *= np.uint8(4)
     key += bit
     return magnitude, key
-
-
-# ---------------------------------------------------------------------------
-# Interchange: JSON-lines and PGM
-# ---------------------------------------------------------------------------
-
-def motion_to_json(frame: MotionFrame, band: str | None = None) -> str:
-    """One JSON line: {"t", "gw", "gh", "blocks": [[density, [h0..h7]], ...]}.
-
-    Field order is fixed; floats keep full precision. A density-only frame
-    writes an empty bin list per block. ``band`` appends a band label for
-    filtered streams.
-    """
-    blocks = [
-        [float(frame.density[by, bx]), [float(v) for v in frame.dir_hist[by, bx]]]
-        for by in range(frame.grid_h)
-        for bx in range(frame.grid_w)
-    ]
-    obj: dict = {"t": frame.timestamp_ms, "gw": frame.grid_w, "gh": frame.grid_h, "blocks": blocks}
-    if band is not None:
-        obj["band"] = band
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def motion_from_json(line: str) -> tuple[MotionFrame, str | None]:
-    """Inverse of :func:`motion_to_json`; returns (frame, band-or-None)."""
-    obj = json.loads(line)
-    gw, gh = int(obj["gw"]), int(obj["gh"])
-    blocks = obj["blocks"]
-    if len(blocks) != gw * gh:
-        raise RejectedInputError(f"expected {gw * gh} blocks, got {len(blocks)}")
-    n_bins = len(blocks[0][1]) if blocks else 0
-    density = np.empty((gh, gw))
-    hist = np.empty((gh, gw, n_bins))
-    for i, (d, bins) in enumerate(blocks):
-        if len(bins) != n_bins:
-            raise RejectedInputError(f"block {i} has {len(bins)} bins, block 0 has {n_bins}")
-        by, bx = divmod(i, gw)
-        density[by, bx] = d
-        hist[by, bx] = bins
-    frame = MotionFrame(density=density, dir_hist=hist, timestamp_ms=int(obj["t"]))
-    return frame, obj.get("band")
-
-
-def write_jsonl(path: str | Path, frames: Iterable[MotionFrame]) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in frames:
-            fh.write(motion_to_json(frame) + "\n")
-            n += 1
-    return n
-
-
-def read_jsonl(path: str | Path) -> Iterator[MotionFrame]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield motion_from_json(line)[0]
-
-
-def write_pgm(path: str | Path, frame: GrayFrame) -> None:
-    """Binary (P5) PGM, maxval 255, no comment lines."""
-    px = np.clip(np.round(frame.pixels), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{px.shape[1]} {px.shape[0]}\n255\n".encode("ascii"))
-        fh.write(px.tobytes())
-
-
-def read_pgm(path: str | Path, timestamp_ms: int = 0) -> GrayFrame:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise RejectedInputError(f"not a binary PGM (magic {fields[0]!r})")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval > 255:
-        raise RejectedInputError(f"16-bit PGM unsupported (maxval {maxval})")
-    pos += 1  # single whitespace after maxval
-    raster = data[pos : pos + width * height]
-    if len(raster) != width * height:
-        raise RejectedInputError("PGM raster truncated")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return GrayFrame(pixels=pixels.copy(), timestamp_ms=timestamp_ms)

@@ -9,18 +9,28 @@ frame is rejected, so a replayed stretch cannot count a minute twice in
 one day. Minutes are told apart by absolute time (``timestamp_ms //
 60_000``), so a gap of exactly a day starts a new sample rather than
 joining the old day's, and each is stored under its minute of day.
+
+The pipeline also owns the detector policy of the hybrid system, where
+the gate spends an expensive detector only on activity. On a decision
+tick it sets ``IngestResult.invoke_detector`` at an event's onset (the
+gate fires with no event open before the tick) and, if
+``config.events.reinvoke_every_s`` is above zero, on each later firing
+tick at least that long after the last request while the event stays
+open. ``detector_invocations`` counts the requests; the caller runs its
+own detector when the flag is set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Config
-from .errors import RejectedInputError
+from .errors import InvalidParameterError, RejectedInputError
 from .events import ActivityEvent, EventGate
-from .filters import BandOutputs, BandParams, CascadeFilter
+from .filters import BandOutputs, CascadeFilter
 from .isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
 from .motion import MotionFrame
 
@@ -31,18 +41,7 @@ class IngestResult:
     decision: int
     activity: float
     closed_event: ActivityEvent | None = None
-
-
-def band_params_from_config(config: Config) -> BandParams:
-    f = config.filter
-    return BandParams(
-        t_l1_s=f.t_l1_s,
-        t_l2_days=f.t_l2_days,
-        t_s1_s=f.t_s1_s,
-        t_s2_s=f.t_s2_s,
-        frame_rate=f.frame_rate,
-        shortterm_rate=f.shortterm_rate,
-    )
+    invoke_detector: bool = False
 
 
 @dataclass
@@ -81,21 +80,28 @@ class CameraPipeline:
         self.camera_id = camera_id
         self.grid_w = grid_w
         self.grid_h = grid_h
-        self.params = band_params_from_config(config)
+        ev = config.events
+        if not 0 <= ev.reinvoke_every_s < math.inf:
+            raise InvalidParameterError(
+                f"reinvoke_every_s must be finite and >= 0, got {ev.reinvoke_every_s}"
+            )
+        self.params = config.filter
         self.cascade = CascadeFilter(grid_w, grid_h, self.params)
         self.store = store or IsochronalStore(
-            camera_id, grid_w, grid_h, t_l2_days=config.filter.t_l2_days
+            camera_id, grid_w, grid_h, t_l2_days=self.params.t_l2_days
         )
-        ev = config.events
         self.gate = EventGate(
             camera_id,
             k_sigma=ev.k_sigma,
             cooldown_s=ev.cooldown_s,
             min_threshold=ev.min_threshold,
             min_days=ev.min_days,
-            decision_rate_hz=config.filter.shortterm_rate,
+            decision_rate_hz=self.params.shortterm_rate,
         )
+        self._reinvoke_ms = ev.reinvoke_every_s * 1000.0
         self.events: list[ActivityEvent] = []
+        self.detector_invocations = 0
+        self._last_invoke_ms = 0
         self.frames_ingested = 0
         self.frames_rejected = 0
         self.frames_late = 0
@@ -108,7 +114,8 @@ class CameraPipeline:
         self._last_decision = 0
 
     def ingest(self, frame: MotionFrame) -> IngestResult:
-        """Filter, accumulate and gate one frame.
+        """Filter, accumulate and gate one frame, and say whether the
+        detector should run on it.
 
         A frame whose timestamp is not after the last accepted frame's
         (late or duplicate) is counted in ``frames_late``; a frame the
@@ -141,20 +148,30 @@ class CameraPipeline:
         self.last_bands = bands
 
         closed = None
+        invoke = False
         if self.frames_ingested % self.params.stride == 0:
             minute = minute_of_day(t)
             stats = self.store.scalar_stats(minute)
+            onset = not self.gate.in_event
             decision, closed = self.gate.step(
                 bands.m_s1, bands.m_s2, stats, t
             )
             if closed is not None:
                 self.events.append(closed)
+            if decision:
+                invoke = onset or (
+                    self._reinvoke_ms > 0 and t - self._last_invoke_ms >= self._reinvoke_ms
+                )
+            if invoke:
+                self.detector_invocations += 1
+                self._last_invoke_ms = t
             self._last_decision = decision
         return IngestResult(
             bands=bands,
             decision=self._last_decision,
             activity=self.gate.last_activity,
             closed_event=closed,
+            invoke_detector=invoke,
         )
 
     def _flush_minute(self) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -459,13 +460,30 @@ def write_costmap(map_: CostMap, pgm_path: str | Path, yaml_path: str | Path) ->
         yaml.safe_dump(meta, fh, default_flow_style=None, sort_keys=False)
 
 
+# Magic, width, height and maxval, each token after whitespace or comments,
+# then the one whitespace byte that ends the header.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
+def _pgm_raster(path: str | Path) -> np.ndarray:
+    """The 8-bit raster of a binary (P5) PGM."""
+    data = Path(path).read_bytes()
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise RejectedInputError(f"{path} does not start with a binary PGM header")
+    width, height, maxval = map(int, header.groups())
+    if maxval > 255:
+        raise RejectedInputError(f"16-bit PGM unsupported (maxval {maxval})")
+    raster = data[header.end() : header.end() + width * height]
+    if len(raster) != width * height:
+        raise RejectedInputError("PGM raster truncated")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+
+
 def read_costmap(pgm_path: str | Path, yaml_path: str | Path) -> CostMap:
     with open(yaml_path, "r", encoding="utf-8") as fh:
         meta = yaml.safe_load(fh)
-    from .motion import read_pgm
-
-    gray = read_pgm(pgm_path)
-    cells = (255 - gray.pixels.astype(np.int16)).astype(np.uint8)
+    cells = (255 - _pgm_raster(pgm_path).astype(np.int16)).astype(np.uint8)
     origin = meta.get("origin", [0.0, 0.0, 0.0])
     return CostMap(
         resolution_m=float(meta["resolution"]),

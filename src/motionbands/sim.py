@@ -371,23 +371,6 @@ class GroundTruth:
     def _inside(self, block: tuple[int, int]) -> bool:
         return 0 <= block[0] < self.scenario.grid_w and 0 <= block[1] < self.scenario.grid_h
 
-    def to_json_obj(self) -> dict:
-        return {
-            "days": self.days,
-            "events": [
-                {
-                    "start_ms": int(e.start_s * 1000),
-                    "end_ms": int(e.end_s * 1000),
-                    "origin": list(e.origin),
-                    "direction": list(e.direction),
-                    "width_blocks": e.width_blocks,
-                }
-                for e in self.events
-            ],
-            "walkable_mask": self.walkable_mask.astype(int).tolist(),
-            "minute_curve": [float(v) for v in self.minute_curve()],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Generation

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import motionbands
 
 from motionbands.config import Config, ConfigError, apply_overrides, load_config
 
@@ -16,9 +22,9 @@ class TestLoadConfig:
         assert load_config(None) == Config()
 
     def test_file_values_apply(self, tmp_path):
-        path = _write(tmp_path, {"seed": 7, "events": {"k_sigma": 3.0}})
+        path = _write(tmp_path, {"motion": {"block_size": 8}, "events": {"k_sigma": 3.0}})
         config = load_config(path)
-        assert config.seed == 7
+        assert config.motion.block_size == 8
         assert config.events.k_sigma == 3.0
         assert config.events.cooldown_s == Config().events.cooldown_s
 
@@ -47,6 +53,48 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(_write(tmp_path, '{"seed": 1,'))
 
+    @pytest.mark.parametrize(
+        "doc, keys",
+        [
+            ('{"events": {"k_sigma": NaN}, "filter": {"t_s2_s": Infinity}}', ["k_sigma", "t_s2_s"]),
+            ('{"events": {"k_sigma": -Infinity}}', ["k_sigma"]),
+            ('{"events": {"k_sigma": "3.5"}}', ["k_sigma"]),
+            ('{"events": {"min_days": true}}', ["min_days"]),
+            ('{"events": {"min_days": 2.5}}', ["min_days"]),
+            ('{"motion": {"block_size": null}}', ["block_size"]),
+            ('{"filter": {"t_l1_s": 5.0}}', ["filter", "t_l1_s"]),
+            ('{"filter": {"frame_rate": 25.0, "shortterm_rate": 2.0}}', ["filter", "frame_rate"]),
+            ('{"events": 2}', ["events"]),
+        ],
+        ids=[
+            "nan-and-infinity",
+            "minus-infinity",
+            "number-as-string",
+            "bool-as-int",
+            "fraction-as-int",
+            "null",
+            "band-ordering",
+            "rate-ratio",
+            "section-not-object",
+        ],
+    )
+    def test_wrong_value_rejected_at_load(self, tmp_path, doc, keys):
+        with pytest.raises(ConfigError) as info:
+            load_config(_write(tmp_path, doc))
+        for key in keys:
+            assert key in str(info.value)
+
+    def test_checks_run_unknown_keys_then_types_then_ranges(self, tmp_path):
+        with pytest.raises(ConfigError, match="^events.k_sgima: unknown key$"):
+            load_config(_write(tmp_path, {"events": {"k_sgima": 1.0, "k_sigma": "x"}}))
+        with pytest.raises(ConfigError, match="^filter.t_s2_s: "):
+            load_config(_write(tmp_path, {"filter": {"t_l1_s": 5.0, "t_s2_s": "x"}}))
+
+    def test_integral_numbers_load_as_the_field_type(self, tmp_path):
+        config = load_config(_write(tmp_path, {"events": {"min_days": 4.0, "k_sigma": 3}}))
+        assert config.events.min_days == 4 and isinstance(config.events.min_days, int)
+        assert config.events.k_sigma == 3.0 and isinstance(config.events.k_sigma, float)
+
     @pytest.mark.parametrize("doc", ["[1, 2]", '"cam0"', "3", "null"])
     def test_non_object_document_rejected(self, tmp_path, doc):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -56,26 +104,50 @@ class TestLoadConfig:
 class TestOverrides:
     def test_dotted_overrides_apply(self, tmp_path):
         path = _write(tmp_path, {"events": {"k_sigma": 3.0, "min_days": 5}})
-        config = load_config(path, {"events.k_sigma": 1.5, "filter.t_s1_s": 30.0, "seed": 4})
+        config = load_config(
+            path, {"events.k_sigma": 1.5, "filter.t_s1_s": 30.0, "motion.noise_floor": 4}
+        )
         assert config.events.k_sigma == 1.5
         assert config.events.min_days == 5
         assert config.filter.t_s1_s == 30.0
-        assert config.seed == 4
+        assert config.motion.noise_floor == 4
 
     def test_none_overrides_skipped(self, tmp_path):
         path = _write(tmp_path, {"events": {"k_sigma": 3.0}})
-        config = load_config(path, {"events.k_sigma": None, "seed": None})
+        config = load_config(path, {"events.k_sigma": None, "motion.noise_floor": None})
         assert config.events.k_sigma == 3.0
-        assert config.seed == Config().seed
+        assert config.motion.noise_floor == Config().motion.noise_floor
         assert apply_overrides({}, {"events.k_sigma": None}) == {}
 
     def test_override_through_a_non_section_rejected(self, tmp_path):
-        path = _write(tmp_path, {"seed": 3})
-        with pytest.raises(ConfigError, match="seed is not a section"):
-            load_config(path, {"seed.value": 1})
-        with pytest.raises(ConfigError, match="seed is not a section"):
-            apply_overrides({"seed": 3}, {"seed.value.deeper": 1})
+        path = _write(tmp_path, {"events": {"k_sigma": 3.0}})
+        with pytest.raises(ConfigError, match="k_sigma is not a section"):
+            load_config(path, {"events.k_sigma.value": 1})
+        with pytest.raises(ConfigError, match="k_sigma is not a section"):
+            apply_overrides({"events": {"k_sigma": 3}}, {"events.k_sigma.value.deeper": 1})
 
     def test_override_of_an_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="k_sgima"):
             load_config(None, {"events.k_sgima": 1.0})
+
+
+def test_no_module_imports_pydantic():
+    # Every module, imported in a fresh interpreter, loads only the
+    # declared runtime dependencies; the config loader is stdlib.
+    code = (
+        "import importlib, pkgutil, sys, motionbands\n"
+        "for m in pkgutil.iter_modules(motionbands.__path__):\n"
+        "    importlib.import_module('motionbands.' + m.name)\n"
+        "assert 'motionbands.config' in sys.modules\n"
+        "print('pydantic' in sys.modules)\n"
+    )
+    src = str(Path(motionbands.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from motionbands.events import (
     duty_cycle,
     energy_csv,
     energy_estimate,
-    gate_pipeline,
     scalar_activity,
 )
 from motionbands.filters import BandParams, CascadeFilter
@@ -215,15 +215,133 @@ class TestEnergyModel:
 
 
 import functools
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
+
+from motionbands.config import Config, EventsConfig
+from motionbands.filters import BandOutputs
+from motionbands.isochron import minute_of_day
+from motionbands.pipeline import CameraPipeline
+
+
+@dataclass
+class GateReport:
+    """Outcome of running the gate over a band stream."""
+
+    events: list[ActivityEvent]
+    detector_invocations: int
+    frames_processed: int
+    decisions: int = 0
+    detections: list[tuple[int, int]] = field(default_factory=list)  # (t_ms, hits)
+
+
+def _reference_gate_pipeline(
+    band_stream: Iterable[BandOutputs] | Iterator[BandOutputs],
+    store: IsochronalStore,
+    detector: DetectorStub,
+    k_sigma: float = 2.0,
+    cooldown_s: float = 3.0,
+    min_threshold: float = 0.02,
+    min_days: int = 3,
+    decision_rate_hz: float = 1.0,
+    reinvoke_every_s: float = 0.0,
+) -> GateReport:
+    """The second gating loop that ``CameraPipeline`` replaced, kept as the
+    oracle of its detector policy.
+
+    The detector runs once per event onset; ``reinvoke_every_s`` > 0 adds
+    periodic re-invocation while an event stays open (off by default).
+    """
+    gate = EventGate(
+        store.camera_id,
+        k_sigma=k_sigma,
+        cooldown_s=cooldown_s,
+        min_threshold=min_threshold,
+        min_days=min_days,
+        decision_rate_hz=decision_rate_hz,
+    )
+    events: list[ActivityEvent] = []
+    detections: list[tuple[int, int]] = []
+    invocations = 0
+    frames = 0
+    decisions = 0
+    in_event = False
+    last_invoke_ms = 0
+
+    for bands in band_stream:
+        t = bands.timestamp_ms
+        stats = store.scalar_stats(minute_of_day(t))
+        decision, closed = gate.step(bands.m_s1, bands.m_s2, stats, t)
+        frames += 1
+        decisions += decision
+        if closed is not None:
+            events.append(closed)
+            in_event = False
+        if decision:
+            invoke = False
+            if not in_event:
+                in_event = True
+                invoke = True
+            elif reinvoke_every_s > 0 and t - last_invoke_ms >= reinvoke_every_s * 1000.0:
+                invoke = True
+            if invoke:
+                mask = detector.detect(t, bands.m_s1.grid_w, bands.m_s1.grid_h)
+                detections.append((t, int(mask.sum())))
+                invocations += 1
+                last_invoke_ms = t
+
+    tail = gate.flush()
+    if tail is not None:
+        events.append(tail)
+    return GateReport(
+        events=events,
+        detector_invocations=invocations,
+        frames_processed=frames,
+        decisions=decisions,
+        detections=detections,
+    )
+
+
+_ONE_HZ = BandParams(frame_rate=1.0, shortterm_rate=1.0)
+
+
+def _run_pipeline(frames, gw, gh, detector, **events) -> GateReport:
+    """Drive ``CameraPipeline`` at 1 Hz, one decision per frame, and run
+    ``detector`` whenever the pipeline asks for it."""
+    config = Config(filter=_ONE_HZ, events=EventsConfig(**events))
+    pipe = CameraPipeline("cam0", gw, gh, config)
+    detections = []
+    decisions = 0
+    for frame in frames:
+        result = pipe.ingest(frame)
+        decisions += result.decision
+        if result.invoke_detector:
+            mask = detector.detect(frame.timestamp_ms, gw, gh)
+            detections.append((frame.timestamp_ms, int(mask.sum())))
+    pipe.finish()
+    return GateReport(
+        events=pipe.events,
+        detector_invocations=pipe.detector_invocations,
+        frames_processed=pipe.frames_ingested,
+        decisions=decisions,
+        detections=detections,
+    )
+
+
+def _run_reference(frames, gw, gh, detector, **events) -> GateReport:
+    cascade = CascadeFilter(gw, gh, _ONE_HZ)
+    store = IsochronalStore("cam0", gw, gh)  # fresh: cold-start floor applies
+    return _reference_gate_pipeline(
+        (cascade.step(f) for f in frames), store, detector, **events
+    )
 
 
 @functools.lru_cache(maxsize=None)
-def _run_event_day(k_sigma=2.0, cooldown_s=3.0, min_threshold=0.016, reinvoke=0.0):
-    """Shared fixture: a quiet 10 h day at 1 Hz with ~300 planted events."""
-    gw, gh = 16, 12
+def _event_day():
+    """A quiet 10 h day at 1 Hz with ~300 planted events."""
     scenario = Scenario(
-        grid_w=gw,
-        grid_h=gh,
+        grid_w=16,
+        grid_h=12,
         day_hours=10.0,
         rate_hz=1.0,
         events=EventPlan(
@@ -233,14 +351,19 @@ def _run_event_day(k_sigma=2.0, cooldown_s=3.0, min_threshold=0.016, reinvoke=0.
         seed=19,
     )
     frames, truth = gen_stream(scenario, days=1)
-    params = BandParams(frame_rate=1.0, shortterm_rate=1.0)
-    cascade = CascadeFilter(gw, gh, params)
-    store = IsochronalStore("cam0", gw, gh)  # fresh: cold-start floor applies
-    detector = DetectorStub(ground_truth=truth)
-    report = gate_pipeline(
-        (cascade.step(f) for f in frames),
-        store,
-        detector,
+    return tuple(frames), truth
+
+
+@functools.lru_cache(maxsize=None)
+def _run_event_day(k_sigma=2.0, cooldown_s=3.0, min_threshold=0.016, reinvoke=0.0):
+    """Shared fixture: the planted day through the pipeline. It sees one
+    day, fewer than ``min_days``, so the cold-start floor decides."""
+    frames, truth = _event_day()
+    report = _run_pipeline(
+        frames,
+        16,
+        12,
+        DetectorStub(ground_truth=truth),
         k_sigma=k_sigma,
         cooldown_s=cooldown_s,
         min_threshold=min_threshold,
@@ -249,16 +372,21 @@ def _run_event_day(k_sigma=2.0, cooldown_s=3.0, min_threshold=0.016, reinvoke=0.
     return report, truth
 
 
+def _quiet_frames():
+    return [MotionFrame.zeros(4, 3, i * 1000) for i in range(600)]
+
+
+def _continuous_frames():
+    hot = np.full((2, 2), 2.0)
+    return [
+        MotionFrame(density=hot, dir_hist=np.zeros((2, 2, 8)), timestamp_ms=i * 1000)
+        for i in range(1800)
+    ]
+
+
 class TestGatePipeline:
     def test_zero_activity_day_invokes_nothing(self):
-        gw, gh = 4, 3
-        store = IsochronalStore("cam0", gw, gh)
-        stream = []
-        params = BandParams(frame_rate=1.0, shortterm_rate=1.0)
-        cascade = CascadeFilter(gw, gh, params)
-        for i in range(600):
-            stream.append(cascade.step(MotionFrame.zeros(gw, gh, i * 1000)))
-        report = gate_pipeline(stream, store, DetectorStub(), min_threshold=0.01)
+        report = _run_pipeline(_quiet_frames(), 4, 3, DetectorStub(), min_threshold=0.01)
         assert report.detector_invocations == 0
         assert report.events == []
         assert report.frames_processed == 600
@@ -301,18 +429,7 @@ class TestGatePipeline:
         assert len(report.events) <= report.frames_processed
 
     def test_continuous_activity_is_one_event(self):
-        gw, gh = 2, 2
-        store = IsochronalStore("cam0", gw, gh)
-        params = BandParams(frame_rate=1.0, shortterm_rate=1.0)
-        cascade = CascadeFilter(gw, gh, params)
-        hot = MotionFrame(
-            density=np.full((gh, gw), 2.0), dir_hist=np.zeros((gh, gw, 8)), timestamp_ms=0
-        )
-        stream = []
-        for i in range(1800):
-            f = MotionFrame(density=hot.density, dir_hist=hot.dir_hist, timestamp_ms=i * 1000)
-            stream.append(cascade.step(f))
-        report = gate_pipeline(stream, store, DetectorStub(), min_threshold=0.01)
+        report = _run_pipeline(_continuous_frames(), 2, 2, DetectorStub(), min_threshold=0.01)
         assert report.detector_invocations == 1
         assert len(report.events) == 1
         assert duty_cycle(report.events, 0.5) == pytest.approx(1.0, abs=0.01)
@@ -322,3 +439,51 @@ class TestGatePipeline:
         again, _ = _run_event_day(reinvoke=4.0)
         # 10 s events re-invoked every 4 s: roughly double the invocations.
         assert again.detector_invocations > 1.5 * base.detector_invocations
+
+
+@pytest.mark.parametrize("name", ["planted", "planted-reinvoke-4", "quiet", "continuous"])
+def test_pipeline_policy_matches_the_reference_loop(name):
+    if name.startswith("planted"):
+        reinvoke = 4.0 if name.endswith("4") else 0.0
+        got, truth = _run_event_day(reinvoke=reinvoke)
+        frames, gw, gh = _event_day()[0], 16, 12
+        events = {"min_threshold": 0.016, "reinvoke_every_s": reinvoke}
+    else:
+        quiet = name == "quiet"
+        frames, gw, gh = (_quiet_frames(), 4, 3) if quiet else (_continuous_frames(), 2, 2)
+        truth, events = None, {"min_threshold": 0.01}
+        got = _run_pipeline(frames, gw, gh, DetectorStub(), **events)
+    want = _run_reference(frames, gw, gh, DetectorStub(ground_truth=truth), **events)
+
+    def summary(e):
+        return (e.start_ms, e.end_ms, e.peak, e.band)
+
+    assert [summary(e) for e in got.events] == [summary(e) for e in want.events]
+    assert got.detections == want.detections
+    assert got.detector_invocations == want.detector_invocations
+    assert got.decisions == want.decisions
+    assert got.frames_processed == want.frames_processed == len(frames)
+    if name.startswith("planted"):
+        assert len(want.events) > 250 and want.detector_invocations > 250
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("k_sigma", math.nan),
+        ("k_sigma", math.inf),
+        ("min_threshold", math.nan),
+        ("cooldown_s", math.nan),
+        ("decision_rate_hz", math.nan),
+    ],
+)
+def test_gate_rejects_non_finite_parameters(name, value):
+    with pytest.raises(InvalidParameterError, match=name):
+        EventGate("cam0", **{name: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_pipeline_rejects_a_bad_reinvocation_period(value):
+    config = Config(events=EventsConfig(reinvoke_every_s=value))
+    with pytest.raises(InvalidParameterError, match="reinvoke_every_s"):
+        CameraPipeline("cam0", 4, 3, config)

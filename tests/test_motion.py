@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import sys
@@ -17,10 +16,6 @@ from motionbands.motion import (
     _magnitude_and_octant,
     _octant_buffers,
     extract_motion,
-    motion_from_json,
-    motion_to_json,
-    read_pgm,
-    write_pgm,
 )
 from motionbands.sim import gen_blob_frames
 
@@ -697,56 +692,3 @@ class TestMotionFrame:
             f.density[1, 2] = 0.0
             f.dir_hist[0, 1, 7] = bad
             assert not f.finite_nonnegative()
-
-
-class TestInterchange:
-    def test_jsonl_round_trip(self):
-        rng = np.random.default_rng(2)
-        f = MotionFrame(
-            density=rng.uniform(0, 3, (2, 3)),
-            dir_hist=rng.uniform(0, 1, (2, 3, 8)),
-            timestamp_ms=1234,
-        )
-        line = motion_to_json(f)
-        obj = json.loads(line)
-        assert list(obj.keys()) == ["t", "gw", "gh", "blocks"]
-        back, band = motion_from_json(line)
-        assert band is None
-        np.testing.assert_array_equal(back.density, f.density)
-        np.testing.assert_array_equal(back.dir_hist, f.dir_hist)
-        assert back.timestamp_ms == 1234
-
-    def test_density_only_round_trip(self):
-        f = MotionFrame(np.array([[0.25, 1.5]]), np.zeros((1, 2, 0)), timestamp_ms=9)
-        back, band = motion_from_json(motion_to_json(f, band="L1"))
-        assert band == "L1"
-        np.testing.assert_array_equal(back.density, f.density)
-        assert back.dir_hist.shape == (1, 2, 0)
-        assert back.timestamp_ms == 9
-
-    def test_blocks_with_unequal_bin_counts_rejected(self):
-        line = motion_to_json(MotionFrame.zeros(2, 1))
-        obj = json.loads(line)
-        obj["blocks"][1][1] = [0.0]
-        with pytest.raises(RejectedInputError):
-            motion_from_json(json.dumps(obj))
-
-    def test_band_label_round_trip(self):
-        f = MotionFrame.zeros(2, 2, 7)
-        _, band = motion_from_json(motion_to_json(f, band="S1"))
-        assert band == "S1"
-
-    def test_full_float_precision_survives(self):
-        f = MotionFrame.zeros(1, 1)
-        f.density[0, 0] = 0.123456789123456789
-        back, _ = motion_from_json(motion_to_json(f))
-        assert back.density[0, 0] == f.density[0, 0]
-
-    def test_pgm_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        frame = GrayFrame(rng.integers(0, 256, (13, 17), dtype=np.uint8), timestamp_ms=5)
-        path = tmp_path / "frame.pgm"
-        write_pgm(path, frame)
-        back = read_pgm(path, timestamp_ms=5)
-        np.testing.assert_array_equal(back.pixels, frame.pixels)
-        assert back.timestamp_ms == 5

@@ -1,12 +1,19 @@
 import dataclasses
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from motionbands.config import Config
+from motionbands.config import Config, EventsConfig
 from motionbands.errors import RejectedInputError
 from motionbands.events import scalar_activity
-from motionbands.isochron import MINUTES_PER_DAY, minute_of_day
+from motionbands.filters import BandParams
+from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
 from motionbands.motion import MotionFrame, extract_motion
 from motionbands.pipeline import CameraPipeline, _MinuteAccumulator
 from motionbands.sim import gen_blob_frames
@@ -220,3 +227,121 @@ class TestMinuteAccumulator:
         mean, _, days = pipe.store.query(minute)
         assert days == 1
         np.testing.assert_array_equal(mean.density, first)
+
+
+_DAY_MS = MINUTES_PER_DAY * 60_000
+_PERIOD_MS = 500
+# Short spans so that a few dozen 2 Hz frames open and close events, and
+# min_days = 2 so that a gap of a day brings the learned threshold in.
+_MACHINE_CONFIG = Config(
+    filter=BandParams(
+        t_l1_s=60.0, t_l2_days=2.0, t_s1_s=4.0, t_s2_s=2.0, frame_rate=2.0, shortterm_rate=1.0
+    ),
+    events=EventsConfig(k_sigma=1.0, cooldown_s=1.0, min_threshold=0.05, min_days=2),
+)
+
+
+class PipelineMachine(RuleBasedStateMachine):
+    """One pipeline under ingest, gaps, late frames, ``finish`` and store
+    round trips, against a twin that sees only the frames it accepted and
+    keeps its store in memory."""
+
+    def __init__(self):
+        super().__init__()
+        self.pipe = CameraPipeline("cam0", 3, 2, _MACHINE_CONFIG)
+        self.twin = CameraPipeline("cam0", 3, 2, _MACHINE_CONFIG)
+        self.tmp = tempfile.TemporaryDirectory()
+        self.next_ms = 0
+        self.last_ms = None
+        self.days_seen = set()
+        self.invoked = 0
+
+    def teardown(self):
+        self.tmp.cleanup()
+
+    @rule(level=st.sampled_from([0.0, 0.01, 0.08, 0.4, 2.0]), hot=st.integers(0, 5))
+    def ingest(self, level, hot):
+        density = np.full((2, 3), level / 4)
+        density.flat[hot] = level
+        frame = MotionFrame(density, np.zeros((2, 3, 8)), self.next_ms)
+        got, want = self.pipe.ingest(frame), self.twin.ingest(frame)
+        assert (got.decision, got.activity, got.invoke_detector) == (
+            want.decision,
+            want.activity,
+            want.invoke_detector,
+        )
+        for a, b in zip(
+            (got.bands.m_l1, got.bands.m_s1, got.bands.m_s2),
+            (want.bands.m_l1, want.bands.m_s1, want.bands.m_s2),
+        ):
+            np.testing.assert_array_equal(a.density, b.density)
+        self.invoked += got.invoke_detector
+        self.days_seen.add(self.next_ms // _DAY_MS)
+        self.last_ms = self.next_ms
+        self.next_ms += _PERIOD_MS
+
+    @rule(minutes=st.one_of(st.integers(1, 90), st.sampled_from([1439, 1440, 1441, 2880])))
+    def gap(self, minutes):
+        self.next_ms += minutes * 60_000
+
+    @precondition(lambda self: self.last_ms is not None)
+    @rule(back=st.integers(0, 5_000))
+    def late_or_duplicate(self, back):
+        pipe = self.pipe
+        before = (pipe.frames_ingested, pipe.frames_rejected, len(pipe.events))
+        late = pipe.frames_late
+        frame = MotionFrame.zeros(3, 2, max(self.last_ms - back, 0))
+        frame.density[:] = 1.0
+        with pytest.raises(RejectedInputError, match="not after the last accepted"):
+            pipe.ingest(frame)
+        assert (pipe.frames_ingested, pipe.frames_rejected, len(pipe.events)) == before
+        assert pipe.frames_late == late + 1
+
+    @rule()
+    def finish(self):
+        self.pipe.finish()
+        self.twin.finish()
+
+    @rule()
+    def save_and_load(self):
+        path = Path(self.tmp.name) / "cam0.iso"
+        self.pipe.store.save(path)
+        loaded = IsochronalStore.load(path)
+        assert loaded.equals(self.pipe.store)
+        self.pipe.store = loaded
+
+    @invariant()
+    def bands_and_activity_are_finite(self):
+        bands = self.pipe.last_bands
+        if bands is not None:
+            for band in (bands.m_l1, bands.m_s1, bands.m_s2):
+                assert np.all(np.isfinite(band.density))
+        assert math.isfinite(self.pipe.gate.last_activity)
+
+    @invariant()
+    def no_slot_has_more_days_than_calendar_days_seen(self):
+        assert int(self.pipe.store._days.max()) <= len(self.days_seen)
+
+    @invariant()
+    def closed_events_are_ordered_and_disjoint(self):
+        events = self.pipe.events
+        assert all(e.start_ms < e.end_ms for e in events)
+        assert all(a.end_ms <= b.start_ms for a, b in zip(events, events[1:]))
+
+    @invariant()
+    def one_detector_request_per_event_opened(self):
+        opened = len(self.pipe.events) + self.pipe.gate.in_event
+        assert self.pipe.detector_invocations == self.invoked == opened
+
+    @invariant()
+    def rejected_frames_and_store_round_trips_change_nothing(self):
+        assert self.pipe.store.equals(self.twin.store)
+        assert [e.to_json_obj() for e in self.pipe.events] == [
+            e.to_json_obj() for e in self.twin.events
+        ]
+
+
+PipelineMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=40, deadline=None
+)
+TestPipelineStateMachine = PipelineMachine.TestCase

@@ -576,6 +576,28 @@ class TestCostMap:
         assert back.resolution_m == m.resolution_m
         assert (back.origin_x, back.origin_y) == (m.origin_x, m.origin_y)
 
+    def test_reads_a_pgm_with_header_comments(self, tmp_path):
+        # ROS map_saver writes a comment line after the magic.
+        rng = np.random.default_rng(9)
+        pixels = rng.integers(0, 256, (13, 17), dtype=np.uint8)
+        header = b"P5\n# CREATOR: map_saver.cpp 0.500 m/pix\n17 13\n# max\n255\n"
+        (tmp_path / "map.pgm").write_bytes(header + pixels.tobytes())
+        (tmp_path / "map.yaml").write_text("resolution: 0.5\norigin: [1.0, 2.0, 0.0]\n")
+        back = read_costmap(tmp_path / "map.pgm", tmp_path / "map.yaml")
+        np.testing.assert_array_equal(back.cells, 255 - pixels)
+        assert (back.resolution_m, back.origin_x, back.origin_y) == (0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P2\n2 1\n255\n\x00\x00", b"P5\n2 1\n65535\n\x00\x00", b"P5\n2 1\n255\n\x00", b"P5\n2"],
+        ids=["ascii-magic", "16-bit", "truncated-raster", "truncated-header"],
+    )
+    def test_malformed_pgm_rejected(self, tmp_path, data):
+        (tmp_path / "map.pgm").write_bytes(data)
+        (tmp_path / "map.yaml").write_text("resolution: 0.5\n")
+        with pytest.raises(RejectedInputError):
+            read_costmap(tmp_path / "map.pgm", tmp_path / "map.yaml")
+
     def test_zero_activity_is_byte_identical_to_static(self, tmp_path):
         m = self._static()
         write_costmap(m, tmp_path / "static.pgm", tmp_path / "static.yaml")

@@ -9,7 +9,9 @@ Callers may set dotted keys (``events.k_sigma``) over the file's values.
 A bad document fails at load with a :class:`ConfigError` naming the key,
 checked in this order: unknown keys (so typos fail loudly), then types
 (numbers only, never a string or a bool, and finite), then ranges (the
-checks ``BandParams`` makes when it is built).
+checks each section makes when it is built: ``BandParams``' band ordering
+and rates, a block size of at least 1, and no negative noise floor,
+threshold factor, cooldown, day count or re-invocation period).
 """
 
 from __future__ import annotations
@@ -28,10 +30,21 @@ class ConfigError(ValueError):
     """Configuration could not be loaded or validated."""
 
 
+def _at_least(section: object, name: str, low: float) -> None:
+    """Raise unless the field is finite and at least ``low`` (NaN fails)."""
+    value = getattr(section, name)
+    if not low <= value < math.inf:
+        raise InvalidParameterError(f"{name} must be finite and >= {low}, got {value}")
+
+
 @dataclass
 class MotionConfig:
     block_size: int = 16
     noise_floor: float = 8.0
+
+    def __post_init__(self) -> None:
+        _at_least(self, "block_size", 1)
+        _at_least(self, "noise_floor", 0)
 
 
 @dataclass
@@ -41,6 +54,10 @@ class EventsConfig:
     min_threshold: float = 0.02
     min_days: int = 3
     reinvoke_every_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("k_sigma", "cooldown_s", "min_days", "reinvoke_every_s"):
+            _at_least(self, name, 0)
 
 
 @dataclass

@@ -1,9 +1,19 @@
 """Long-term activity statistics per minute of day.
 
 One store per camera holds 1440 slots, one per minute of day. Each slot
-keeps an EMA of the per-minute density aggregate, an EMA of the squared
-density deviation, and a day counter. Updates arrive once per slot per
-day; the EMA constant is parameterized by a 10%-decay span in days.
+keeps an EMA of the per-minute density aggregate, an exponentially
+weighted density variance, and a day counter. Updates arrive once per
+slot per day; the EMA constant ``a`` is parameterized by a 10%-decay span
+in days.
+
+The variance follows Finch (2009), "Incremental calculation of weighted
+mean and variance": with ``d`` the sample's deviation from the mean
+before the update, ``var <- a * (var + (1 - a) * d^2)``. On a stationary
+stream that settles at ``2a / (1 + a)`` times the true variance, because
+the mean it is measured from is itself a noisy estimate, so the store
+keeps it scaled by ``(1 + a) / (2a)``: ``var <- a * var + (1 - a)(1 + a)
+/ 2 * d^2``. The reported std then estimates the stream's standard
+deviation.
 
 The first observation of a slot initializes the mean directly instead of
 blending with the all-zero prior, avoiding a multi-day warm-up bias.
@@ -74,7 +84,9 @@ class IsochronalStore:
         self.grid_w = grid_w
         self.grid_h = grid_h
         self.t_l2_days = float(t_l2_days)
-        self.alpha_l2 = alpha_from_decay(1.0, self.t_l2_days)
+        self.alpha_l2 = a = alpha_from_decay(1.0, self.t_l2_days)
+        # Finch's a * (var + (1 - a) * d^2) scaled by (1 + a) / (2a).
+        self._var_gain = (1.0 - a) * (1.0 + a) / 2.0
         self._mean_density = np.zeros((MINUTES_PER_DAY, grid_h, grid_w))
         self._var = np.zeros((MINUTES_PER_DAY, grid_h, grid_w))
         self._days = np.zeros(MINUTES_PER_DAY, dtype=np.uint32)
@@ -115,11 +127,11 @@ class IsochronalStore:
             self._mean_density[minute] = sample.density
             self._var[minute] = 0.0
         else:
+            dev = sample.density - self._mean_density[minute]
             self._mean_density[minute] = (
                 a * self._mean_density[minute] + (1.0 - a) * sample.density
             )
-            dev = sample.density - self._mean_density[minute]
-            self._var[minute] = a * self._var[minute] + (1.0 - a) * dev * dev
+            self._var[minute] = a * self._var[minute] + self._var_gain * dev * dev
         self._days[minute] += 1
 
     # ------------------------------------------------------------------ query

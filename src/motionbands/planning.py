@@ -14,7 +14,15 @@ sum the same prices. A query therefore costs per camera and expanded
 node, not per segment. Support masks are cached by the stores.
 
 The planner is a uniform-cost search over non-negative additive edge
-costs; ties break on fewer edges, then lexicographic node ids.
+costs. Among routes of equal cost it takes the one with fewer edges, then
+the one whose node ids are smaller in order, and, between parallel
+segments, the smaller id of the last segment. The search runs on an
+integer index that ``PathGraph`` builds once: node ranks and segment slots
+number the ids in sorted order, so integer keys tie-break exactly as the
+ids would, and each node's adjacency holds (neighbour rank, segment slot,
+traversal cost, camera slot). Per query the camera prices become a list
+by camera slot, so the search loop makes no calls besides the heap's, and
+a key is pushed only if it beats every key already offered to its node.
 
 Cost maps follow the ROS map-server convention: a P5 PGM raster plus a
 YAML metadata file. Cell costs run 0 (free) to 254 (lethal), 255 meaning
@@ -66,9 +74,9 @@ class Segment:
     base_cost: float | None = None  # defaults to length_m
 
     def __post_init__(self) -> None:
-        if self.length_m <= 0:
+        if not self.length_m > 0:
             raise InvalidParameterError(f"segment {self.segment_id}: length must be > 0")
-        if self.base_cost is not None and self.base_cost < 0:
+        if self.base_cost is not None and not self.base_cost >= 0:
             raise InvalidParameterError(f"segment {self.segment_id}: base cost must be >= 0")
 
     @property
@@ -77,10 +85,19 @@ class Segment:
 
 
 class PathGraph:
-    """Undirected waypoint graph with per-segment camera coverage."""
+    """Undirected waypoint graph with per-segment camera coverage.
+
+    It also holds the planner's integer index (see the module docstring).
+    Camera slots number ``camera_ids``; uncovered segments take the slot
+    one past the last camera.
+    """
 
     def __init__(self, nodes: list[Node], segments: list[Segment]):
-        self.nodes: dict[str, Node] = {n.node_id: n for n in nodes}
+        self.nodes: dict[str, Node] = {}
+        for node in nodes:
+            if node.node_id in self.nodes:
+                raise RejectedInputError(f"duplicate node id {node.node_id!r}")
+            self.nodes[node.node_id] = node
         self.segments: dict[str, Segment] = {}
         adj: dict[str, list[tuple[str, Segment]]] = {nid: [] for nid in self.nodes}
         for seg in segments:
@@ -95,6 +112,27 @@ class PathGraph:
             adj[seg.v].append((seg.u, seg))
         self._adj = {nid: tuple(pairs) for nid, pairs in adj.items()}
         self.camera_ids = sorted({seg.camera_id for seg in segments if seg.camera_id is not None})
+
+        # Sorted numbering makes integer comparisons agree with id
+        # comparisons, so integer keys tie-break exactly as id keys would.
+        self._node_ids = sorted(self.nodes)
+        self._rank = rank = {nid: r for r, nid in enumerate(self._node_ids)}
+        self._segments_by_slot = [self.segments[sid] for sid in sorted(self.segments)]
+        slot = {seg.segment_id: k for k, seg in enumerate(self._segments_by_slot)}
+        cam_slot = {cam: k for k, cam in enumerate(self.camera_ids)}
+        uncovered = len(self.camera_ids)
+        self._ranked_adj = [
+            tuple(
+                (
+                    rank[other],
+                    slot[seg.segment_id],
+                    seg.traversal_cost,
+                    uncovered if seg.camera_id is None else cam_slot[seg.camera_id],
+                )
+                for other, seg in self._adj[nid]
+            )
+            for nid in self._node_ids
+        ]
 
     def neighbors(self, node_id: str) -> tuple[tuple[str, Segment], ...]:
         """(other node, segment) pairs in segment order, built once."""
@@ -326,6 +364,8 @@ class PlanResult:
     # active, and cameras priced long-term only (real-time queries).
     excluded_cameras: list[str] = field(default_factory=list)
     stale_cameras: list[str] = field(default_factory=list)
+    # Nodes the search settled, the goal included.
+    expansions: int = 0
 
     def to_json_obj(self) -> dict:
         return {
@@ -339,6 +379,7 @@ class PlanResult:
             ],
             "excluded_cameras": self.excluded_cameras,
             "stale_cameras": self.stale_cameras,
+            "expansions": self.expansions,
         }
 
 
@@ -369,43 +410,82 @@ def plan_path(
         "excluded_cameras": sorted(cam for cam, p in prices.items() if not p.feasible),
         "stale_cameras": sorted(cam for cam, p in prices.items() if p.stale),
     }
+    # Activity by camera slot: None bars the camera's segments, and the
+    # slot past the last camera prices uncovered segments.
+    activity = [prices[cam].activity if prices[cam].feasible else None for cam in graph.camera_ids]
+    activity.append(0.0)
+    cost, path, via, settled = _search(
+        graph._ranked_adj, graph._rank[query.origin], graph._rank[query.goal], activity
+    )
+    if path is None:
+        return PlanResult(found=False, expansions=settled, **explain)
 
     def price(seg: Segment) -> _CameraPrice:
         return _UNCOVERED if seg.camera_id is None else prices[seg.camera_id]
 
-    # Priority embeds the tie-break: cost, then hop count, then the node id
-    # sequence. Every key grows strictly along an edge, so a node's first
-    # pop carries its best key and settles it; ``via`` maps each settled
-    # node to the segment it was reached by.
-    heap: list[tuple[float, int, tuple[str, ...], str | None]] = [(0.0, 0, (query.origin,), None)]
-    via: dict[str, str | None] = {}
+    segs = [graph._segments_by_slot[via[r]] for r in path[1:]]
+    return PlanResult(
+        found=True,
+        nodes=[graph._node_ids[r] for r in path],
+        segments=[SegmentBreakdown(s.segment_id, s.traversal_cost, price(s).activity) for s in segs],
+        total_cost=cost,
+        degraded=any(price(s).stale for s in segs),
+        expansions=settled,
+        **explain,
+    )
+
+
+# Offered to no node yet: every key (cost, hops, ...) compares below it.
+_NOTHING_OFFERED = (math.inf, math.inf)
+
+
+def _search(
+    adj: list[tuple[tuple[int, int, float, int], ...]],
+    origin: int,
+    goal: int,
+    activity: list[float | None],
+) -> tuple[float, tuple[int, ...] | None, list[int | None], int]:
+    """Uniform-cost search over a graph's ranked index.
+
+    Keys are (cost, hops, node-rank path, segment slot), so the cheapest
+    route wins, then the one with fewer edges, then the smaller node ids in
+    order, then the smaller id of the last segment. An edge adds
+    ``(cost + traversal cost) + activity``. Each key grows strictly along
+    an edge, so a node's first pop carries its smallest key and settles
+    it. A key is pushed only if it is below every key already offered to
+    its node: a larger one would pop after the node settled and be dropped.
+
+    Returns the goal's cost, its rank path (``None`` when unreachable),
+    the segment slot each settled node was reached by (-1 for the origin)
+    and the number of nodes settled.
+    """
+    via: list[int | None] = [None] * len(adj)
+    offered = [_NOTHING_OFFERED] * len(adj)
+    heap = [(0.0, 0, (origin,), -1)]
+    settled = 0
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        cost, hops, path, seg_id = heapq.heappop(heap)
+        cost, hops, path, slot = pop(heap)
         node = path[-1]
-        if node in via:
+        if via[node] is not None:
             continue
-        via[node] = seg_id
-        if node == query.goal:
-            segs = [graph.segments[via[n]] for n in path[1:]]
-            return PlanResult(
-                found=True,
-                nodes=list(path),
-                segments=[SegmentBreakdown(s.segment_id, s.traversal_cost, price(s).activity) for s in segs],
-                total_cost=cost,
-                degraded=any(price(s).stale for s in segs),
-                **explain,
-            )
-        for other, seg in graph.neighbors(node):
-            if other in via:
+        via[node] = slot
+        settled += 1
+        if node == goal:
+            return cost, path, via, settled
+        hops += 1
+        for other, seg_slot, base, cam in adj[node]:
+            a = activity[cam]
+            if a is None or via[other] is not None:
                 continue
-            p = price(seg)
-            if not p.feasible:
-                continue
-            heapq.heappush(
-                heap,
-                (cost + seg.traversal_cost + p.activity, hops + 1, path + (other,), seg.segment_id),
-            )
-    return PlanResult(found=False, **explain)
+            c = cost + base + a
+            best = offered[other]
+            if c <= best[0]:
+                key = (c, hops, path + (other,), seg_slot)
+                if key < best:
+                    offered[other] = key
+                    push(heap, key)
+    return math.inf, None, via, settled
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ unambiguous. All randomness flows from the scenario seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -223,104 +221,6 @@ class Scenario:
     @property
     def profile(self) -> np.ndarray:
         return gen_daily_profile(self.template, self.profile_amplitude)
-
-    # -------------------------------------------------------------- JSON spec
-
-    def to_json_obj(self) -> dict:
-        return {
-            "grid_w": self.grid_w,
-            "grid_h": self.grid_h,
-            "day_hours": self.day_hours,
-            "rate_hz": self.rate_hz,
-            "minute_mode": self.minute_mode,
-            "template": self.template,
-            "profile_amplitude": self.profile_amplitude,
-            "walkers": [
-                {
-                    "path": [list(b) for b in w.path],
-                    "speed_bps": w.speed_bps,
-                    "start_s": w.start_s,
-                    "amplitude": w.amplitude,
-                    "loop": w.loop,
-                }
-                for w in self.walkers
-            ],
-            "dwellers": [
-                {
-                    "block": list(d.block),
-                    "start_s": d.start_s,
-                    "duration_s": d.duration_s,
-                    "amplitude": d.amplitude,
-                }
-                for d in self.dwellers
-            ],
-            "events": None
-            if self.events is None
-            else {
-                "mean_per_day": self.events.mean_per_day,
-                "duration_s": self.events.duration_s,
-                "amplitude": self.events.amplitude,
-                "width_blocks": self.events.width_blocks,
-                "speed_bps": self.events.speed_bps,
-                "min_gap_s": self.events.min_gap_s,
-            },
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Scenario":
-        walkers = tuple(
-            Walker(
-                path=tuple((int(b[0]), int(b[1])) for b in w["path"]),
-                speed_bps=float(w.get("speed_bps", 1.0)),
-                start_s=float(w.get("start_s", 0.0)),
-                amplitude=float(w.get("amplitude", 1.0)),
-                loop=bool(w.get("loop", False)),
-            )
-            for w in obj.get("walkers", [])
-        )
-        dwellers = tuple(
-            Dweller(
-                block=(int(d["block"][0]), int(d["block"][1])),
-                start_s=float(d.get("start_s", 0.0)),
-                duration_s=float(d.get("duration_s", 60.0)),
-                amplitude=float(d.get("amplitude", 1.0)),
-            )
-            for d in obj.get("dwellers", [])
-        )
-        ev = obj.get("events")
-        events = (
-            None
-            if ev is None
-            else EventPlan(
-                mean_per_day=float(ev.get("mean_per_day", 300.0)),
-                duration_s=float(ev.get("duration_s", 10.0)),
-                amplitude=float(ev.get("amplitude", 1.0)),
-                width_blocks=int(ev.get("width_blocks", 4)),
-                speed_bps=float(ev.get("speed_bps", 1.0)),
-                min_gap_s=float(ev.get("min_gap_s", 15.0)),
-            )
-        )
-        return cls(
-            grid_w=int(obj["grid_w"]),
-            grid_h=int(obj["grid_h"]),
-            day_hours=float(obj.get("day_hours", 24.0)),
-            rate_hz=float(obj.get("rate_hz", 1.0)),
-            minute_mode=bool(obj.get("minute_mode", False)),
-            template=str(obj.get("template", "flat")),
-            profile_amplitude=float(obj.get("profile_amplitude", 0.0)),
-            walkers=walkers,
-            dwellers=dwellers,
-            events=events,
-            noise_sigma=float(obj.get("noise_sigma", 0.02)),
-            seed=int(obj.get("seed", 0)),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_obj(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

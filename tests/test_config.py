@@ -84,6 +84,21 @@ class TestLoadConfig:
         for key in keys:
             assert key in str(info.value)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("motion", "block_size", 0),
+            ("motion", "noise_floor", -1),
+            ("events", "k_sigma", -1),
+            ("events", "cooldown_s", -2),
+            ("events", "min_days", -1),
+            ("events", "reinvoke_every_s", -1),
+        ],
+    )
+    def test_out_of_range_value_rejected_at_load(self, tmp_path, section, key, value):
+        with pytest.raises(ConfigError, match=f"^{section}: {key} must be "):
+            load_config(_write(tmp_path, {section: {key: value}}))
+
     def test_checks_run_unknown_keys_then_types_then_ranges(self, tmp_path):
         with pytest.raises(ConfigError, match="^events.k_sgima: unknown key$"):
             load_config(_write(tmp_path, {"events": {"k_sgima": 1.0, "k_sigma": "x"}}))

@@ -484,6 +484,10 @@ def test_gate_rejects_non_finite_parameters(name, value):
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
 def test_pipeline_rejects_a_bad_reinvocation_period(value):
-    config = Config(events=EventsConfig(reinvoke_every_s=value))
+    # EventsConfig refuses the value when built, so set it afterwards.
+    config = Config()
+    config.events.reinvoke_every_s = value
+    with pytest.raises(InvalidParameterError, match="reinvoke_every_s"):
+        EventsConfig(reinvoke_every_s=value)
     with pytest.raises(InvalidParameterError, match="reinvoke_every_s"):
         CameraPipeline("cam0", 4, 3, config)

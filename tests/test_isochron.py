@@ -173,12 +173,12 @@ class TestUpdateQuery:
             if mean is None:
                 mean, var = x, 0.0
             else:
-                mean = alpha * mean + (1 - alpha) * x
                 dev = x - mean
-                var = alpha * var + (1 - alpha) * dev * dev
+                mean = alpha * mean + (1 - alpha) * x
+                var = alpha * (var + (1 - alpha) * dev * dev)
         got_mean, got_std, _ = store.query(7)
         assert got_mean.density[0, 0] == pytest.approx(mean, abs=1e-6)
-        assert got_std[0, 0] == pytest.approx(var**0.5, abs=1e-6)
+        assert got_std[0, 0] == pytest.approx((var * (1 + alpha) / (2 * alpha)) ** 0.5, abs=1e-6)
 
     def test_randomized_stream_matches_oracle(self):
         rng = np.random.default_rng(7)
@@ -192,13 +192,26 @@ class TestUpdateQuery:
             if mean is None:
                 mean = sample.copy()
             else:
-                mean = alpha * mean + (1 - alpha) * sample
                 dev = sample - mean
-                var = alpha * var + (1 - alpha) * dev * dev
+                mean = alpha * mean + (1 - alpha) * sample
+                var = alpha * (var + (1 - alpha) * dev * dev)
         got_mean, got_std, days = store.query(0)
         assert days == 20
         np.testing.assert_allclose(got_mean.density, mean, atol=1e-12)
-        np.testing.assert_allclose(got_std, np.sqrt(var), atol=1e-12)
+        np.testing.assert_allclose(got_std, np.sqrt(var * (1 + alpha) / (2 * alpha)), atol=1e-12)
+
+    def test_stationary_stream_std_estimates_sigma(self):
+        # 400 days of N(1, 0.1^2) per block: the learned spread must mean
+        # what it says, not the 0.08 the deviation-from-the-new-mean
+        # recursion used to settle at.
+        sigma = 0.1
+        rng = np.random.default_rng(11)
+        store = IsochronalStore("cam0", 40, 30, t_l2_days=10)
+        for _ in range(400):
+            store.update(3, _frame(1.0 + rng.normal(0.0, sigma, (30, 40))))
+        _, std, _ = store.query(3)
+        assert float((std**2).mean()) == pytest.approx(sigma**2, rel=0.05)
+        assert store.scalar_stats(3)[1] == pytest.approx(sigma, rel=0.05)
 
     def test_slot_isolation(self):
         store = IsochronalStore("cam0", 1, 1)

@@ -12,6 +12,7 @@ from motionbands.filters import BandOutputs
 from motionbands.isochron import IsochronalStore
 from motionbands.motion import MotionFrame
 from motionbands.planning import (
+    _UNCOVERED,
     LETHAL_COST,
     MODE_OFFLINE,
     CostMap,
@@ -21,6 +22,7 @@ from motionbands.planning import (
     PlanResult,
     Segment,
     SegmentBreakdown,
+    _price_cameras,
     cost1,
     cost2,
     plan_path,
@@ -501,6 +503,213 @@ class TestPlanMatchesReference:
         assert route.degraded == res.degraded
 
 
+# ---------------------------------------------------------------------------
+# The search over node-id strings that plan_path ran before the graph kept
+# an integer index, kept verbatim as the oracle: plan_path must return the
+# same route, segments and bit-identical cost.
+# ---------------------------------------------------------------------------
+
+def _parent_plan_path(graph, query, stores=None, live_bands=None, profile_epsilon=1e-3):
+    stores = stores or {}
+    live_bands = live_bands or {}
+    if query.origin not in graph.nodes or query.goal not in graph.nodes:
+        raise UnknownSegmentError(f"unknown endpoint {query.origin!r} or {query.goal!r}")
+    if query.origin == query.goal:
+        raise InvalidParameterError("origin and goal must differ")
+
+    profiles = profiles_from_stores(stores, profile_epsilon)
+    prices = _price_cameras(graph.camera_ids, query, stores, profiles, live_bands)
+    explain = {
+        "excluded_cameras": sorted(cam for cam, p in prices.items() if not p.feasible),
+        "stale_cameras": sorted(cam for cam, p in prices.items() if p.stale),
+    }
+
+    def price(seg):
+        return _UNCOVERED if seg.camera_id is None else prices[seg.camera_id]
+
+    heap = [(0.0, 0, (query.origin,), None)]
+    via = {}
+    while heap:
+        cost, hops, path, seg_id = heapq.heappop(heap)
+        node = path[-1]
+        if node in via:
+            continue
+        via[node] = seg_id
+        if node == query.goal:
+            segs = [graph.segments[via[n]] for n in path[1:]]
+            return PlanResult(
+                found=True,
+                nodes=list(path),
+                segments=[SegmentBreakdown(s.segment_id, s.traversal_cost, price(s).activity) for s in segs],
+                total_cost=cost,
+                degraded=any(price(s).stale for s in segs),
+                **explain,
+            )
+        for other, seg in graph.neighbors(node):
+            if other in via:
+                continue
+            p = price(seg)
+            if not p.feasible:
+                continue
+            heapq.heappush(
+                heap,
+                (cost + seg.traversal_cost + p.activity, hops + 1, path + (other,), seg.segment_id),
+            )
+    return PlanResult(found=False, **explain)
+
+
+def _assert_plan_matches_parent(graph, query, stores=None, live_bands=None):
+    """plan_path equals the parent search field for field; its expansion
+    count is the parent's number of settled nodes, which is its number of
+    neighbour lookups plus the goal when found."""
+    lookups = []
+    neighbors = graph.neighbors
+    graph.neighbors = lambda node: lookups.append(node) or neighbors(node)
+    try:
+        want = _parent_plan_path(graph, query, stores, live_bands)
+    finally:
+        del graph.neighbors
+    got = plan_path(graph, query, stores, live_bands)
+    assert got.found == want.found
+    assert got.nodes == want.nodes
+    assert got.segments == want.segments
+    assert got.total_cost == want.total_cost
+    assert got.degraded == want.degraded
+    assert got.excluded_cameras == want.excluded_cameras
+    assert got.stale_cameras == want.stale_cameras
+    assert got.expansions == len(lookups) + want.found
+    return got
+
+
+def _bench_like_world(n=30, cams=8, seed=3):
+    """n x n grid shaped like the benchmark's floor: cameras tile two rows
+    with an uncovered one-node margin, and the last camera never sees
+    anyone. Stores sit on a 4x3 block grid, learned every 20 minutes."""
+    rng = np.random.default_rng(seed)
+    cols = -(-cams // 2)
+    cw, ch = (n - 1) / cols, (n - 1) / 2
+    rects = [
+        ((k % cols) * cw + 1.0, (k % cols + 1) * cw - 1.0, (k // cols) * ch + 1.0, (k // cols + 1) * ch - 1.0)
+        for k in range(cams)
+    ]
+
+    def camera_at(x, y):
+        for k, (x0, x1, y0, y1) in enumerate(rects):
+            if x0 <= x <= x1 and y0 <= y <= y1:
+                return f"cam{k}"
+        return None
+
+    nodes = [Node(f"{r}_{c}", float(c), float(r)) for r in range(n) for c in range(n)]
+    segs = []
+    for r in range(n):
+        for c in range(n):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < n and c + dc < n:
+                    u, v = f"{r}_{c}", f"{r + dr}_{c + dc}"
+                    segs.append(
+                        Segment(f"{u}-{v}", u, v, 1.0 + 0.25 * float(rng.random()),
+                                camera_id=camera_at(c + dc / 2, r + dr / 2))
+                    )
+    stores = {}
+    for k in range(cams):
+        store = IsochronalStore(f"cam{k}", 4, 3)
+        walkable = rng.random((3, 4)) < 0.5
+        for m in range(0, 1440, 20):
+            level = 0.0 if k == cams - 1 else float(rng.uniform(0.02, 0.2))
+            store.update(m, _frame(rng.uniform(0, level, (3, 4)) * walkable))
+        stores[f"cam{k}"] = store
+    return PathGraph(nodes, segs), stores
+
+
+def _unit_grid(rows, cols):
+    """Unit-length grid with no cameras; unpadded ids sort apart from
+    their numeric order ("10_2" < "2_10")."""
+    nodes = [Node(f"{r}_{c}", float(c), float(r)) for r in range(rows) for c in range(cols)]
+    segs = []
+    for r in range(rows):
+        for c in range(cols):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < rows and c + dc < cols:
+                    u, v = f"{r}_{c}", f"{r + dr}_{c + dc}"
+                    segs.append(Segment(f"{u}-{v}", u, v, 1.0))
+    return PathGraph(nodes, segs)
+
+
+class TestPlanMatchesParent:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bench_like_world_offline_and_realtime(self, seed):
+        graph, stores = _bench_like_world()
+        rng = np.random.default_rng(100 + seed)
+        names = sorted(graph.nodes)
+        t_ms = (3 * 1440 + 480) * 60_000
+        for i in range(8):
+            t_ms += int(rng.integers(500, 2000))
+            live = {}
+            for k in range(8):
+                if rng.random() < 0.9:  # otherwise missing
+                    age = int(rng.choice([0, 2_000, 5_001, 30_000]))
+                    live[f"cam{k}"] = _bands(f"cam{k}", float(rng.uniform(0, 0.1)), t_ms - age, grid=(4, 3))
+            o, g = rng.choice(len(names), size=2, replace=False)
+            if i % 2:
+                query = PlanQuery(names[o], names[g], mode="realtime", t_ms=t_ms,
+                                  include_moving=bool(rng.random() < 0.5))
+            else:
+                query = PlanQuery(names[o], names[g], t_star=int(rng.integers(0, 1440)))
+            got = _assert_plan_matches_parent(graph, query, stores, live)
+            assert got.excluded_cameras == ["cam7"]
+
+    @pytest.mark.parametrize("shape", [(1, 12), (5, 5), (6, 11), (12, 12)])
+    def test_unit_grids_full_of_exact_ties(self, shape):
+        graph = _unit_grid(*shape)
+        names = sorted(graph.nodes)
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(25):
+            o, g = rng.choice(len(names), size=2, replace=False)
+            _assert_plan_matches_parent(graph, PlanQuery(names[o], names[g]))
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    @pytest.mark.parametrize("split", ["same-terms", "base-and-activity"])
+    def test_parallel_segments_of_equal_cost_take_the_smaller_id(self, order, split):
+        # A-B-C-D with two parallel B-C segments of equal cost. With
+        # "base-and-activity" one costs 1.0 + 0.0 uncovered and the other
+        # 0.5 + 0.5 under a camera, which sum to the same float.
+        nodes = [Node(n, 0, 0) for n in "ABCD"]
+        if split == "same-terms":
+            pair = [Segment("bc1", "B", "C", 1.0), Segment("bc2", "C", "B", 1.0)]
+        else:
+            pair = [Segment("bc1", "B", "C", 0.5, camera_id="cam"), Segment("bc2", "C", "B", 1.0)]
+        if order == "reversed":
+            pair.reverse()
+        graph = PathGraph(nodes, [Segment("ab", "A", "B", 1.0), *pair, Segment("cd", "C", "D", 1.0)])
+        stores = {"cam": _store_with("cam", 0.5)}
+        got = _assert_plan_matches_parent(graph, PlanQuery("A", "D", t_star=600), stores)
+        assert [s.segment_id for s in got.segments] == ["ab", "bc1", "cd"]
+        assert got.total_cost == 3.0
+        got = _assert_plan_matches_parent(graph, PlanQuery("D", "A", t_star=600), stores)
+        assert [s.segment_id for s in got.segments] == ["cd", "bc1", "ab"]
+
+    def test_later_offer_of_equal_cost_and_fewer_edges_wins(self):
+        # G is first offered at cost 2 over three edges via the free A-X-Y
+        # arm, then at cost 2 over two edges via Z, which must replace it.
+        nodes = [Node(n, 0, 0) for n in "AGXYZ"]
+        segs = [
+            Segment("ax", "A", "X", 1.0, base_cost=0.0),
+            Segment("xy", "X", "Y", 1.0, base_cost=0.0),
+            Segment("yg", "Y", "G", 2.0),
+            Segment("az", "A", "Z", 1.0),
+            Segment("zg", "Z", "G", 1.0),
+        ]
+        got = _assert_plan_matches_parent(PathGraph(nodes, segs), PlanQuery("A", "G"))
+        assert got.nodes == ["A", "Z", "G"]
+
+    def test_unreachable_goal_counts_every_settled_node(self):
+        graph = _diamond()
+        stores = {"cam_busy": _store_with("cam_busy", 0.0), "cam_dead": _store_with("cam_dead", 0.0)}
+        got = _assert_plan_matches_parent(graph, PlanQuery("A", "D"), stores)
+        assert not got.found and got.expansions == 1
+        assert got.to_json_obj()["expansions"] == 1
+
+
 class TestPlanExplanations:
     def test_excluded_and_stale_cameras_listed(self):
         graph, stores = _grid_world()
@@ -642,6 +851,16 @@ class TestCostMap:
         frame = _frame([[50.0]])
         combined, _ = splat_activity(m, {"cam0": frame}, {"cam0": h}, density_scale=254.0)
         assert combined.cells.max() == 254
+
+    def test_duplicate_node_id_rejected(self):
+        nodes = [Node("A", 0, 0), Node("B", 1, 0), Node("A", 5, 5)]
+        with pytest.raises(RejectedInputError, match="duplicate node id 'A'"):
+            PathGraph(nodes, [Segment("ab", "A", "B", 1.0)])
+
+    @pytest.mark.parametrize("length, base", [(math.nan, None), (1.0, math.nan)])
+    def test_nan_segment_cost_rejected(self, length, base):
+        with pytest.raises(InvalidParameterError):
+            Segment("s", "A", "B", length, base_cost=base)
 
     def test_duplicate_segment_id_rejected(self):
         nodes = [Node("A", 0, 0), Node("B", 1, 0)]

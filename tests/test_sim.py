@@ -63,26 +63,6 @@ class TestScenarioValidation:
         with pytest.raises(InvalidParameterError):
             Scenario(grid_w=4, grid_h=4, template="mall")
 
-    def test_spec_round_trip(self, tmp_path):
-        scn = Scenario(
-            grid_w=8,
-            grid_h=6,
-            day_hours=10.0,
-            rate_hz=2.0,
-            template="office",
-            profile_amplitude=1.5,
-            walkers=(Walker(path=((1, 1), (2, 1)), speed_bps=0.5),),
-            dwellers=(Dweller(block=(3, 3), duration_s=30.0),),
-            events=EventPlan(mean_per_day=50),
-            noise_sigma=0.01,
-            seed=9,
-        )
-        import json
-
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scn.to_json_obj()))
-        assert Scenario.load(path) == scn
-
 
 class TestGenStream:
     def test_zero_intensity_profile_gives_zero_stream(self):

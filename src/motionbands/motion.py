@@ -11,37 +11,54 @@ motion: the gradient of the mean frame, sign-corrected by the temporal
 difference, so a bright object moving right votes into the 0-degree bin on
 both its leading and trailing edges.
 
-Extraction costs a few integer passes over the frame plus work in
-proportion to the pixels whose ``|curr - prev|`` clears the noise floor;
-only those pixels get a gradient, a direction and a block vote. With a
-noise floor of 0 every pixel is active and the cost is that of a dense
-pass.
+Extraction costs a few passes over the frame plus work in proportion to
+the pixels whose ``|curr - prev|`` clears the noise floor; only those
+pixels get a gradient, a direction and a block vote. The activity mask is
+``max(prev, curr) - min(prev, curr) >= floor``, computed in the pixel
+dtype: uint8 for integer frames (``GrayFrame`` holds them to [0, 255]),
+float64 otherwise. The test is exact, since both sides equal
+``|curr - prev|``. With a noise floor of 0 every pixel is active and the
+cost is that of a dense pass.
 
 The Sobel gradient at the active pixels comes from one of two paths,
-chosen per frame by the active count. Above one active pixel in ten, a
-separable Sobel runs over the whole sum frame in the work dtype ([1, 2, 1]
-smoothing across, then a difference along) and gx, gy are gathered at the
-active pixels: two gathers. At or below that share, the eight neighbours
-of each active pixel are gathered from the sum frame. Both give the same
-integers. Crossover on the benchmark's flicker VGA scene, noise floor
-varied (p50 per frame; 2-vCPU Intel Xeon, Python 3.11, numpy 2.4, glibc
-malloc thresholds pinned):
+chosen per frame by the active count. Above one active pixel in eleven,
+the full-frame path computes the int16 difference and the edge-padded sum
+frame, runs a separable Sobel over the whole sum frame in the work dtype
+([1, 2, 1] smoothing across, then a difference along) and gathers gx, gy
+and the difference at the active pixels. At or below that share, the
+neighbour path does no full-frame work after the mask: it gathers each
+active pixel's eight neighbours, and the pixel itself, from the two pixel
+frames through flat views shifted from its north-west neighbour, widens
+them once to the work dtype and sums them. Pixels on the first or last row
+or column are gathered again with clamped rows and columns, which is what
+the edge-replicated pad gives. Both paths give the same integers.
+Crossover on the benchmark's flicker VGA scene, noise floor varied (p50
+per frame with the path forced each way, mean of two runs of 288 frames;
+2-vCPU Intel Xeon, Python 3.11, numpy 2.4, glibc malloc thresholds
+pinned); the two cost the same near 9%:
 
     active pixels   neighbour gathers   full frame
-        5.5%             1.91 ms          2.09 ms
-       10.2%             2.03 ms          2.23 ms
-       13.2%             2.41 ms          2.38 ms
-       16.7%             2.96 ms          2.58 ms
-       25.0%             3.83 ms          3.16 ms
-       49.4%             6.33 ms          4.43 ms
+         5.2%             2.12 ms          2.66 ms
+         7.3%             2.69 ms          2.97 ms
+         8.6%             3.13 ms          3.17 ms
+         9.5%             3.42 ms          3.33 ms
+        13.9%             3.71 ms          3.31 ms
+        25.1%             5.61 ms          3.93 ms
+        48.4%            10.28 ms          5.83 ms
 
 Work buffers are fixed by (frame shape, work dtype, block size); each
 thread keeps the buffers of the last key it extracted and rebuilds them
-when the key changes. They are the difference, mask, padded sum and
-full-frame gradient frames, a per-pixel table of block slots in place of
-row, column and block arithmetic, and active-pixel buffers. A VGA uint8
-extractor reserves about 16 MB and writes about 4.6 MB plus about 37
-bytes per active pixel (about 10 MB with half the pixels active).
+when the key changes. They are the difference, mask, padded sum,
+full-frame gradient and scratch frames (the max and min of the two frames
+live in the scratch and difference frames until the mask is made), a
+per-pixel table of block slots in place of row, column and block
+arithmetic, and active-pixel buffers. The neighbour path keeps its
+gathers and their sums in the padded-sum and gradient frames, which only
+the full-frame path uses. A VGA uint8 extractor reserves about 16 MB. A
+frame on the full-frame path writes about 4.6 MB of it, and one on the
+neighbour path about 2.2 MB; each active pixel adds about 37 bytes, and
+about 34 more on the neighbour path (about 10 MB with half the pixels
+active).
 Returned arrays are always fresh: they never alias these buffers, so a
 later call, in any thread or in a forked process, cannot change an
 earlier result.
@@ -83,9 +100,18 @@ _KEY_TO_BIN = np.eye(N_DIR_BINS)[_OCTANT]
 
 # Above one active pixel in this many, the Sobel gradient is computed over
 # the whole frame and gathered at the active pixels; at or below, it is
-# built from eight neighbour gathers per active pixel (crossover measured on
-# VGA frames; see the module docstring).
-_FULL_FRAME_ONE_IN = 10
+# built from neighbour gathers in the two pixel frames (crossover measured
+# on VGA frames; see the module docstring).
+_FULL_FRAME_ONE_IN = 11
+
+# (row, column) offsets from an active pixel's north-west neighbour that the
+# neighbour path gathers: the eight Sobel neighbours in the order se, ne,
+# east, south, nw, sw, west, north (each of the first four pairs with the
+# one four places on), then the pixel itself. _FULL_FRAME_ONE_IN must be at
+# least its length, for the neighbour path's buffers to fit in a frame.
+_NEIGHBOURS = np.array(
+    [(2, 2), (0, 2), (1, 2), (2, 1), (0, 0), (2, 0), (1, 0), (0, 1), (1, 1)]
+)
 
 
 @dataclass(frozen=True)
@@ -190,12 +216,26 @@ class MotionFrame:
         return MotionFrame(self.density.copy(), self.dir_hist.copy(), self.timestamp_ms)
 
 
+# Bit pattern of +inf. A float64 is finite and at least +0.0 iff its bits,
+# read as an unsigned integer, lie below this.
+_INF_BITS = 0x7FF0000000000000
+
+
 def _finite_nonnegative(values: np.ndarray) -> bool:
-    # A NaN fails the comparison with zero, like a negative value. An empty
-    # array passes: the reductions have no identity to return for it.
+    """True iff every entry of a float64 array is finite and >= 0.
+
+    A clean array passes on one unsigned max over its bit patterns; any
+    other (NaN, infinite, negative, or -0.0, which passes) goes on to the
+    exact check. There a NaN fails the comparison with zero, like a
+    negative value. An empty array passes: the reductions have no identity
+    to return for it.
+    """
     return values.size == 0 or bool(
-        np.minimum.reduce(values, axis=None) >= 0.0
-        and np.maximum.reduce(values, axis=None) < math.inf
+        np.maximum.reduce(values.view(np.uint64), axis=None) < _INF_BITS
+        or (
+            np.minimum.reduce(values, axis=None) >= 0.0
+            and np.maximum.reduce(values, axis=None) < math.inf
+        )
     )
 
 
@@ -207,19 +247,20 @@ def extract_motion(
 ) -> MotionFrame:
     """Reduce a frame pair to block-motion features.
 
-    The cost is a few integer passes over the frame (difference, threshold,
-    sum image) plus work proportional to the number of *active* pixels,
-    those with ``|curr - prev| >= noise_floor``: only they get a direction
-    and a block vote. Their Sobel gradients are gathered from a gradient
-    computed over the whole frame when more than one pixel in ten is
-    active, and from their eight neighbours in the sum frame otherwise
-    (see the module docstring for the crossover). ``noise_floor=0`` makes
-    every pixel active. Integer pixel arrays are processed in ``int16``,
-    so the gradients are exact and both paths give the same bits; other
-    dtypes use ``float64``. The gradient magnitude is the square root of
-    the exact sum of squares, and the direction bin is the octant of the
-    motion vector from integer comparisons, equal to
-    ``round(atan2(vy, vx) / 45 deg) mod 8``.
+    The cost is a few passes over the frame in the pixel dtype (maximum,
+    minimum and threshold) plus work proportional to the number of
+    *active* pixels, those with ``|curr - prev| >= noise_floor``: only they
+    get a direction and a block vote. When more than one pixel in eleven
+    is active, their Sobel gradients are gathered from a gradient computed
+    over the whole frame in a few more passes; otherwise they are built
+    from each pixel's eight neighbours in the two frames (see the module
+    docstring for the crossover). ``noise_floor=0`` makes every pixel
+    active. Integer pixel arrays are thresholded in ``uint8`` and their
+    gradients computed in ``int16``, so the gradients are exact and both
+    paths give the same bits; other dtypes use ``float64``. The gradient
+    magnitude is the square root of the exact sum of squares, and the
+    direction bin is the octant of the motion vector from integer
+    comparisons, equal to ``round(atan2(vy, vx) / 45 deg) mod 8``.
 
     Each thread keeps the work buffers of its last (frame shape, work
     dtype, block size), so repeated calls on one stream allocate little;
@@ -280,24 +321,31 @@ class _Extractor:
     """Buffers and indices fixed by the frame shape, the work dtype and the
     block size.
 
-    A per-pixel table of each pixel's first (block, octant key) slot
-    replaces the row, column and block arithmetic; only the neighbour
-    path, on at most a tenth of the pixels, still derives rows. Active-pixel
-    arrays are the first n entries of buffers sized for a fully active
-    frame; the extractor never writes pages a scene does not reach.
+    The activity mask is computed in the pixel dtype: uint8 for integer
+    frames, float64 otherwise. A per-pixel table of each pixel's first
+    (block, octant key) slot replaces the row, column and block arithmetic.
+    Active-pixel arrays are the first n entries of buffers sized for a fully
+    active frame, and the neighbour path's gathers the first n columns of
+    rows sized for its largest active count; the extractor never writes
+    pages a scene does not reach.
     """
 
     def __init__(self, h: int, w: int, work: np.dtype, block_size: int):
         self.key = (h, w, work, block_size)
         self.h, self.w = h, w
         n = h * w
+        self.pixel = np.dtype(np.uint8 if work.kind == "i" else np.float64)
         self._diff = np.empty((h, w), work)
         self._mask = np.empty((h, w), bool)
         self._sum = np.empty((h + 2, w + 2), work)
         self._gx = np.empty((h, w), work)
         self._gy = np.empty((h, w), work)
-        # Holds |curr - prev|, then each separable Sobel's smoothing.
+        # Holds max(prev, curr), then each separable Sobel's smoothing.
         self._scratch = np.empty(max(h * (w + 2), (h + 2) * w), work)
+        # min(prev, curr) goes in the difference frame, which the full-frame
+        # path fills only after the mask.
+        self._high = self._scratch.view(self.pixel)[:n].reshape(h, w)
+        self._low = self._diff.view(self.pixel).reshape(-1)[:n].reshape(h, w)
 
         grid_h = -(-h // block_size)
         grid_w = -(-w // block_size)
@@ -311,7 +359,8 @@ class _Extractor:
         self.counts = np.outer(
             np.minimum(block_size, h - block_size * np.arange(grid_h)),
             np.minimum(block_size, w - block_size * np.arange(grid_w)),
-        )
+        ).astype(np.float64)
+        self._bin_counts = np.repeat(self.counts[..., None], N_DIR_BINS, axis=2)
 
         self._active_gx = np.empty(n, work)
         self._active_gy = np.empty(n, work)
@@ -320,78 +369,40 @@ class _Extractor:
         self._negative = np.empty(n, bool)
         self._octant = _octant_buffers(n, np.int32 if work.kind == "i" else np.float64)
 
+        # Frames of at most one active pixel in _FULL_FRAME_ONE_IN take the
+        # neighbour path. Its gathers from each frame and their sums live in
+        # the padded-sum and gradient frames, which only the full-frame path
+        # uses; each holds len(_NEIGHBOURS) rows of the largest active count.
+        self._neighbour_max = m = n // _FULL_FRAME_ONE_IN
+        self._shifts = [int(dr) * w + int(dc) for dr, dc in _NEIGHBOURS]
+        k = len(_NEIGHBOURS)
+        self._near = tuple(
+            frame.view(self.pixel).reshape(-1)[: k * m].reshape(k, m)
+            for frame in (self._sum, self._gy)
+        )
+        self._near_sum = self._gx.reshape(-1)[: (k - 1) * m].reshape(k - 1, m)
+
     def extract(
         self, prev: np.ndarray, curr: np.ndarray, floor: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """(density, dir_hist) of a frame pair, as fresh arrays."""
-        h, w = self.h, self.w
-        diff = self._diff
-        np.subtract(curr, prev, out=diff, dtype=diff.dtype)
-        absolute = self._scratch[: h * w].reshape(h, w)
-        np.greater_equal(np.abs(diff, out=absolute), floor, out=self._mask)
-        active = np.flatnonzero(self._mask)
+        prev = np.ascontiguousarray(prev, self.pixel)
+        curr = np.ascontiguousarray(curr, self.pixel)
+        # max - min is |curr - prev|, exact in the pixel dtype.
+        high = np.maximum(prev, curr, out=self._high)
+        high -= np.minimum(prev, curr, out=self._low)
+        active = np.flatnonzero(np.greater_equal(high, floor, out=self._mask))
         n = active.size
 
-        # Sobel of the sum frame (twice the Sobel of the mean frame), exact
-        # in int16. The edges are copied by hand: ``np.pad`` costs about
-        # 50 us more per VGA frame.
-        total = self._sum
-        np.add(prev, curr, out=total[1:-1, 1:-1], dtype=total.dtype)
-        total[0, 1:-1] = total[1, 1:-1]
-        total[-1, 1:-1] = total[-2, 1:-1]
-        total[:, 0] = total[:, 1]
-        total[:, -1] = total[:, -2]
         gx, gy = self._active_gx[:n], self._active_gy[:n]
-        # Every index is in range, so ``take`` skips its bounds copy under
-        # mode="wrap".
-        if n * _FULL_FRAME_ONE_IN > h * w:
-            # Separable full-frame Sobel: gx is the horizontal difference of
-            # the [1, 2, 1] vertical smoothing, gy the vertical difference
-            # of the horizontal one. Then two gathers.
-            smooth = self._scratch[: h * (w + 2)].reshape(h, w + 2)
-            np.add(total[:-2], total[2:], out=smooth)
-            smooth += total[1:-1]
-            smooth += total[1:-1]
-            np.subtract(smooth[:, 2:], smooth[:, :-2], out=self._gx)
-            smooth = self._scratch[: (h + 2) * w].reshape(h + 2, w)
-            np.add(total[:, :-2], total[:, 2:], out=smooth)
-            smooth += total[:, 1:-1]
-            smooth += total[:, 1:-1]
-            np.subtract(smooth[2:], smooth[:-2], out=self._gy)
-            np.take(self._gx.ravel(), active, out=gx, mode="wrap")
-            np.take(self._gy.ravel(), active, out=gy, mode="wrap")
+        signed = self._active_diff[:n]
+        if n <= self._neighbour_max:
+            self._neighbour_sobel(prev.ravel(), curr.ravel(), active, gx, gy, signed)
         else:
-            # Eight neighbour gathers from the sum frame: ``corner`` indexes
-            # each active pixel's top-left neighbour in the padded sum, and
-            # the neighbour k places further on is total[k:][corner]. gx =
-            # (ne + 2 east + se) - (nw + 2 west + sw) and gy = (sw + 2 s +
-            # se) - (nw + 2 n + ne), from the diagonals a = se - nw and b =
-            # ne - sw. The full-frame gradient buffers, unused on this path,
-            # hold the scratch.
-            corner = active // w
-            corner *= 2
-            corner += active
-            total = total.ravel()
-            wp = w + 2
-            a, b = self._gx.ravel()[:n], self._gy.ravel()[:n]
-
-            def neighbour(k: int, out: np.ndarray) -> np.ndarray:
-                return np.take(total[k:], corner, out=out, mode="wrap")
-
-            np.subtract(neighbour(2 * wp + 2, gx), neighbour(0, a), out=a)
-            np.subtract(neighbour(2, gy), neighbour(2 * wp, b), out=b)
-            np.add(a, b, out=gx)
-            np.subtract(a, b, out=gy)
-            np.subtract(neighbour(wp + 2, a), neighbour(wp, b), out=a)
-            a += a
-            gx += a
-            np.subtract(neighbour(2 * wp + 1, a), neighbour(1, b), out=a)
-            a += a
-            gy += a
+            self._full_frame_sobel(prev, curr, active, gx, gy, signed)
 
         # Motion direction: gradient of the mean frame, sign-corrected by the
         # temporal difference (y measured upward, i.e. toward decreasing rows).
-        signed = np.take(diff.ravel(), active, out=self._active_diff[:n], mode="wrap")
         negative = np.less(signed, 0, out=self._negative[:n])
         magnitude, key = _magnitude_and_octant(gx, gy, negative, self._octant)
         # Per-pixel weight (|curr - prev| / 255) * (|Sobel of the mean| /
@@ -411,7 +422,114 @@ class _Extractor:
         hist = (per_key.reshape(n_blocks, len(_OCTANT)) @ _KEY_TO_BIN).reshape(
             grid_h, grid_w, N_DIR_BINS
         )
-        return hist.sum(axis=2) / self.counts, hist / self.counts[..., None]
+        density = hist.sum(axis=2)
+        density /= self.counts
+        hist /= self._bin_counts
+        return density, hist
+
+    def _full_frame_sobel(
+        self,
+        prev: np.ndarray,
+        curr: np.ndarray,
+        active: np.ndarray,
+        gx: np.ndarray,
+        gy: np.ndarray,
+        signed: np.ndarray,
+    ) -> None:
+        """Write the Sobel gradient of the sum frame (twice that of the mean
+        frame) and ``curr - prev`` at the active pixels into ``gx``, ``gy``
+        and ``signed``, from a separable Sobel over the whole frame in the
+        work dtype: gx is the horizontal difference of the [1, 2, 1]
+        vertical smoothing, gy the vertical difference of the horizontal
+        one."""
+        h, w = self.h, self.w
+        np.subtract(curr, prev, out=self._diff, dtype=self._diff.dtype)
+        # The edges are copied by hand: ``np.pad`` costs about 50 us more
+        # per VGA frame.
+        total = self._sum
+        np.add(prev, curr, out=total[1:-1, 1:-1], dtype=total.dtype)
+        total[0, 1:-1] = total[1, 1:-1]
+        total[-1, 1:-1] = total[-2, 1:-1]
+        total[:, 0] = total[:, 1]
+        total[:, -1] = total[:, -2]
+        smooth = self._scratch[: h * (w + 2)].reshape(h, w + 2)
+        np.add(total[:-2], total[2:], out=smooth)
+        smooth += total[1:-1]
+        smooth += total[1:-1]
+        np.subtract(smooth[:, 2:], smooth[:, :-2], out=self._gx)
+        smooth = self._scratch[: (h + 2) * w].reshape(h + 2, w)
+        np.add(total[:, :-2], total[:, 2:], out=smooth)
+        smooth += total[:, 1:-1]
+        smooth += total[:, 1:-1]
+        np.subtract(smooth[2:], smooth[:-2], out=self._gy)
+        # Every index is in range, so ``take`` skips its bounds copy under
+        # mode="wrap".
+        np.take(self._gx.ravel(), active, out=gx, mode="wrap")
+        np.take(self._gy.ravel(), active, out=gy, mode="wrap")
+        np.take(self._diff.ravel(), active, out=signed, mode="wrap")
+
+    def _neighbour_sobel(
+        self,
+        prev: np.ndarray,
+        curr: np.ndarray,
+        active: np.ndarray,
+        gx: np.ndarray,
+        gy: np.ndarray,
+        signed: np.ndarray,
+    ) -> None:
+        """Write what :meth:`_full_frame_sobel` writes, from each active
+        pixel's eight neighbours and centre in the flat pixel frames.
+
+        ``corner`` indexes each active pixel's north-west neighbour, and
+        the pixel (dr, dc) further on is ``frame[dr * w + dc:][corner]``.
+        On the first or last row or column those gathers wrap; such pixels
+        are gathered again with clamped rows and columns, which is what the
+        full-frame path's edge-replicated pad gives. Frames with fewer than
+        3 rows or columns have only such pixels, and shifted views that can
+        be empty, so they skip the first gathers.
+        """
+        h, w = self.h, self.w
+        n = active.size
+        corner = active - (w + 1)
+        near = [gathered[:, :n] for gathered in self._near]
+        if min(h, w) >= 3:
+            for frame, gathered in zip((prev, curr), near):
+                for shift, out in zip(self._shifts, gathered):
+                    frame[shift:].take(corner, out=out, mode="wrap")
+        # The active pixels on the frame's edges (a corner may come twice),
+        # and their places in ``active``, which is sorted.
+        mask = self._mask
+        edge = np.concatenate(
+            (
+                np.flatnonzero(mask[0]),
+                np.flatnonzero(mask[-1]) + (h - 1) * w,
+                np.flatnonzero(mask[:, 0]) * w,
+                np.flatnonzero(mask[:, -1]) * w + (w - 1),
+            )
+        )
+        if edge.size:
+            row, col = np.divmod(edge, w)
+            index = np.clip(row + _NEIGHBOURS[:, :1] - 1, 0, h - 1)
+            index *= w
+            index += np.clip(col + _NEIGHBOURS[:, 1:] - 1, 0, w - 1)
+            at = np.searchsorted(active, edge)
+            near[0][:, at] = prev[index]
+            near[1][:, at] = curr[index]
+
+        # Neighbour sums, widened once to the work dtype, then their
+        # differences a = se - nw, b = ne - sw, east - west and south -
+        # north: gx = a + b + 2 (east - west), gy = a - b + 2 (south -
+        # north).
+        total = self._near_sum[:, :n]
+        np.add(near[0][:-1], near[1][:-1], out=total, dtype=total.dtype)
+        np.subtract(total[:4], total[4:], out=total[:4])
+        a, b, across, down = total[:4]
+        total[2:4] += total[2:4]
+        np.add(a, b, out=gx)
+        gx += across
+        np.subtract(a, b, out=gy)
+        gy += down
+        np.subtract(near[1][-1], near[0][-1], out=signed, dtype=signed.dtype)
 
 
 def _octant_buffers(n: int, wide: type) -> tuple[np.ndarray, ...]:

@@ -86,6 +86,7 @@ class CameraPipeline:
                 f"reinvoke_every_s must be finite and >= 0, got {ev.reinvoke_every_s}"
             )
         self.params = config.filter
+        self._stride = self.params.stride  # a rounded division; params are frozen
         self.cascade = CascadeFilter(grid_w, grid_h, self.params)
         self.store = store or IsochronalStore(
             camera_id, grid_w, grid_h, t_l2_days=self.params.t_l2_days
@@ -149,7 +150,7 @@ class CameraPipeline:
 
         closed = None
         invoke = False
-        if self.frames_ingested % self.params.stride == 0:
+        if self.frames_ingested % self._stride == 0:
             minute = minute_of_day(t)
             stats = self.store.scalar_stats(minute)
             onset = not self.gate.in_event

@@ -556,3 +556,7 @@ class TestRejectedFrames:
         f = CascadeFilter(2, 1, _FIVE_FPS_PARAMS)
         out = f.step(_frame([[0.0, -0.0]]))
         assert np.all(out.m_l1.density == 0.0)
+        # -0.0 fails the input check's one-reduction fast pass and is
+        # accepted by the exact check behind it, in the bins too.
+        out = f.step(MotionFrame(np.full((1, 2), -0.0), np.full((1, 2, 8), -0.0), 200))
+        assert np.all(out.m_l1.density == 0.0)

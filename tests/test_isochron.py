@@ -262,6 +262,14 @@ class TestUpdateQuery:
         np.testing.assert_array_equal(store.binarize(), mask)
         assert not math.isnan(store.scalar_stats(6)[0])
 
+    def test_negative_zero_sample_accepted(self):
+        store = IsochronalStore("cam0", 3, 2)
+        zero = IsochronalStore("cam0", 3, 2)
+        store.update(7, MotionFrame(np.full((2, 3), -0.0), np.full((2, 3, N_DIR_BINS), -0.0)))
+        zero.update(7, MotionFrame(np.zeros((2, 3)), np.zeros((2, 3, 0))))
+        assert store.equals(zero)
+        assert store.scalar_stats(7)[0] == 0.0
+
     def test_density_only_sample_updates_like_one_with_bins(self):
         rng = np.random.default_rng(6)
         with_bins, without = IsochronalStore("cam0", 3, 2), IsochronalStore("cam0", 3, 2)

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.motion import (
+    _FULL_FRAME_ONE_IN,
     _OCTANT,
     GrayFrame,
     MotionFrame,
+    _finite_nonnegative,
     _magnitude_and_octant,
     _octant_buffers,
     extract_motion,
@@ -401,13 +403,15 @@ def _assert_same(got, want):
 
 class TestSobelPaths:
     """Both Sobel paths against the frozen active-pixel implementation, bit
-    for bit on integer frames. Above one active pixel in ten the gradient
-    is computed over the whole frame; at or below, from the neighbours of
-    the active pixels."""
+    for bit on integer frames. Above one active pixel in
+    ``_FULL_FRAME_ONE_IN`` the gradient is computed over the whole frame;
+    at or below, from the neighbours of the active pixels."""
 
-    @pytest.mark.parametrize("count", [480, 481])  # of 60 x 80 = 4800 pixels
+    @pytest.mark.parametrize("count", [480, 481])
     def test_either_side_of_the_full_frame_threshold(self, count):
-        prev, curr = _changed_pixels((60, 80), count, seed=count)
+        # 480 is exactly one pixel in _FULL_FRAME_ONE_IN of this frame.
+        shape = (60, 8 * _FULL_FRAME_ONE_IN)
+        prev, curr = _changed_pixels(shape, count, seed=count)
         for block_size in (7, 16):
             _assert_same(
                 _extract(prev, curr, block_size),
@@ -476,6 +480,115 @@ class TestPixelLayouts:
     def test_mixed_uint8_and_float_pair(self, pair):
         prev, curr = pair
         _assert_same(_extract(prev, curr.astype(np.float64)), _extract(prev, curr))
+
+
+def _jumps(shape, where, seed):
+    """uint8 pair on a random background where the pixels of ``where`` jump
+    between 0 and 255, half of them each way."""
+    rng = np.random.default_rng(seed)
+    prev = rng.integers(0, 256, shape).astype(np.uint8)
+    curr = prev.copy()
+    rows, cols = np.nonzero(where)
+    up = rng.random(rows.size) < 0.5
+    prev[rows, cols] = np.where(up, 0, 255)
+    curr[rows, cols] = np.where(up, 255, 0)
+    return prev, curr
+
+
+def _edges(shape, which):
+    h, w = shape
+    where = np.zeros(shape, bool)
+    if which in ("first row", "ring"):
+        where[0] = True
+    if which in ("last row", "ring"):
+        where[-1] = True
+    if which in ("first column", "ring"):
+        where[:, 0] = True
+    if which in ("last column", "ring"):
+        where[:, -1] = True
+    if which == "corners":
+        where[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    return where
+
+
+class TestNeighbourPathEdges:
+    """The neighbour path reads its Sobel neighbours from the two pixel
+    frames, clamped at the frame's edges, and thresholds in the pixel
+    dtype. These cases pin it, bit for bit, against the frozen active-pixel
+    implementation, whose edge-padded sum frame and int16 difference they
+    can tell from a wrapped uint8 difference, an unclamped edge neighbour
+    or a gather from an empty shifted view."""
+
+    @pytest.mark.parametrize(
+        "which", ["first row", "last row", "first column", "last column", "corners", "ring"]
+    )
+    @pytest.mark.parametrize("block_size", [1, 7, 16])
+    def test_active_pixels_only_on_the_edges(self, which, block_size):
+        shape = (40, 50)  # the ring is 176 of 2000 pixels
+        where = _edges(shape, which)
+        assert where.sum() * _FULL_FRAME_ONE_IN <= where.size
+        prev, curr = _jumps(shape, where, seed=len(which))
+        want = _reference_active_extract(prev, curr, block_size, 8)
+        assert np.count_nonzero(want[0]) > 0
+        _assert_same(_extract(prev, curr, block_size), want)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 40), (40, 1), (2, 2), (2, 30), (3, 3), (3, 41), (37, 3)]
+    )
+    @pytest.mark.parametrize("share", [0.02, 0.1, 0.5])
+    def test_small_and_thin_frames(self, shape, share):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(5):
+            where = rng.random(shape) < share
+            where.flat[rng.integers(where.size)] = True
+            prev, curr = _jumps(shape, where, seed=int(rng.integers(2**32)))
+            for floor in (1, 8):
+                _assert_same(
+                    _extract(prev, curr, 2, floor),
+                    _reference_active_extract(prev, curr, 2, floor),
+                )
+
+    def test_vga_frame_with_active_edges(self):
+        shape = (480, 640)
+        rng = np.random.default_rng(61)
+        where = _edges(shape, "ring") | (rng.random(shape) < 0.01)
+        prev, curr = _jumps(shape, where, seed=62)
+        assert where.sum() * _FULL_FRAME_ONE_IN <= where.size
+        _assert_same(_extract(prev, curr), _reference_active_extract(prev, curr, 16, 8))
+
+    @pytest.mark.parametrize("floor", [1, 8, 255, 256, math.inf])
+    def test_jumps_between_0_and_255(self, floor):
+        # A uint8 curr - prev would wrap 0 - 255 to 1; the neighbour sum of
+        # two 255s is 510. Floors above 255 leave no pixel active, which a
+        # floor clamped into the uint8 range would not.
+        shape = (30, 40)
+        where = np.zeros(shape, bool)
+        where[5:25:3, 4:36:5] = True
+        where |= _edges(shape, "corners")
+        prev, curr = _jumps(shape, where, seed=63)
+        # Saturated neighbours: a 0 <-> 255 jump next to pixels at 255 in
+        # both frames.
+        prev[10:13, 20:23] = curr[10:13, 20:23] = 255
+        prev[11, 21], curr[11, 21] = 0, 255
+        want = _reference_active_extract(prev, curr, 8, floor)
+        assert (np.count_nonzero(want[0]) > 0) == (floor <= 255)
+        _assert_same(_extract(prev, curr, 8, floor), want)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, bool, np.float32])
+    def test_other_pixel_dtypes(self, dtype):
+        shape = (36, 45)
+        rng = np.random.default_rng(64)
+        where = _edges(shape, "ring") & (rng.random(shape) < 0.5) | (rng.random(shape) < 0.03)
+        prev, curr = _jumps(shape, where, seed=65)
+        if dtype is bool:
+            prev, curr = prev > 127, curr > 127
+        prev, curr = prev.astype(dtype), curr.astype(dtype)
+        floor = 1 if dtype is bool else 8
+        active = np.abs(curr.astype(int) - prev.astype(int)) >= floor
+        assert 0 < active.sum() * _FULL_FRAME_ONE_IN <= active.size
+        _assert_same(
+            _extract(prev, curr, 8, floor), _reference_active_extract(prev, curr, 8, floor)
+        )
 
 
 class TestReusedBuffers:
@@ -692,3 +805,62 @@ class TestMotionFrame:
             f.density[1, 2] = 0.0
             f.dir_hist[0, 1, 7] = bad
             assert not f.finite_nonnegative()
+
+    def test_negative_zero_accepted(self):
+        f = MotionFrame(np.full((2, 3), -0.0), np.full((2, 3, 8), -0.0))
+        assert f.finite_nonnegative()
+
+
+# Float64 bit patterns at the edges of the fast check: quiet and signalling
+# NaNs of both signs and payloads, +-inf, +-0, the smallest and largest
+# subnormals and the largest finite value, of both signs.
+_EDGE_BITS = [
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001,
+    0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF, 0x7FF4000000000000,
+    0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000000, 0x8000000000000000,
+    0x0000000000000001, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,
+    0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+]
+
+
+# The largest bit pattern of a finite float64 >= +0.0.
+_LARGEST_FINITE_BITS = 0x7FEFFFFFFFFFFFFF
+
+
+def _exact_finite_nonnegative(values):
+    return bool(np.all(np.isfinite(values) & (values >= 0.0)))
+
+
+class TestFiniteNonnegative:
+    """The one-reduction fast pass over the bit patterns and the exact check
+    behind it must agree on every float64."""
+
+    @pytest.mark.parametrize("bits", _EDGE_BITS)
+    def test_edge_bit_patterns(self, bits):
+        values = np.array([0, bits, 1 << 62], np.uint64).view(np.float64)
+        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+        assert _finite_nonnegative(values[1:2]) == _exact_finite_nonnegative(values[1:2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(_EDGE_BITS), st.integers(0, 2**64 - 1)),
+            min_size=1,
+            max_size=24,
+        ),
+        st.sampled_from([(-1,), (2, -1)]),
+    )
+    def test_random_bit_patterns(self, bits, shape):
+        values = np.array(bits * 2, np.uint64).view(np.float64).reshape(shape)
+        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, _LARGEST_FINITE_BITS), min_size=1, max_size=24))
+    def test_clean_bit_patterns_pass(self, bits):
+        values = np.array(bits, np.uint64).view(np.float64)
+        assert _finite_nonnegative(values)
+
+    def test_empty_passes(self):
+        assert _finite_nonnegative(np.zeros((2, 3, 0)))
+

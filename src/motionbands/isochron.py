@@ -174,14 +174,6 @@ class IsochronalStore:
         """Block-averaged mean activity per minute, shape (1440,)."""
         return self._mean_density.mean(axis=(1, 2))
 
-    def profile_csv(self) -> str:
-        """Plot-ready per-minute profile: minute,mean_activity,std_activity."""
-        std_curve = np.sqrt(self._var).mean(axis=(1, 2))
-        lines = ["minute,mean_activity,std_activity"]
-        for m, (mean, std) in enumerate(zip(self.minute_curve(), std_curve)):
-            lines.append(f"{m},{float(mean)!r},{float(std)!r}")
-        return "\n".join(lines) + "\n"
-
     # ------------------------------------------------------------------ persistence
 
     def save(self, path: str | Path) -> None:

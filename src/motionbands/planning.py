@@ -44,10 +44,17 @@ YAML metadata file. Cell costs run 0 (free) to 254 (lethal), 255 meaning
 unknown, encoded on disk as ``pixel = 255 - cost``. The activity layer is
 splatted from block centers through per-camera homographies and combined
 with the static layer by element-wise max, so lethal cells stay lethal.
+An installed camera does not move, so its map cell per block is projected
+once and kept in an LRU cache of ``_PROJECTION_CACHE_SIZE`` entries, keyed
+on the homography's float64 bytes and memory order, the block grid's shape
+and the map's origin, resolution and shape. Each block keeps its own
+3x3 @ 3x1 product: a (3, 3) @ (3, n) product, or the sums written out,
+would round differently and could move a block across a cell edge.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import re
@@ -74,6 +81,8 @@ _LANDMARKS = 4
 # cost, so float rounding never makes them overestimate (see ``_search``).
 _BOUND_SHRINK = 1.0 - 2.0**-20
 _EXACT_SPAN = 2.0**30
+# Cached block projections: four per camera of the paper's 32-camera testbed.
+_PROJECTION_CACHE_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +257,8 @@ def segment_cost(profile: MotionFrame | None, lam: float) -> float:
         raise InvalidParameterError(f"lam must be > 0, got {lam}")
     if profile is None:
         return 0.0
-    return lam * float(profile.density.mean())
+    # The bits of ``density.mean()`` (one add.reduce, one division), faster.
+    return lam * (float(profile.density.sum()) / profile.density.size)
 
 
 @dataclass
@@ -310,7 +320,8 @@ def _price_cameras(
             # cost, which the search's bound assumes never happens.
             if not 0 <= live < math.inf:
                 live, stale = 0.0, True
-        prices[cam] = _CameraPrice(query.w1 * longterm + query.w2 * live, feasible, stale)
+        longterm = query.w1 * longterm if query.w1 else 0.0  # 0 * inf would be NaN
+        prices[cam] = _CameraPrice(longterm + query.w2 * live, feasible, stale)
     return prices
 
 
@@ -613,9 +624,6 @@ class CostMap:
             raise RejectedInputError(f"cost grid must be 2-D, got shape {c.shape}")
         self.cells = c
 
-    def copy(self) -> "CostMap":
-        return CostMap(self.resolution_m, self.origin_x, self.origin_y, self.cells.copy())
-
 
 def write_costmap(map_: CostMap, pgm_path: str | Path, yaml_path: str | Path) -> None:
     """ROS map-server pair. Cost c is stored as pixel 255 - c, so free
@@ -688,16 +696,17 @@ def splat_activity(
     by + 0.5) to world meters; each block's density lands in the containing
     cell, scaled and clipped to [0, 254]. Blocks falling outside the map
     are skipped and counted. The combined map is the element-wise max of
-    the static and activity layers. A non-finite homography or density is
-    rejected, naming the camera.
+    the static and activity layers. A missing or non-finite homography or
+    a non-finite density is rejected, naming the camera, before any work.
+    Block cells come from a cache (see the module docstring).
     """
     if not density_scale > 0:
         raise InvalidParameterError("density_scale must be > 0")
-    rows, cols = static_map.cells.shape
-    activity = np.zeros((rows, cols), dtype=np.uint8)
-    skipped = 0
-    touched = 0
-    for cam_id, frame in sorted(activity_frames.items()):
+    cameras = sorted(activity_frames.items())
+    views = []
+    for cam_id, frame in cameras:
+        if cam_id not in homographies:
+            raise RejectedInputError(f"no homography for {cam_id}")
         h = np.asarray(homographies[cam_id], dtype=np.float64)
         if h.shape != (3, 3):
             raise RejectedInputError(f"homography for {cam_id} must be 3x3, got {h.shape}")
@@ -705,25 +714,39 @@ def splat_activity(
             raise RejectedInputError(f"homography for {cam_id} is not finite")
         if not np.isfinite(frame.density).all():
             raise RejectedInputError(f"activity frame for {cam_id} has non-finite density")
-        by, bx = np.nonzero(frame.density > 0)
-        # One 3x3 @ 3x1 product per block, batched: the same per-block
-        # matrix-vector arithmetic (and rounding) as a loop over blocks.
-        pts = np.ones((by.size, 3, 1))
-        pts[:, 0, 0] = bx + 0.5
-        pts[:, 1, 0] = by + 0.5
-        vec = (h @ pts)[:, :, 0]
-        # Points at infinity (w = 0, or a ratio that overflows) come out
-        # inf or NaN and fail the bounds test: they are off the map.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            col = np.floor((vec[:, 0] / vec[:, 2] - static_map.origin_x) / static_map.resolution_m)
-            row = np.floor((vec[:, 1] / vec[:, 2] - static_map.origin_y) / static_map.resolution_m)
-        inside = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
-        d = frame.density[by[inside], bx[inside]]
-        cost = np.minimum(np.rint(d * density_scale), LETHAL_COST).astype(np.uint8)
-        np.maximum.at(activity, (row[inside].astype(np.intp), col[inside].astype(np.intp)), cost)
-        n_inside = int(inside.sum())
-        touched += n_inside
-        skipped += by.size - n_inside
-    combined = static_map.copy()
-    combined.cells = np.maximum(static_map.cells, activity)
-    return combined, ExportReport(cells_touched=touched, blocks_skipped=skipped)
+        order = "F" if h.flags.f_contiguous else "C"  # BLAS rounds each order its own way
+        views.append((h.tobytes(order), order, frame.density.shape))
+    geometry = (static_map.origin_x, static_map.origin_y, static_map.resolution_m, static_map.cells.shape)
+    # Empty heads: zero cameras still concatenate, with the right dtypes.
+    cells = np.concatenate([np.empty(0, np.intp), *(_block_cells(*view, geometry) for view in views)])
+    density = np.concatenate([np.empty(0), *(frame.density.ravel() for _, frame in cameras)])
+    active = density > 0
+    hit = np.flatnonzero(active & (cells >= 0))  # two gathers by a mask cost more
+    combined = static_map.cells.copy()
+    cost = np.minimum(np.rint(density[hit] * density_scale), LETHAL_COST).astype(np.uint8)
+    np.maximum.at(combined.reshape(-1), cells[hit], cost)
+    report = ExportReport(cells_touched=hit.size, blocks_skipped=int(np.count_nonzero(active)) - hit.size)
+    return CostMap(static_map.resolution_m, static_map.origin_x, static_map.origin_y, combined), report
+
+
+@functools.lru_cache(maxsize=_PROJECTION_CACHE_SIZE)
+def _block_cells(h_bytes: bytes, order: str, grid: tuple[int, int], geometry: tuple) -> np.ndarray:
+    """Read-only flat map cell per block of ``grid``, row-major, -1 off the
+    map; ``geometry`` is the map's origin x and y, resolution and shape."""
+    origin_x, origin_y, resolution_m, (rows, cols) = geometry
+    h = np.frombuffer(h_bytes).reshape((3, 3), order=order)
+    by, bx = np.indices(grid).reshape(2, -1)
+    pts = np.ones((by.size, 3, 1))
+    pts[:, 0, 0] = bx + 0.5
+    pts[:, 1, 0] = by + 0.5
+    vec = (h @ pts)[:, :, 0]  # one gemv per block (see the module docstring)
+    # Points at infinity (w = 0, or a ratio that overflows) come out
+    # inf or NaN and fail the bounds test: they are off the map.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        col = np.floor((vec[:, 0] / vec[:, 2] - origin_x) / resolution_m)
+        row = np.floor((vec[:, 1] / vec[:, 2] - origin_y) / resolution_m)
+    inside = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
+    cells = np.full(by.size, -1, dtype=np.intp)
+    cells[inside] = row[inside].astype(np.intp) * cols + col[inside].astype(np.intp)
+    cells.flags.writeable = False
+    return cells

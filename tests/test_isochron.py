@@ -619,14 +619,3 @@ class TestV1FileDamage(_StoreDamage):
         path = tmp_path / "s.iso"
         _reference_save(_with_bins(_populated("cam0", 3, 2, seed=9)), path)
         return path
-
-
-class TestProfileCsv:
-    def test_header_and_length(self):
-        store = IsochronalStore("cam0", 1, 1)
-        store.update(10, _frame([[2.0]]))
-        csv = store.profile_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "minute,mean_activity,std_activity"
-        assert len(lines) == 1 + 1440
-        assert lines[11].startswith("10,2.0,")

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from motionbands.planning import (
     PlanResult,
     Segment,
     SegmentBreakdown,
+    _block_cells,
     _price_cameras,
     cost1,
     cost2,
@@ -86,6 +88,25 @@ class TestSegmentCost:
     def test_nan_lambda_rejected(self):
         with pytest.raises(InvalidParameterError):
             segment_cost(None, math.nan)
+
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        data=st.data(),
+        lam=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1.0, 0.1, 3e16, 1e308])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_mean(self, shape, data, lam):
+        values = st.one_of(
+            st.floats(-1e300, 1e300),
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, 1e300, 1.7976931348623157e308]),
+        )
+        n = shape[0] * shape[1]
+        frame = _frame(np.array(data.draw(st.lists(values, min_size=n, max_size=n))).reshape(shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = lam * float(frame.density.mean())
+            got = segment_cost(frame, lam)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestCost1:
@@ -903,6 +924,18 @@ class TestNonFiniteLiveBands:
         assert res.stale_cameras == ["cam_busy"]
         assert res.total_cost == pytest.approx(2 * (1.0 + 0.5 * 0.5))
 
+    def test_zero_long_term_weight_ignores_an_overflowed_long_term_price(self):
+        # lam times cam_busy's learned 4.0 overflows to inf; with w1 = 0
+        # that term must add 0, not 0 * inf = NaN, which dropped the camera.
+        graph = _diamond()
+        stores = {"cam_busy": _store_with("cam_busy", 4.0), "cam_dead": _store_with("cam_dead", 0.0)}
+        query = PlanQuery("A", "D", mode="realtime", t_ms=600 * 60_000, w1=0.0, w2=1.0, lam=1e308)
+        res = plan_path(graph, query, stores, {})
+        assert res.found and res.nodes == ["A", "B", "D"]
+        assert res.total_cost == 2.0
+        assert res.excluded_cameras == ["cam_dead"]
+        assert res.stale_cameras == ["cam_busy", "cam_dead"]
+
     def test_route_cost_of_nan_band_is_degraded_and_finite(self):
         graph, stores, live, t_ms = self._world()
         res = cost2(["ab", "bd"], t_ms, graph, stores, live)
@@ -1118,9 +1151,126 @@ class TestSplatMatchesReference:
         with pytest.raises(InvalidParameterError):
             splat_activity(m, {"cam0": _frame([[0.2]])}, {"cam0": np.eye(3)}, density_scale=scale)
 
+    def test_missing_homography_rejected_naming_camera(self, monkeypatch):
+        m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
+        frames = {"cam0": _frame([[0.2]]), "cam3": _frame([[0.4]])}
+
+        def no_projection(*args):
+            raise AssertionError("projected before every camera was checked")
+
+        monkeypatch.setattr("motionbands.planning._block_cells", no_projection)
+        with pytest.raises(RejectedInputError, match="cam3"):
+            splat_activity(m, frames, {"cam0": np.eye(3)})
+
     def test_non_finite_homography_rejected_naming_camera(self):
         m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
         h = np.eye(3)
         h[0, 2] = math.nan
         with pytest.raises(RejectedInputError, match="cam0"):
             splat_activity(m, {"cam0": _frame([[0.2]])}, {"cam0": h})
+
+
+def _bench_like_splat(seed, grid=(30, 40), cams=8):
+    """Benchmark-shaped refresh: affine cameras over a 0.25 m map with a
+    1 m border, each view widened to reach past the map's edge."""
+    rng = np.random.default_rng(seed)
+    gh, gw = grid
+    cells = np.zeros((124, 124), dtype=np.uint8)
+    cells[10:18, 5:7] = LETHAL_COST
+    static = CostMap(0.25, -1.0, -1.0, cells)
+    homographies = {}
+    for k in range(cams):
+        x0, y0 = rng.uniform(-2.0, 28.0, 2)
+        sx, sy = rng.uniform(0.1, 0.4, 2)
+        homographies[f"cam{k}"] = np.array([[sx, 0.0, x0], [0.0, sy, y0], [0.0, 0.0, 1.0]])
+    return static, homographies
+
+
+def _refresh_frames(rng, homographies, grid=(30, 40)):
+    return {
+        cam: _frame(rng.random(grid) * 0.05 * (rng.random(grid) < 0.35)) for cam in homographies
+    }
+
+
+def _assert_splat_matches_reference(static, frames, homographies, scale=254.0):
+    want_cells, want_touched, want_skipped = _reference_splat(static, frames, homographies, scale)
+    got, report = splat_activity(static, frames, homographies, density_scale=scale)
+    np.testing.assert_array_equal(got.cells, want_cells)
+    assert (report.cells_touched, report.blocks_skipped) == (want_touched, want_skipped)
+
+
+class TestSplatCache:
+    """Each camera's block cells are projected once per homography, grid
+    and map; a change to any of them projects again."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        _block_cells.cache_clear()
+
+    def _misses_after(self, static, frames, homographies):
+        _assert_splat_matches_reference(static, frames, homographies)
+        return _block_cells.cache_info().misses
+
+    def test_repeated_refreshes_hit_the_cache_and_match_the_reference(self):
+        static, homographies = _bench_like_splat(1)
+        rng = np.random.default_rng(2)
+        misses = self._misses_after(static, _refresh_frames(rng, homographies), homographies)
+        assert misses == len(homographies)
+        for _ in range(5):
+            assert self._misses_after(static, _refresh_frames(rng, homographies), homographies) == misses
+        assert _block_cells.cache_info().hits == 5 * len(homographies)
+
+    def test_homography_mutated_in_place_projects_again(self):
+        static, homographies = _bench_like_splat(3)
+        frames = _refresh_frames(np.random.default_rng(4), homographies)
+        misses = self._misses_after(static, frames, homographies)
+        homographies["cam5"][0, 2] += 3.0
+        homographies["cam5"][1, 1] *= 0.5
+        assert self._misses_after(static, frames, homographies) == misses + 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: CostMap(m.resolution_m, m.origin_x + 1.3, m.origin_y, m.cells),
+            lambda m: CostMap(m.resolution_m, m.origin_x, m.origin_y - 0.6, m.cells),
+            lambda m: CostMap(0.3, m.origin_x, m.origin_y, m.cells),
+            lambda m: CostMap(m.resolution_m, m.origin_x, m.origin_y, m.cells[:, :70]),
+            lambda m: CostMap(m.resolution_m, m.origin_x, m.origin_y, m.cells[:60].copy()),
+        ],
+        ids=["origin-x", "origin-y", "resolution", "columns", "rows"],
+    )
+    def test_new_map_geometry_projects_again(self, change):
+        static, homographies = _bench_like_splat(5)
+        frames = _refresh_frames(np.random.default_rng(6), homographies)
+        misses = self._misses_after(static, frames, homographies)
+        assert self._misses_after(change(static), frames, homographies) == misses + len(homographies)
+
+    def test_new_grid_shape_projects_again(self):
+        static, homographies = _bench_like_splat(7)
+        rng = np.random.default_rng(8)
+        misses = self._misses_after(static, _refresh_frames(rng, homographies), homographies)
+        frames = _refresh_frames(rng, homographies)
+        frames["cam2"] = _frame(rng.random((40, 30)))
+        frames["cam6"] = _frame(rng.random((30, 41)))
+        assert self._misses_after(static, frames, homographies) == misses + 2
+
+    def test_memory_order_is_part_of_the_key(self):
+        # BLAS may round a Fortran-ordered matrix's products differently:
+        # on OpenBLAS's Haswell kernel, block (3, 2) lands in cell column 3
+        # from the C-ordered matrix and 4 from the Fortran-ordered one. The
+        # Fortran bytes of h are the C bytes of its transpose.
+        static = CostMap(0.5, 0.0, 0.0, np.zeros((8, 8), dtype=np.uint8))
+        frames = {"cam0": _frame(np.full((4, 4), 0.5))}
+        h = np.array([[0.27, 0.73, -1.23], [0.0, 0.25, 0.5], [0.0, 0.0, 1.0]])
+        for matrix in (np.asfortranarray(h), h, np.ascontiguousarray(h.T), np.asfortranarray(h.T)):
+            _assert_splat_matches_reference(static, frames, {"cam0": matrix})
+        assert _block_cells.cache_info().misses == 4
+
+    def test_cached_cells_are_read_only(self):
+        static, homographies = _bench_like_splat(11)
+        splat_activity(static, _refresh_frames(np.random.default_rng(12), homographies), homographies)
+        geometry = (static.origin_x, static.origin_y, static.resolution_m, static.cells.shape)
+        cells = _block_cells(homographies["cam0"].tobytes(), "C", (30, 40), geometry)
+        assert _block_cells.cache_info().hits == 1
+        with pytest.raises(ValueError):
+            cells[0] = 7

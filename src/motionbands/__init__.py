@@ -14,7 +14,7 @@ from .errors import (
     StoreLoadError,
     UnknownSegmentError,
 )
-from .filters import BandOutputs, BandParams, CascadeFilter, ReferenceFilter, alpha_from_decay
+from .filters import BandOutputs, BandParams, CascadeFilter, alpha_from_decay
 from .isochron import IsochronalStore, minute_of_day
 from .motion import GrayFrame, MotionFrame, extract_motion
 
@@ -27,7 +27,6 @@ __all__ = [
     "IsochronalStore",
     "MotionFrame",
     "RejectedInputError",
-    "ReferenceFilter",
     "StoreLoadError",
     "UnknownSegmentError",
     "alpha_from_decay",

@@ -4,14 +4,14 @@ The document has three optional sections: ``filter`` holds the cascade's
 :class:`~motionbands.filters.BandParams`, ``motion`` the block size and
 noise floor for ``extract_motion``, and ``events`` the gate's thresholds
 and the pipeline's detector policy. A missing key keeps its default.
-Callers may set dotted keys (``events.k_sigma``) over the file's values.
 
 A bad document fails at load with a :class:`ConfigError` naming the key,
 checked in this order: unknown keys (so typos fail loudly), then types
 (numbers only, never a string or a bool, and finite), then ranges (the
 checks each section makes when it is built: ``BandParams``' band ordering
 and rates, a block size of at least 1, and no negative noise floor,
-threshold factor, cooldown, day count or re-invocation period).
+threshold factor, threshold floor, cooldown, day count or re-invocation
+period).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class EventsConfig:
     reinvoke_every_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("k_sigma", "cooldown_s", "min_days", "reinvoke_every_s"):
+        for name in ("k_sigma", "cooldown_s", "min_threshold", "min_days", "reinvoke_every_s"):
             _at_least(self, name, 0)
 
 
@@ -68,21 +68,6 @@ class Config:
 
 
 _SECTIONS = {f.name: f.default_factory for f in fields(Config)}
-
-
-def apply_overrides(data: dict, overrides: dict[str, Any]) -> dict:
-    """Set dotted-key overrides (e.g. ``events.k_sigma``) in a config dict."""
-    for dotted, value in overrides.items():
-        if value is None:
-            continue
-        node = data
-        keys = dotted.split(".")
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"cannot override {dotted}: {key} is not a section")
-        node[keys[-1]] = value
-    return data
 
 
 def _number(value: Any, kind: type) -> int | float:
@@ -129,7 +114,7 @@ def _validate(data: dict) -> Config:
     return Config(**sections)
 
 
-def load_config(path: str | Path | None, overrides: dict[str, Any] | None = None) -> Config:
+def load_config(path: str | Path | None) -> Config:
     """Load and validate a config file; ``None`` uses pure defaults."""
     data: dict = {}
     if path is not None:
@@ -142,6 +127,4 @@ def load_config(path: str | Path | None, overrides: dict[str, Any] | None = None
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    if overrides:
-        apply_overrides(data, overrides)
     return _validate(data)

@@ -1,4 +1,4 @@
-"""Activity-event gating and the hybrid throughput/energy model.
+"""Activity-event gating.
 
 The gate turns the two short-term bands into a scalar activity sample (per
 block, the larger of in-place and moving density; then the block mean) and
@@ -15,16 +15,14 @@ its last positive decision's full tick.
 Gating exists to spend expensive per-frame detection only where it pays.
 ``CameraPipeline`` asks its caller to run the detector on each event
 onset, and again every ``reinvoke_every_s`` while an event stays open if
-that is set; it counts those requests, and the counts feed the energy
-model. The caller owns the detector; :class:`DetectorStub` stands in for
-one in tests.
+that is set, and counts those requests in ``detector_invocations``. The
+caller owns the detector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -67,29 +65,6 @@ class ActivityEvent:
         }
 
 
-class DetectorStub:
-    """Deterministic stand-in for a heavyweight object detector.
-
-    Costs ``frame_cost`` frames per invocation and reports the block mask
-    of planted actors when simulator ground truth is attached, otherwise an
-    empty mask. Stateless between invocations.
-    """
-
-    def __init__(self, frame_cost: int = 1, ground_truth=None):
-        if frame_cost < 1:
-            raise InvalidParameterError("frame_cost must be >= 1")
-        self.frame_cost = frame_cost
-        self._truth = ground_truth
-
-    def detect(self, timestamp_ms: int, grid_w: int, grid_h: int) -> np.ndarray:
-        mask = np.zeros((grid_h, grid_w), dtype=bool)
-        if self._truth is not None:
-            for bx, by in self._truth.active_blocks(timestamp_ms):
-                if 0 <= bx < grid_w and 0 <= by < grid_h:
-                    mask[by, bx] = True
-        return mask
-
-
 def scalar_activity(m_s1, m_s2) -> float:
     """Block mean of the per-block max of the two short-term densities."""
     if m_s1.density.shape != m_s2.density.shape:
@@ -120,8 +95,10 @@ class EventGate:
             raise InvalidParameterError(
                 f"decision_rate_hz must be finite and > 0, got {decision_rate_hz}"
             )
-        if not math.isfinite(min_threshold):
-            raise InvalidParameterError(f"min_threshold must be finite, got {min_threshold}")
+        if not 0 <= min_threshold < math.inf:
+            raise InvalidParameterError(
+                f"min_threshold must be finite and >= 0, got {min_threshold}"
+            )
         self.camera_id = camera_id
         self.k_sigma = k_sigma
         self.min_threshold = min_threshold
@@ -200,72 +177,3 @@ class EventGate:
         if self._open is None:
             return None
         return self._close()
-
-
-def duty_cycle(events: Iterable[ActivityEvent], workday_h: float) -> float:
-    """Fraction of the workday covered by closed events."""
-    if workday_h <= 0:
-        raise InvalidParameterError("workday_h must be > 0")
-    total_ms = sum(e.duration_ms for e in events if e.end_ms is not None)
-    return total_ms / (workday_h * 3600.0 * 1000.0)
-
-
-# ---------------------------------------------------------------------------
-# Energy model
-# ---------------------------------------------------------------------------
-
-ENERGY_MODES = ("activity", "hybrid", "continuous")
-
-
-@dataclass(frozen=True)
-class EnergyModel:
-    """Power/throughput inputs for the workload energy estimate.
-
-    ``activity_power_w`` is the total draw of running activity filtering
-    for the whole camera set; the detector terms scale per camera.
-    """
-
-    activity_power_w: float
-    detector_power_w: float
-    detector_fps: float
-    cameras: int = 1
-    workday_h: float = 10.0
-
-    def __post_init__(self) -> None:
-        for name in ("activity_power_w", "detector_power_w", "detector_fps", "workday_h"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be > 0")
-        if self.cameras < 1:
-            raise InvalidParameterError("cameras must be >= 1")
-
-
-def energy_estimate(model: EnergyModel, mode: str, events_per_camera_day: float = 300.0) -> float:
-    """Watt-hours per workday for one operating mode.
-
-    * ``activity``: filtering only.
-    * ``hybrid``: filtering plus one detector frame per event.
-    * ``continuous``: filtering plus the detector running all day on every
-      camera.
-    """
-    if events_per_camera_day < 0:
-        raise InvalidParameterError("events_per_camera_day must be >= 0")
-    base = model.activity_power_w * model.workday_h
-    if mode == "activity":
-        return base
-    if mode == "hybrid":
-        detector_hours = model.cameras * events_per_camera_day / model.detector_fps / 3600.0
-        return base + detector_hours * model.detector_power_w
-    if mode == "continuous":
-        return base + model.cameras * model.detector_power_w * model.workday_h
-    raise InvalidParameterError(f"unknown mode {mode!r}; expected one of {ENERGY_MODES}")
-
-
-def energy_csv(models: list[EnergyModel], events_per_camera_day: float = 300.0) -> str:
-    """Energy table, one row per (mode, camera count)."""
-    lines = ["detection,cameras,cpus,gpus,energy_wh"]
-    for model in models:
-        gpus = {"activity": 0, "hybrid": 1, "continuous": model.cameras}
-        for mode in ENERGY_MODES:
-            wh = energy_estimate(model, mode, events_per_camera_day)
-            lines.append(f"{mode},{model.cameras},1,{gpus[mode]},{wh!r}")
-    return "\n".join(lines) + "\n"

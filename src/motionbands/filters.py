@@ -16,12 +16,10 @@ Band structure, from one motion stream:
   complement followed by a short FIR mean.
 
 The cascade reuses the in-place low-pass output for the band-pass high
-side; ``ReferenceFilter`` computes the identical bands with five
-independent filter applications and an extra state frame, for cost
-comparison. Counters tally architectural filter applications per
-fully-updated tick (including the isochronal stage applied downstream):
-4 per tick for the cascade against 5 for the reference, and 2 persistent
-short-term state frames against 3.
+side, so the moving band costs no low-pass of its own: two persistent
+short-term state frames, where a band-pass with its own low-pass would
+need three. The isochronal stage downstream has its own decay span (see
+``IsochronalStore``).
 
 The bands filter motion density only. The gate, the isochronal store and
 the planner read nothing else, so the direction bins of an extracted frame
@@ -30,8 +28,8 @@ grid, and each band is a frame with an empty histogram (see
 ``MotionFrame``). Density is filtered element-wise, so dropping the bins
 leaves every density bit for bit as it was.
 
-The streaming filters update preallocated state in place (see
-``_BandFilterBase``): a frame-rate tick allocates only the new noise-free
+The streaming filter updates preallocated state in place (see
+``CascadeFilter``): a frame-rate tick allocates only the new noise-free
 band, a short-term tick also the new in-place and moving bands, and every
 band handed out is read-only and never written again. Frames with a
 non-finite or negative density or bin are rejected before any state
@@ -48,23 +46,19 @@ import numpy as np
 from .errors import InvalidParameterError, RejectedInputError
 from .motion import MotionFrame
 
-CASCADE_MULTIPLIES_PER_TICK = 4
-REFERENCE_MULTIPLIES_PER_TICK = 5
-CASCADE_STATE_FRAMES = 2
-REFERENCE_STATE_FRAMES = 3
-
 
 def alpha_from_decay(rate_r: float, duration_t: float) -> float:
     """Filter coefficient for a 10%-decay duration of ``duration_t``.
 
     ``rate_r`` is samples per time unit and ``duration_t`` the decay span
     in the same unit (seconds for chronological stages, days for the
-    isochronal stage).
+    isochronal stage). Both must be finite and positive.
     """
-    if rate_r <= 0:
-        raise InvalidParameterError(f"rate must be > 0, got {rate_r}")
-    if duration_t <= 0:
-        raise InvalidParameterError(f"duration must be > 0, got {duration_t}")
+    # Written so that NaN fails each check.
+    if not 0 < rate_r < math.inf:
+        raise InvalidParameterError(f"rate must be finite and > 0, got {rate_r}")
+    if not 0 < duration_t < math.inf:
+        raise InvalidParameterError(f"duration must be finite and > 0, got {duration_t}")
     return 0.1 ** (1.0 / (rate_r * duration_t))
 
 
@@ -87,8 +81,9 @@ class BandParams:
 
     def __post_init__(self) -> None:
         for name in ("t_l1_s", "t_l2_days", "t_s1_s", "t_s2_s", "frame_rate", "shortterm_rate"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
         if self.t_s1_s <= self.t_s2_s:
             raise InvalidParameterError(
                 f"moving band is empty: t_s1_s ({self.t_s1_s}) must exceed t_s2_s ({self.t_s2_s})"
@@ -111,11 +106,6 @@ class BandParams:
     @property
     def alpha_s1(self) -> float:
         return alpha_from_decay(self.shortterm_rate, self.t_s1_s)
-
-    @property
-    def alpha_l2(self) -> float:
-        # Isochronal stage: 1 sample per day.
-        return alpha_from_decay(1.0, self.t_l2_days)
 
     @property
     def stride(self) -> int:
@@ -157,8 +147,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _BandFilterBase:
-    """Shared stream plumbing for the cascade and reference filters.
+class CascadeFilter:
+    """Band extraction reusing the in-place low-pass for the band-pass
+    high side.
 
     Every state is one (grid_h, grid_w) float64 density grid: the
     noise-removal low-pass, the sum of the noise-free band since the last
@@ -171,9 +162,6 @@ class _BandFilterBase:
     out again until the next short-term tick. Every band array handed out
     is read-only and never written again.
     """
-
-    multiplies_per_tick = 0
-    state_frames = 0
 
     def __init__(self, grid_w: int, grid_h: int, params: BandParams):
         if grid_w < 1 or grid_h < 1:
@@ -193,11 +181,6 @@ class _BandFilterBase:
         self._zeros = _frozen(np.zeros(grid))
         self._no_bins = _frozen(np.zeros(grid + (0,)))
         self._m_s1 = self._m_s2 = self._zeros
-        self.multiplies = 0
-
-    def _band_hp(self, st_input: np.ndarray, out: np.ndarray) -> None:
-        """Write the band-pass high side of ``st_input`` into ``out``."""
-        raise NotImplementedError
 
     def step(self, frame: MotionFrame) -> BandOutputs:
         """Advance one frame-rate tick; short-term bands update on the
@@ -241,7 +224,7 @@ class _BandFilterBase:
         np.divide(acc, self._acc_n, out=acc)  # the short-term input
         _ema(lp, acc, self._alpha_s1, self._tmp)
         k = len(ring)
-        self._band_hp(acc, ring[self._fir_n % k])
+        np.subtract(acc, lp, out=ring[self._fir_n % k])  # the band-pass high side
         self._fir_n += 1
         # Window mean summed oldest first, the order of a mean over the
         # stacked window; another order changes the last bits.
@@ -256,41 +239,3 @@ class _BandFilterBase:
         self._m_s2 = _frozen(m_s2)
         acc.fill(0.0)
         self._acc_n = 0
-        self.multiplies += self.multiplies_per_tick
-
-
-class CascadeFilter(_BandFilterBase):
-    """Band extraction reusing the in-place low-pass for the band-pass
-    high side: 4 filter applications per fully-updated tick, 2 persistent
-    short-term state frames."""
-
-    multiplies_per_tick = CASCADE_MULTIPLIES_PER_TICK
-    state_frames = CASCADE_STATE_FRAMES
-
-    def _band_hp(self, st_input: np.ndarray, out: np.ndarray) -> None:
-        np.subtract(st_input, self._lp_s1, out=out)
-
-
-class ReferenceFilter(_BandFilterBase):
-    """Non-cascaded variant: the band-pass high side runs its own low-pass
-    with a third state frame. Outputs match :class:`CascadeFilter` exactly
-    for identical input streams."""
-
-    multiplies_per_tick = REFERENCE_MULTIPLIES_PER_TICK
-    state_frames = REFERENCE_STATE_FRAMES
-
-    def __init__(self, grid_w: int, grid_h: int, params: BandParams):
-        super().__init__(grid_w, grid_h, params)
-        self._lp_bp = np.zeros_like(self._lp_s1)
-
-    def _band_hp(self, st_input: np.ndarray, out: np.ndarray) -> None:
-        _ema(self._lp_bp, st_input, self._alpha_s1, self._tmp)
-        np.subtract(st_input, self._lp_bp, out=out)
-
-
-def counters_csv(filters: dict[str, _BandFilterBase]) -> str:
-    """Counter report, one row per implementation: impl,multiplies,state_frames."""
-    lines = ["impl,multiplies,state_frames"]
-    for name, f in filters.items():
-        lines.append(f"{name},{f.multiplies},{f.state_frames}")
-    return "\n".join(lines) + "\n"

@@ -572,7 +572,7 @@ def _magnitude_and_octant(
     """
     n = len(gx)
     x2, y2, l1_sq, wide, magnitude, mask, key = (b[:n] for b in buffers)
-    # The bits go in with adds and multiplies, which numpy vectorises on
+    # The bits go in with sums and products, which numpy vectorises on
     # uint8; it does not vectorise shifts. vx = -sign * gx > 0 iff gx < 0
     # xor sign < 0, and vy = sign * gy > 0 iff gy > 0 xor sign < 0.
     bit = mask.view(np.uint8)

@@ -295,7 +295,8 @@ def _price_cameras(
     current minute plus w2 times the live short-term activity; live bands
     that are missing, older than ``staleness_s`` or non-finite are left
     out and the camera is marked stale. A camera whose support profile is
-    empty is infeasible.
+    empty is infeasible. An activity that overflows would tie every route
+    through the camera at inf, so it raises :class:`InvalidParameterError`.
     """
     realtime = query.mode == MODE_REALTIME
     minute = minute_of_day(query.t_ms) if realtime else query.t_star
@@ -305,23 +306,27 @@ def _price_cameras(
         # No profile is not evidence that people avoid the spot.
         feasible = profile is None or bool(profile.any())
         store = stores.get(cam)
-        longterm = 0.0 if store is None else query.lam * store.scalar_stats(minute)[0]
-        if not realtime:
-            prices[cam] = _CameraPrice(longterm, feasible)
-            continue
-        live = 0.0
-        bands = live_bands.get(cam)
-        stale = bands is None or abs(query.t_ms - bands.timestamp_ms) > query.staleness_s * 1000.0
-        if not stale:
-            live = segment_cost(bands.m_s1, query.lam)
-            if query.include_moving:
-                live += segment_cost(bands.m_s2, query.lam)
-            # A negative term would price an edge below its traversal
-            # cost, which the search's bound assumes never happens.
-            if not 0 <= live < math.inf:
-                live, stale = 0.0, True
-        longterm = query.w1 * longterm if query.w1 else 0.0  # 0 * inf would be NaN
-        prices[cam] = _CameraPrice(longterm + query.w2 * live, feasible, stale)
+        activity = 0.0 if store is None else query.lam * store.scalar_stats(minute)[0]
+        stale = False
+        if realtime:
+            live = 0.0
+            bands = live_bands.get(cam)
+            stale = bands is None or abs(query.t_ms - bands.timestamp_ms) > query.staleness_s * 1000.0
+            if not stale:
+                live = segment_cost(bands.m_s1, query.lam)
+                if query.include_moving:
+                    live += segment_cost(bands.m_s2, query.lam)
+                # A negative term would price an edge below its traversal
+                # cost, which the search's bound assumes never happens.
+                if not 0 <= live < math.inf:
+                    live, stale = 0.0, True
+            longterm = query.w1 * activity if query.w1 else 0.0  # 0 * inf would be NaN
+            activity = longterm + query.w2 * live
+        if not activity < math.inf:
+            raise InvalidParameterError(
+                f"camera {cam!r}: activity price {activity} is not finite with lam={query.lam!r}"
+            )
+        prices[cam] = _CameraPrice(activity, feasible, stale)
     return prices
 
 

@@ -3,7 +3,7 @@
 Scenarios generate motion-feature streams (and, optionally, grayscale
 blob frames) together with the labels needed to judge the pipeline:
 planted per-minute activity, event intervals, the walkable block mask,
-and which blocks carry in-place versus moving activity at any instant.
+and which blocks carry moving activity at any instant.
 
 Two stream granularities:
 
@@ -23,8 +23,7 @@ unambiguous. All randomness flows from the scenario seed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -249,24 +248,8 @@ class GroundTruth:
             out.update(ev.blocks_at(t_s))
         return {b for b in out if self._inside(b)}
 
-    def inplace_blocks(self, t_s: float) -> set[tuple[int, int]]:
-        day_t = t_s % SECONDS_PER_DAY
-        return {
-            d.block
-            for d in self.scenario.dwellers
-            if d.active(day_t) and self._inside(d.block)
-        }
-
-    def active_blocks(self, t_ms: int) -> set[tuple[int, int]]:
-        t_s = t_ms / 1000.0
-        return self.moving_blocks(t_s) | self.inplace_blocks(t_s)
-
     def event_intervals_ms(self) -> list[tuple[int, int]]:
         return [(int(e.start_s * 1000), int(e.end_s * 1000)) for e in self.events]
-
-    def minute_curve(self) -> np.ndarray:
-        """Planted scalar activity per minute (block mean)."""
-        return self.per_minute.mean(axis=(1, 2))
 
     def _inside(self, block: tuple[int, int]) -> bool:
         return 0 <= block[0] < self.scenario.grid_w and 0 <= block[1] < self.scenario.grid_h
@@ -337,9 +320,6 @@ def _place_events(scenario: Scenario, days: int, rng: np.random.Generator) -> li
                 )
             )
     return events
-
-
-_DIR_BIN_KEYS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
 def _feasible_directions(

@@ -8,7 +8,7 @@ import pytest
 
 import motionbands
 
-from motionbands.config import Config, ConfigError, apply_overrides, load_config
+from motionbands.config import Config, ConfigError, load_config
 
 
 def _write(tmp_path, obj, name="config.json"):
@@ -91,6 +91,7 @@ class TestLoadConfig:
             ("motion", "noise_floor", -1),
             ("events", "k_sigma", -1),
             ("events", "cooldown_s", -2),
+            ("events", "min_threshold", -0.01),
             ("events", "min_days", -1),
             ("events", "reinvoke_every_s", -1),
         ],
@@ -114,36 +115,6 @@ class TestLoadConfig:
     def test_non_object_document_rejected(self, tmp_path, doc):
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(_write(tmp_path, doc))
-
-
-class TestOverrides:
-    def test_dotted_overrides_apply(self, tmp_path):
-        path = _write(tmp_path, {"events": {"k_sigma": 3.0, "min_days": 5}})
-        config = load_config(
-            path, {"events.k_sigma": 1.5, "filter.t_s1_s": 30.0, "motion.noise_floor": 4}
-        )
-        assert config.events.k_sigma == 1.5
-        assert config.events.min_days == 5
-        assert config.filter.t_s1_s == 30.0
-        assert config.motion.noise_floor == 4
-
-    def test_none_overrides_skipped(self, tmp_path):
-        path = _write(tmp_path, {"events": {"k_sigma": 3.0}})
-        config = load_config(path, {"events.k_sigma": None, "motion.noise_floor": None})
-        assert config.events.k_sigma == 3.0
-        assert config.motion.noise_floor == Config().motion.noise_floor
-        assert apply_overrides({}, {"events.k_sigma": None}) == {}
-
-    def test_override_through_a_non_section_rejected(self, tmp_path):
-        path = _write(tmp_path, {"events": {"k_sigma": 3.0}})
-        with pytest.raises(ConfigError, match="k_sigma is not a section"):
-            load_config(path, {"events.k_sigma.value": 1})
-        with pytest.raises(ConfigError, match="k_sigma is not a section"):
-            apply_overrides({"events": {"k_sigma": 3}}, {"events.k_sigma.value.deeper": 1})
-
-    def test_override_of_an_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="k_sgima"):
-            load_config(None, {"events.k_sgima": 1.0})
 
 
 def test_no_module_imports_pydantic():

@@ -5,16 +5,7 @@ import numpy as np
 import pytest
 
 from motionbands.errors import InvalidParameterError, RejectedInputError
-from motionbands.events import (
-    ActivityEvent,
-    DetectorStub,
-    EnergyModel,
-    EventGate,
-    duty_cycle,
-    energy_csv,
-    energy_estimate,
-    scalar_activity,
-)
+from motionbands.events import ActivityEvent, EventGate, scalar_activity
 from motionbands.filters import BandParams, CascadeFilter
 from motionbands.isochron import IsochronalStore
 from motionbands.motion import MotionFrame
@@ -126,94 +117,6 @@ class TestHysteresis:
         assert gate.flush() is None
 
 
-class TestDutyCycle:
-    def _event(self, start_s, dur_s):
-        return ActivityEvent("c", int(start_s * 1000), int((start_s + dur_s) * 1000), 1.0, "both", 0, 0, 2)
-
-    def test_paper_workload(self):
-        events = [self._event(i * 120.0, 10.0) for i in range(300)]
-        assert duty_cycle(events, 10.0) == pytest.approx(3000 / 36000)
-
-    def test_no_events(self):
-        assert duty_cycle([], 8.0) == 0.0
-
-    def test_full_day_event(self):
-        assert duty_cycle([self._event(0.0, 36000.0)], 10.0) == pytest.approx(1.0)
-
-    def test_additive_over_disjoint_sets(self):
-        a = [self._event(0, 10)]
-        b = [self._event(100, 20)]
-        assert duty_cycle(a + b, 10.0) == pytest.approx(duty_cycle(a, 10.0) + duty_cycle(b, 10.0))
-
-    def test_zero_workday_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            duty_cycle([], 0.0)
-
-
-class TestEnergyModel:
-    def test_single_camera_activity(self):
-        model = EnergyModel(activity_power_w=50, detector_power_w=153, detector_fps=14.79)
-        assert energy_estimate(model, "activity", 300) == pytest.approx(500.0)
-
-    def test_single_camera_hybrid(self):
-        # 300 events x one frame at 14.79 fps x 153 W on top of filtering.
-        model = EnergyModel(activity_power_w=50, detector_power_w=153, detector_fps=14.79)
-        expected_extra = 300 / 14.79 / 3600 * 153
-        got = energy_estimate(model, "hybrid", 300)
-        assert got == pytest.approx(500.0 + expected_extra)
-        assert got == pytest.approx(500.9, abs=0.1)
-
-    def test_single_camera_continuous(self):
-        model = EnergyModel(activity_power_w=50, detector_power_w=153, detector_fps=14.79)
-        assert energy_estimate(model, "continuous", 300) == pytest.approx(2030.0)
-
-    def test_network_hybrid(self):
-        model = EnergyModel(
-            activity_power_w=80, detector_power_w=153, detector_fps=14.79, cameras=32
-        )
-        assert energy_estimate(model, "hybrid", 300) == pytest.approx(828.0, abs=1.0)
-
-    def test_network_continuous_near_published_total(self):
-        model = EnergyModel(
-            activity_power_w=80, detector_power_w=153, detector_fps=14.79, cameras=32
-        )
-        got = energy_estimate(model, "continuous", 300)
-        assert got == pytest.approx(80 * 10 + 32 * 153 * 10)
-        assert abs(got - 49460) / 49460 < 0.01
-
-    def test_hybrid_never_exceeds_continuous(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            model = EnergyModel(
-                activity_power_w=float(rng.uniform(10, 200)),
-                detector_power_w=float(rng.uniform(50, 400)),
-                detector_fps=float(rng.uniform(1, 60)),
-                cameras=int(rng.integers(1, 64)),
-                workday_h=float(rng.uniform(1, 24)),
-            )
-            events = float(rng.uniform(0, 2000))
-            if events / model.detector_fps < model.workday_h * 3600:
-                assert energy_estimate(model, "hybrid", events) <= energy_estimate(
-                    model, "continuous", events
-                )
-
-    def test_unknown_mode_rejected(self):
-        model = EnergyModel(activity_power_w=50, detector_power_w=153, detector_fps=14.79)
-        with pytest.raises(InvalidParameterError):
-            energy_estimate(model, "warp", 300)
-
-    def test_energy_csv_rows(self):
-        single = EnergyModel(activity_power_w=50, detector_power_w=153, detector_fps=14.79)
-        table = energy_csv([single], 300)
-        lines = table.strip().splitlines()
-        assert lines[0] == "detection,cameras,cpus,gpus,energy_wh"
-        rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
-        assert rows["activity"][1:4] == ["1", "1", "0"]
-        assert float(rows["activity"][4]) == pytest.approx(500.0)
-        assert float(rows["hybrid"][4]) == pytest.approx(500.9, abs=0.1)
-        assert float(rows["continuous"][4]) == pytest.approx(2030.0)
-
-
 import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -232,13 +135,12 @@ class GateReport:
     detector_invocations: int
     frames_processed: int
     decisions: int = 0
-    detections: list[tuple[int, int]] = field(default_factory=list)  # (t_ms, hits)
+    detections: list[int] = field(default_factory=list)  # t_ms of each detector request
 
 
 def _reference_gate_pipeline(
     band_stream: Iterable[BandOutputs] | Iterator[BandOutputs],
     store: IsochronalStore,
-    detector: DetectorStub,
     k_sigma: float = 2.0,
     cooldown_s: float = 3.0,
     min_threshold: float = 0.02,
@@ -261,7 +163,7 @@ def _reference_gate_pipeline(
         decision_rate_hz=decision_rate_hz,
     )
     events: list[ActivityEvent] = []
-    detections: list[tuple[int, int]] = []
+    detections: list[int] = []
     invocations = 0
     frames = 0
     decisions = 0
@@ -285,8 +187,7 @@ def _reference_gate_pipeline(
             elif reinvoke_every_s > 0 and t - last_invoke_ms >= reinvoke_every_s * 1000.0:
                 invoke = True
             if invoke:
-                mask = detector.detect(t, bands.m_s1.grid_w, bands.m_s1.grid_h)
-                detections.append((t, int(mask.sum())))
+                detections.append(t)
                 invocations += 1
                 last_invoke_ms = t
 
@@ -305,9 +206,9 @@ def _reference_gate_pipeline(
 _ONE_HZ = BandParams(frame_rate=1.0, shortterm_rate=1.0)
 
 
-def _run_pipeline(frames, gw, gh, detector, **events) -> GateReport:
-    """Drive ``CameraPipeline`` at 1 Hz, one decision per frame, and run
-    ``detector`` whenever the pipeline asks for it."""
+def _run_pipeline(frames, gw, gh, **events) -> GateReport:
+    """Drive ``CameraPipeline`` at 1 Hz, one decision per frame, and note
+    when the pipeline asks for the detector."""
     config = Config(filter=_ONE_HZ, events=EventsConfig(**events))
     pipe = CameraPipeline("cam0", gw, gh, config)
     detections = []
@@ -316,8 +217,7 @@ def _run_pipeline(frames, gw, gh, detector, **events) -> GateReport:
         result = pipe.ingest(frame)
         decisions += result.decision
         if result.invoke_detector:
-            mask = detector.detect(frame.timestamp_ms, gw, gh)
-            detections.append((frame.timestamp_ms, int(mask.sum())))
+            detections.append(frame.timestamp_ms)
     pipe.finish()
     return GateReport(
         events=pipe.events,
@@ -328,11 +228,11 @@ def _run_pipeline(frames, gw, gh, detector, **events) -> GateReport:
     )
 
 
-def _run_reference(frames, gw, gh, detector, **events) -> GateReport:
+def _run_reference(frames, gw, gh, **events) -> GateReport:
     cascade = CascadeFilter(gw, gh, _ONE_HZ)
     store = IsochronalStore("cam0", gw, gh)  # fresh: cold-start floor applies
     return _reference_gate_pipeline(
-        (cascade.step(f) for f in frames), store, detector, **events
+        (cascade.step(f) for f in frames), store, **events
     )
 
 
@@ -363,7 +263,6 @@ def _run_event_day(k_sigma=2.0, cooldown_s=3.0, min_threshold=0.016, reinvoke=0.
         frames,
         16,
         12,
-        DetectorStub(ground_truth=truth),
         k_sigma=k_sigma,
         cooldown_s=cooldown_s,
         min_threshold=min_threshold,
@@ -386,7 +285,7 @@ def _continuous_frames():
 
 class TestGatePipeline:
     def test_zero_activity_day_invokes_nothing(self):
-        report = _run_pipeline(_quiet_frames(), 4, 3, DetectorStub(), min_threshold=0.01)
+        report = _run_pipeline(_quiet_frames(), 4, 3, min_threshold=0.01)
         assert report.detector_invocations == 0
         assert report.events == []
         assert report.frames_processed == 600
@@ -406,14 +305,16 @@ class TestGatePipeline:
         assert abs(len(report.events) - 300) <= 30
         assert abs(report.detector_invocations - 300) <= 30
 
-        duty = duty_cycle(report.events, 10.0)
+        # Share of the 10 h day that the events cover.
+        duty = sum(e.duration_ms for e in report.events) / (10 * 3600 * 1000)
         assert duty == pytest.approx(0.083, abs=0.005)
 
     def test_detector_sees_planted_blocks(self):
-        report, _ = _run_event_day()
-        hits = [n for _, n in report.detections]
-        # Each onset invocation lands inside a planted 4-block front.
-        assert all(n >= 1 for n in hits)
+        report, truth = _run_event_day()
+        assert not truth.scenario.walkers and not truth.scenario.dwellers
+        # Each onset request falls while a planted front is on the grid.
+        assert report.detections
+        assert all(truth.moving_blocks(t / 1000) for t in report.detections)
 
     def test_gate_monotone_in_k_sigma(self):
         # With a learned-stats day the k matters; here the floor dominates,
@@ -429,10 +330,11 @@ class TestGatePipeline:
         assert len(report.events) <= report.frames_processed
 
     def test_continuous_activity_is_one_event(self):
-        report = _run_pipeline(_continuous_frames(), 2, 2, DetectorStub(), min_threshold=0.01)
+        report = _run_pipeline(_continuous_frames(), 2, 2, min_threshold=0.01)
         assert report.detector_invocations == 1
         assert len(report.events) == 1
-        assert duty_cycle(report.events, 0.5) == pytest.approx(1.0, abs=0.01)
+        duty = sum(e.duration_ms for e in report.events) / (0.5 * 3600 * 1000)
+        assert duty == pytest.approx(1.0, abs=0.01)
 
     def test_reinvocation_during_long_events(self):
         base, _ = _run_event_day(reinvoke=0.0)
@@ -445,15 +347,15 @@ class TestGatePipeline:
 def test_pipeline_policy_matches_the_reference_loop(name):
     if name.startswith("planted"):
         reinvoke = 4.0 if name.endswith("4") else 0.0
-        got, truth = _run_event_day(reinvoke=reinvoke)
+        got, _ = _run_event_day(reinvoke=reinvoke)
         frames, gw, gh = _event_day()[0], 16, 12
         events = {"min_threshold": 0.016, "reinvoke_every_s": reinvoke}
     else:
         quiet = name == "quiet"
         frames, gw, gh = (_quiet_frames(), 4, 3) if quiet else (_continuous_frames(), 2, 2)
-        truth, events = None, {"min_threshold": 0.01}
-        got = _run_pipeline(frames, gw, gh, DetectorStub(), **events)
-    want = _run_reference(frames, gw, gh, DetectorStub(ground_truth=truth), **events)
+        events = {"min_threshold": 0.01}
+        got = _run_pipeline(frames, gw, gh, **events)
+    want = _run_reference(frames, gw, gh, **events)
 
     def summary(e):
         return (e.start_ms, e.end_ms, e.peak, e.band)
@@ -480,6 +382,15 @@ def test_pipeline_policy_matches_the_reference_loop(name):
 def test_gate_rejects_non_finite_parameters(name, value):
     with pytest.raises(InvalidParameterError, match=name):
         EventGate("cam0", **{name: value})
+
+
+def test_gate_rejects_a_negative_threshold_floor():
+    # While the store is cold the floor decides alone, and a negative one
+    # fires on an all-zero band.
+    with pytest.raises(InvalidParameterError, match="min_threshold"):
+        EventGate("cam0", min_threshold=-0.01)
+    with pytest.raises(InvalidParameterError, match="min_threshold"):
+        EventsConfig(min_threshold=-0.01)
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])

@@ -237,6 +237,13 @@ class TestUpdateQuery:
             with pytest.raises(InvalidParameterError):
                 store.query(minute)
 
+    @pytest.mark.parametrize("span", [math.nan, math.inf])
+    def test_non_finite_decay_span_rejected(self, span):
+        # A NaN span built, and read (nan, nan, 2) from scalar_stats after
+        # two updates.
+        with pytest.raises(InvalidParameterError, match="duration must be finite"):
+            IsochronalStore("c", 2, 2, t_l2_days=span)
+
     def test_grid_mismatch_rejected(self):
         store = IsochronalStore("cam0", 2, 2)
         with pytest.raises(RejectedInputError):
@@ -543,6 +550,13 @@ class _StoreDamage:
         path = self._saved(tmp_path)
         _rewrite(path, edit)
         with pytest.raises(StoreLoadError, match="payload bytes"):
+            IsochronalStore.load(path)
+
+    @pytest.mark.parametrize("span", [math.nan, math.inf])
+    def test_non_finite_decay_span_rejected(self, tmp_path, span):
+        path = self._saved(tmp_path)
+        _rewrite(path, lambda b: b.__setitem__(slice(6, 14), struct.pack("<d", span)))
+        with pytest.raises(StoreLoadError, match="bad header.*duration must be finite"):
             IsochronalStore.load(path)
 
     @pytest.mark.parametrize(

@@ -936,6 +936,24 @@ class TestNonFiniteLiveBands:
         assert res.excluded_cameras == ["cam_dead"]
         assert res.stale_cameras == ["cam_busy", "cam_dead"]
 
+    @pytest.mark.parametrize("mode", ["offline", "realtime"])
+    def test_overflowed_price_rejected(self, mode):
+        # lam times the learned means overflows to inf. Every route then
+        # tied at inf, and the tie-break by hops picked A-B-D as found.
+        graph = _diamond()
+        stores = {"cam_busy": _store_with("cam_busy", 40.0), "cam_dead": _store_with("cam_dead", 2.0)}
+        query = PlanQuery("A", "D", mode=mode, t_star=600, t_ms=600 * 60_000, lam=1e308)
+        with pytest.raises(InvalidParameterError, match=r"camera 'cam_\w+'.*lam=1e\+308"):
+            plan_path(graph, query, stores)
+
+    def test_overflowed_route_cost_rejected(self):
+        graph = _diamond()
+        stores = {"cam_busy": _store_with("cam_busy", 40.0), "cam_dead": _store_with("cam_dead", 2.0)}
+        profiles = profiles_from_stores(stores)
+        for route in (["ab", "bd"], ["ac", "cd"]):
+            with pytest.raises(InvalidParameterError, match=r"lam=1e\+308"):
+                cost1(route, 600, graph, stores, profiles, lam=1e308)
+
     def test_route_cost_of_nan_band_is_degraded_and_finite(self):
         graph, stores, live, t_ms = self._world()
         res = cost2(["ab", "bd"], t_ms, graph, stores, live)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, RejectedInputError
+from .motion import block_mean
 
 BAND_IN_PLACE = "in-place"
 BAND_MOVING = "moving"
@@ -71,7 +72,7 @@ def scalar_activity(m_s1, m_s2) -> float:
         raise RejectedInputError(
             f"band grids differ: {m_s1.density.shape} vs {m_s2.density.shape}"
         )
-    return float(np.maximum(m_s1.density, m_s2.density).mean())
+    return block_mean(np.maximum(m_s1.density, m_s2.density))
 
 
 class EventGate:
@@ -137,8 +138,8 @@ class EventGate:
             self._quiet_run = 0
             self._last_hit_ms = timestamp_ms
             if self._open is None:
-                s1m = float(m_s1.density.mean())
-                s2m = float(m_s2.density.mean())
+                s1m = block_mean(m_s1.density)
+                s2m = block_mean(m_s2.density)
                 if s1m > s2m:
                     band = BAND_IN_PLACE
                 elif s2m > s1m:

@@ -68,7 +68,7 @@ import yaml
 from .errors import InvalidParameterError, RejectedInputError, UnknownSegmentError
 from .filters import BandOutputs
 from .isochron import IsochronalStore, minute_of_day
-from .motion import MotionFrame
+from .motion import MotionFrame, block_mean
 
 LETHAL_COST = 254
 UNKNOWN_COST = 255
@@ -257,8 +257,7 @@ def segment_cost(profile: MotionFrame | None, lam: float) -> float:
         raise InvalidParameterError(f"lam must be > 0, got {lam}")
     if profile is None:
         return 0.0
-    # The bits of ``density.mean()`` (one add.reduce, one division), faster.
-    return lam * (float(profile.density.sum()) / profile.density.size)
+    return lam * block_mean(profile.density)
 
 
 @dataclass
@@ -701,9 +700,11 @@ def splat_activity(
     by + 0.5) to world meters; each block's density lands in the containing
     cell, scaled and clipped to [0, 254]. Blocks falling outside the map
     are skipped and counted. The combined map is the element-wise max of
-    the static and activity layers. A missing or non-finite homography or
-    a non-finite density is rejected, naming the camera, before any work.
-    Block cells come from a cache (see the module docstring).
+    the static and activity layers. Every camera's homography is checked
+    before any density: a missing or non-finite homography, then a
+    non-finite density, is rejected naming the first such camera in sorted
+    order, before anything is projected. Block cells come from a cache
+    (see the module docstring).
     """
     if not density_scale > 0:
         raise InvalidParameterError("density_scale must be > 0")
@@ -717,14 +718,15 @@ def splat_activity(
             raise RejectedInputError(f"homography for {cam_id} must be 3x3, got {h.shape}")
         if not np.isfinite(h).all():
             raise RejectedInputError(f"homography for {cam_id} is not finite")
-        if not np.isfinite(frame.density).all():
-            raise RejectedInputError(f"activity frame for {cam_id} has non-finite density")
         order = "F" if h.flags.f_contiguous else "C"  # BLAS rounds each order its own way
         views.append((h.tobytes(order), order, frame.density.shape))
-    geometry = (static_map.origin_x, static_map.origin_y, static_map.resolution_m, static_map.cells.shape)
     # Empty heads: zero cameras still concatenate, with the right dtypes.
-    cells = np.concatenate([np.empty(0, np.intp), *(_block_cells(*view, geometry) for view in views)])
     density = np.concatenate([np.empty(0), *(frame.density.ravel() for _, frame in cameras)])
+    if not np.isfinite(density).all():
+        bad = next(cam_id for cam_id, frame in cameras if not np.isfinite(frame.density).all())
+        raise RejectedInputError(f"activity frame for {bad} has non-finite density")
+    geometry = (static_map.origin_x, static_map.origin_y, static_map.resolution_m, static_map.cells.shape)
+    cells = np.concatenate([np.empty(0, np.intp), *(_block_cells(*view, geometry) for view in views)])
     active = density > 0
     hit = np.flatnonzero(active & (cells >= 0))  # two gathers by a mask cost more
     combined = static_map.cells.copy()

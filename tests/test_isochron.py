@@ -1,5 +1,7 @@
 import math
+import re
 import struct
+import tracemalloc
 import zlib
 from io import BytesIO
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 from motionbands.errors import InvalidParameterError, RejectedInputError, StoreLoadError
 from motionbands.filters import alpha_from_decay
-from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
+from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, _slot_dtype, minute_of_day
 from motionbands.motion import N_DIR_BINS, MotionFrame
 
 
@@ -489,6 +491,59 @@ class TestPersistence:
             IsochronalStore.load(tmp_path / "absent.iso")
 
 
+def _traced_peak(call):
+    """``call()``'s result and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSlotLayout:
+    """The slot array is the store: load keeps the file's slot bytes and
+    save writes them, each without a second copy."""
+
+    def _saved(self, tmp_path, seed=0):
+        store = IsochronalStore("cam0", 40, 30)
+        rng = np.random.default_rng(seed)
+        for minute in (0, 1, 599, 600, 1439):
+            store.update(minute, _frame(rng.uniform(0, 2, (30, 40))))
+        path = tmp_path / f"s{seed}.iso"
+        store.save(path)
+        return store, path
+
+    def test_load_peak_is_about_the_file_size(self, tmp_path):
+        store, path = self._saved(tmp_path)
+        loaded, peak = _traced_peak(lambda: IsochronalStore.load(path))
+        assert loaded.equals(store)
+        assert peak <= 1.01 * path.stat().st_size + 64 * 1024
+
+    def test_save_peak_is_under_a_megabyte(self, tmp_path):
+        store, path = self._saved(tmp_path)
+        _, peak = _traced_peak(lambda: store.save(tmp_path / "again.iso"))
+        assert peak < 1_000_000
+        assert (tmp_path / "again.iso").read_bytes() == path.read_bytes()
+
+    def test_rewriting_the_file_in_place_leaves_a_loaded_store_alone(self, tmp_path):
+        store, path = self._saved(tmp_path)
+        _, other = self._saved(tmp_path, seed=1)
+        loaded = IsochronalStore.load(path)
+        with open(path, "r+b") as f:
+            f.write(other.read_bytes())
+        assert loaded.equals(store)
+        assert not IsochronalStore.load(path).equals(store)
+
+    def test_two_loads_share_no_memory(self, tmp_path):
+        store, path = self._saved(tmp_path)
+        first, second = IsochronalStore.load(path), IsochronalStore.load(path)
+        for name in ("_mean_density", "_var", "_days"):
+            assert not np.shares_memory(getattr(first, name), getattr(second, name))
+        first.update(5, _frame(np.ones((30, 40))))
+        assert second.equals(store)
+
+
 class _StoreDamage:
     """Damaged files of one format version, each behind a valid CRC where
     the CRC is not what the case tests."""
@@ -560,6 +615,32 @@ class _StoreDamage:
             IsochronalStore.load(path)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("density", math.nan), ("var", -5.0), ("var", math.inf)],
+        ids=["nan-mean", "negative-var", "inf-var"],
+    )
+    def test_bad_slot_value_rejected(self, tmp_path, field, value):
+        # Behind a valid CRC, these loaded and read (nan, nan, 1) from
+        # scalar_stats(600).
+        path = self._saved(tmp_path)
+        at = self._value_offset(600, field, block=4)
+        _rewrite(path, lambda b: b.__setitem__(slice(at, at + 8), struct.pack("<d", value)))
+        with pytest.raises(StoreLoadError, match=f"{re.escape(str(path))} .* at minute 600$"):
+            IsochronalStore.load(path)
+
+    def test_negative_zero_mean_loads(self, tmp_path):
+        path = self._saved(tmp_path)
+        at = self._value_offset(600, "density", block=4)
+        _rewrite(path, lambda b: b.__setitem__(slice(at, at + 8), struct.pack("<d", -0.0)))
+        loaded = IsochronalStore.load(path)
+        assert math.copysign(1.0, loaded._mean_density[600, 1, 1]) == -1.0
+
+    def _value_offset(self, minute, field, block):
+        # The saved stores are 3x2 with the id "cam0": a 24-byte header.
+        slot = _slot_dtype(3, 2, self.VERSION)
+        return 24 + minute * slot.itemsize + slot.fields[field][1] + 8 * block
+
+    @pytest.mark.parametrize(
         "rest",
         [
             struct.pack("<H", 50) + b"cam",  # cut inside the camera id
@@ -612,13 +693,29 @@ class TestPersistenceAgainstReference(_StoreDamage):
         assert loaded.equals(store)
         for name in ("_mean_density", "_var", "_days"):
             got, want = getattr(loaded, name), getattr(store, name)
-            assert got.dtype == want.dtype and got.flags.c_contiguous and got.flags.writeable
+            assert got.dtype == want.dtype and got.flags.writeable
+            assert not np.shares_memory(got, want)
         # Saving it again writes v2.
         loaded.save(tmp_path / "v2.iso")
         _reference_save_v2(store, tmp_path / "ref-v2.iso")
         assert (tmp_path / "v2.iso").read_bytes() == (tmp_path / "ref-v2.iso").read_bytes()
         loaded.update(0, _frame(np.ones((store.grid_h, store.grid_w))))
         assert loaded.query(0)[2] == store.query(0)[2] + 1
+
+    @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
+    def test_loaded_store_updated_and_saved_matches_reference(self, tmp_path, make):
+        # The updates land in the slot array that load kept from the file.
+        store = make()
+        store.save(tmp_path / "s.iso")
+        loaded = IsochronalStore.load(tmp_path / "s.iso")
+        rng = np.random.default_rng(len(store.camera_id))
+        for minute in (0, 1, 600, 1439, 600):
+            loaded.update(minute, _frame(rng.uniform(0, 2, (store.grid_h, store.grid_w))))
+        assert loaded.query(600)[2] == store.query(600)[2] + 2
+        loaded.save(tmp_path / "new.iso")
+        _reference_save_v2(loaded, tmp_path / "ref.iso")
+        assert (tmp_path / "new.iso").read_bytes() == (tmp_path / "ref.iso").read_bytes()
+        assert IsochronalStore.load(tmp_path / "new.iso").equals(loaded)
 
     def _saved(self, tmp_path):
         path = tmp_path / "s.iso"

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import sys
 import threading
 
@@ -17,6 +18,7 @@ from motionbands.motion import (
     _finite_nonnegative,
     _magnitude_and_octant,
     _octant_buffers,
+    block_mean,
     extract_motion,
 )
 from motionbands.sim import gen_blob_frames
@@ -864,3 +866,33 @@ class TestFiniteNonnegative:
     def test_empty_passes(self):
         assert _finite_nonnegative(np.zeros((2, 3, 0)))
 
+
+class TestBlockMean:
+    """``block_mean`` must return the bits of ``float(values.mean())``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308]),
+        layout=st.sampled_from(["contiguous", "strided", "record"]),
+        edges=st.lists(st.sampled_from(_EDGE_BITS), max_size=3),
+    )
+    def test_bits_of_mean(self, shape, seed, scale, layout, edges):
+        rng = np.random.default_rng(seed)
+        rows, cols = shape
+        wide = rng.uniform(-1.0, 1.0, (rows, 2 * cols)) * scale
+        if layout == "contiguous":
+            values = wide[:, :cols].copy()
+        elif layout == "strided":
+            values = wide[:, ::2]
+        else:  # a field of packed records, as the isochronal store holds them
+            records = np.zeros(rows, [("density", "<f8", (cols,)), ("days", "<u4")])
+            records["density"] = wide[:, :cols]
+            values = records["density"]
+        for bits in edges:
+            values[rng.integers(rows), rng.integers(cols)] = np.uint64(bits).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(values.mean())
+            got = block_mean(values)
+        assert struct.pack("<d", got) == struct.pack("<d", want)

@@ -1157,11 +1157,21 @@ class TestSplatMatchesReference:
         assert (report.cells_touched, report.blocks_skipped) == (want_touched, want_skipped)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_density_rejected_naming_camera(self, bad):
+    def test_non_finite_density_rejected_naming_camera(self, bad, monkeypatch):
         m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
-        frames = {"cam0": _frame([[0.2, 0.1]]), "cam7": _frame([[0.3, bad]])}
-        with pytest.raises(RejectedInputError, match="cam7"):
-            splat_activity(m, frames, {"cam0": np.eye(3), "cam7": np.eye(3)})
+        frames = {"cam9": _frame([[bad, 0.1]]), "cam0": _frame([[0.2, 0.1]]), "cam7": _frame([[0.3, bad]])}
+
+        def no_projection(*args):
+            raise AssertionError("projected before every density was checked")
+
+        monkeypatch.setattr("motionbands.planning._block_cells", no_projection)
+        homographies = {cam: np.eye(3) for cam in frames}
+        with pytest.raises(RejectedInputError, match="activity frame for cam7 "):
+            splat_activity(m, frames, homographies)
+        # A bad homography of a later camera is reported before any density.
+        homographies["cam9"] = np.full((3, 3), math.nan)
+        with pytest.raises(RejectedInputError, match="homography for cam9"):
+            splat_activity(m, frames, homographies)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
     def test_invalid_density_scale_rejected(self, scale):

@@ -22,6 +22,7 @@ caller owns the detector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,8 @@ class EventGate:
             raise InvalidParameterError(
                 f"min_threshold must be finite and >= 0, got {min_threshold}"
             )
+        if not (isinstance(min_days, numbers.Integral) and min_days >= 0):
+            raise InvalidParameterError(f"min_days must be an integer >= 0, got {min_days!r}")
         self.camera_id = camera_id
         self.k_sigma = k_sigma
         self.min_threshold = min_threshold

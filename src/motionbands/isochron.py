@@ -41,12 +41,9 @@ load's peak allocation is the file's size plus about 64 KB, numpy's
 buffer for the value check over unaligned records: 27.72 MB for a
 27.65 MB file. Nothing maps the file: rewriting it after a load leaves the store alone.
 
-``load`` also reads version 1, whose header is the same and whose slots
-hold direction bins f64[gh*gw*8] between the density mean and the
-variance; it copies the mean, variance and days into a fresh v2 array and
-drops the bins. Both versions pass the same checks: CRC, magic, version,
-header fields, a payload size that must match the version's slot layout
-exactly, and finite, non-negative means and variances.
+``load`` reads version 2 only. Its checks, in order: CRC, magic, version,
+header fields, a payload size that must match the slot layout exactly,
+and finite, non-negative means and variances.
 
 The price of the packed layout is alignment. A 40x30 record is 19,204
 bytes, so every other minute's fields sit 4 bytes off an 8-byte boundary
@@ -62,6 +59,7 @@ would change the file format.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 import zlib
@@ -73,27 +71,24 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidParameterError, RejectedInputError, StoreLoadError
 from .filters import alpha_from_decay
-from .motion import N_DIR_BINS, MotionFrame, _finite_nonnegative, block_mean
+from .motion import MotionFrame, _finite_nonnegative, block_mean
 
 MINUTES_PER_DAY = 1440
 
 _MAGIC = b"ISO1"
 _VERSION = 2
-_V1_WITH_BINS = 1
 
 
-def _slot_dtype(grid_w: int, grid_h: int, version: int = _VERSION) -> np.dtype:
-    """One minute's record in a file of ``version``, packed: density mean,
-    the direction bins in version 1 only, density variance, days."""
+def _slot_dtype(grid_w: int, grid_h: int) -> np.dtype:
+    """One minute's record, packed: density mean, density variance, days."""
     grid = (grid_h, grid_w)
-    bins = [("hist", "<f8", grid + (N_DIR_BINS,))] if version == _V1_WITH_BINS else []
-    return np.dtype([("density", "<f8", grid), *bins, ("var", "<f8", grid), ("days", "<u4")])
+    return np.dtype([("density", "<f8", grid), ("var", "<f8", grid), ("days", "<u4")])
 
 
 def _first_bad_minute(slots: np.ndarray, cells: int) -> int | None:
     """The first minute whose density mean or variance is non-finite or
     negative, or None. The check is one pass over a (1440, 2 * cells)
-    float64 view of ``slots`` with the record stride: in a v2 record the
+    float64 view of ``slots`` with the record stride: in a record the
     variance follows the mean, and the days are left out."""
     values = as_strided(
         slots["density"], (MINUTES_PER_DAY, 2 * cells), (slots.itemsize, 8), writeable=False
@@ -126,7 +121,7 @@ class IsochronalStore:
         self._var_gain = (1.0 - a) * (1.0 + a) / 2.0
 
     def _adopt(self, slots: np.ndarray) -> None:
-        """Make ``slots``, 1440 v2 records, the store's memory, with empty
+        """Make ``slots``, 1440 records, the store's memory, with empty
         caches."""
         self._slots = slots
         self._mean_density = slots["density"]
@@ -138,9 +133,9 @@ class IsochronalStore:
     # ------------------------------------------------------------------ update
 
     def _check_minute(self, minute: int) -> None:
-        if not 0 <= minute < MINUTES_PER_DAY:
+        if not (isinstance(minute, numbers.Integral) and 0 <= minute < MINUTES_PER_DAY):
             raise InvalidParameterError(
-                f"minute-of-day must lie in [0, {MINUTES_PER_DAY - 1}], got {minute}"
+                f"minute-of-day must be an integer in [0, {MINUTES_PER_DAY - 1}], got {minute!r}"
             )
 
     def update(self, minute: int, sample: MotionFrame) -> None:
@@ -258,7 +253,7 @@ class IsochronalStore:
         if payload[: len(_MAGIC)] != _MAGIC:
             raise StoreLoadError(f"bad magic in store file {path}")
         (version,) = struct.unpack_from("<H", payload, 4)
-        if version not in (_V1_WITH_BINS, _VERSION):
+        if version != _VERSION:
             raise StoreLoadError(f"unsupported store version {version} in {path}")
         store = cls.__new__(cls)
         try:
@@ -269,7 +264,7 @@ class IsochronalStore:
         except (struct.error, UnicodeDecodeError, InvalidParameterError) as exc:
             raise StoreLoadError(f"bad header in store file {path}: {exc}") from exc
         start = 20 + cam_len
-        slot = _slot_dtype(grid_w, grid_h, version)
+        slot = _slot_dtype(grid_w, grid_h)
         expected = len(payload) - start
         needed = MINUTES_PER_DAY * slot.itemsize
         if expected != needed:
@@ -277,10 +272,6 @@ class IsochronalStore:
                 f"store file {path} has {expected} payload bytes, expected {needed}"
             )
         slots = data[start : len(payload)].view(slot)
-        if version == _V1_WITH_BINS:
-            v1, slots = slots, np.empty(MINUTES_PER_DAY, dtype=_slot_dtype(grid_w, grid_h))
-            for name in ("density", "var", "days"):
-                slots[name] = v1[name]
         bad = _first_bad_minute(slots, grid_w * grid_h)
         if bad is not None:
             raise StoreLoadError(

@@ -88,6 +88,11 @@ class CameraPipeline:
         self.params = config.filter
         self._stride = self.params.stride  # a rounded division; params are frozen
         self.cascade = CascadeFilter(grid_w, grid_h, self.params)
+        if store is not None and (store.grid_w, store.grid_h) != (grid_w, grid_h):
+            raise InvalidParameterError(
+                f"store grid {store.grid_w}x{store.grid_h} does not match "
+                f"camera grid {grid_w}x{grid_h}"
+            )
         self.store = store or IsochronalStore(
             camera_id, grid_w, grid_h, t_l2_days=self.params.t_l2_days
         )

@@ -9,9 +9,9 @@ current short-term bands.
 
 Pricing is per camera: ``_price_cameras`` computes one activity price,
 feasibility flag and staleness flag per camera and query, and a segment
-costs its traversal cost plus its camera's price; ``cost1`` and ``cost2``
-sum the same prices. A query therefore costs per camera and expanded
-node, not per segment. Support masks are cached by the stores.
+costs its traversal cost plus its camera's price. A query therefore costs
+per camera and expanded node, not per segment. Support masks are cached by
+the stores.
 
 The planner finds the route a uniform-cost search over the non-negative
 additive edge costs would: among routes of equal cost it takes the one
@@ -57,6 +57,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -248,25 +249,6 @@ def _distances_from(adj: list[tuple[tuple[int, int, float, int], ...]], source: 
 # Costs
 # ---------------------------------------------------------------------------
 
-def segment_cost(profile: MotionFrame | None, lam: float) -> float:
-    """Activity price of one segment: lam times the view's mean density.
-
-    ``None`` marks a segment without camera coverage, which is free.
-    """
-    if not lam > 0:
-        raise InvalidParameterError(f"lam must be > 0, got {lam}")
-    if profile is None:
-        return 0.0
-    return lam * block_mean(profile.density)
-
-
-@dataclass
-class PlanCost:
-    value: float
-    feasible: bool
-    degraded: bool = False
-
-
 @dataclass(frozen=True)
 class _CameraPrice:
     """One camera's terms for one query, shared by every segment it covers."""
@@ -312,9 +294,9 @@ def _price_cameras(
             bands = live_bands.get(cam)
             stale = bands is None or abs(query.t_ms - bands.timestamp_ms) > query.staleness_s * 1000.0
             if not stale:
-                live = segment_cost(bands.m_s1, query.lam)
+                live = query.lam * block_mean(bands.m_s1.density)
                 if query.include_moving:
-                    live += segment_cost(bands.m_s2, query.lam)
+                    live += query.lam * block_mean(bands.m_s2.density)
                 # A negative term would price an edge below its traversal
                 # cost, which the search's bound assumes never happens.
                 if not 0 <= live < math.inf:
@@ -327,83 +309,6 @@ def _price_cameras(
             )
         prices[cam] = _CameraPrice(activity, feasible, stale)
     return prices
-
-
-def _route_cost(
-    segment_ids: list[str],
-    graph: PathGraph,
-    query: PlanQuery,
-    stores: Mapping[str, IsochronalStore],
-    profiles: Mapping[str, np.ndarray],
-    live_bands: Mapping[str, BandOutputs],
-) -> PlanCost:
-    """Sum of the planner's activity prices over a segment sequence."""
-    segs = []
-    for sid in segment_ids:
-        if sid not in graph.segments:
-            raise UnknownSegmentError(sid)
-        segs.append(graph.segments[sid])
-    cameras = {seg.camera_id for seg in segs if seg.camera_id is not None}
-    prices = _price_cameras(cameras, query, stores, profiles, live_bands)
-    total = 0.0
-    degraded = False
-    for seg in segs:
-        price = _UNCOVERED if seg.camera_id is None else prices[seg.camera_id]
-        if not price.feasible:
-            return PlanCost(value=math.inf, feasible=False)
-        total += price.activity
-        degraded = degraded or price.stale
-    return PlanCost(value=total, feasible=True, degraded=degraded)
-
-
-def cost1(
-    segment_ids: list[str],
-    t_star: int,
-    graph: PathGraph,
-    stores: Mapping[str, IsochronalStore],
-    profiles: Mapping[str, np.ndarray],
-    lam: float = 1.0,
-) -> PlanCost:
-    """Off-line activity cost of a segment sequence at minute ``t_star``.
-
-    Infeasible (non-finite) when any covered segment has an empty binary
-    profile.
-    """
-    query = PlanQuery("", "", MODE_OFFLINE, t_star=t_star, lam=lam)
-    return _route_cost(segment_ids, graph, query, stores, profiles, {})
-
-
-def cost2(
-    segment_ids: list[str],
-    t_ms: int,
-    graph: PathGraph,
-    stores: Mapping[str, IsochronalStore],
-    live_bands: Mapping[str, BandOutputs],
-    w1: float = 0.5,
-    w2: float = 0.5,
-    lam: float = 1.0,
-    staleness_s: float = 5.0,
-    include_moving: bool = False,
-) -> PlanCost:
-    """Real-time cost: w1 x off-line cost at the current minute plus w2 x
-    live short-term activity.
-
-    Live bands older than ``staleness_s``, missing or non-finite are
-    dropped from the w2 term and the result is flagged degraded.
-    """
-    query = PlanQuery(
-        "", "", MODE_REALTIME, t_ms=t_ms, w1=w1, w2=w2, lam=lam,
-        staleness_s=staleness_s, include_moving=include_moving,
-    )
-    return _route_cost(segment_ids, graph, query, stores, profiles_from_stores(stores), live_bands)
-
-
-def profiles_from_stores(
-    stores: Mapping[str, IsochronalStore], epsilon: float = 1e-3
-) -> dict[str, np.ndarray]:
-    """Binary support profiles for every camera with a store (each store
-    caches its mask until its next update)."""
-    return {cam: store.binarize(epsilon) for cam, store in stores.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +342,10 @@ class PlanQuery:
             raise InvalidParameterError(f"weights must be finite and >= 0, got {self.w1}, {self.w2}")
         if not self.staleness_s >= 0:
             raise InvalidParameterError(f"staleness_s must be >= 0, got {self.staleness_s}")
-        if not 0 <= self.t_star <= 1439:
-            raise InvalidParameterError(f"t_star must be a minute of day in [0, 1439], got {self.t_star}")
+        if not (isinstance(self.t_star, numbers.Integral) and 0 <= self.t_star <= 1439):
+            raise InvalidParameterError(
+                f"t_star must be an integer minute of day in [0, 1439], got {self.t_star!r}"
+            )
         if self.mode == MODE_REALTIME and self.w1 + self.w2 <= 0:
             raise InvalidParameterError("w1 + w2 must be > 0 in realtime mode")
 
@@ -486,7 +393,6 @@ def plan_path(
     query: PlanQuery,
     stores: Mapping[str, IsochronalStore] | None = None,
     live_bands: Mapping[str, BandOutputs] | None = None,
-    profile_epsilon: float = 1e-3,
 ) -> PlanResult:
     """Minimum-cost feasible route from origin to goal.
 
@@ -502,7 +408,7 @@ def plan_path(
     if query.origin == query.goal:
         raise InvalidParameterError("origin and goal must differ")
 
-    profiles = profiles_from_stores(stores, profile_epsilon)
+    profiles = {cam: store.binarize() for cam, store in stores.items()}
     prices = _price_cameras(graph.camera_ids, query, stores, profiles, live_bands)
     explain = {
         "excluded_cameras": sorted(cam for cam, p in prices.items() if not p.feasible),

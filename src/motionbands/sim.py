@@ -5,20 +5,16 @@ blob frames) together with the labels needed to judge the pipeline:
 planted per-minute activity, event intervals, the walkable block mask,
 and which blocks carry moving activity at any instant.
 
-Two stream granularities:
+Streams tick at ``rate_hz`` samples/s: walkers deposit moving activity
+along their paths, dwellers deposit in-place activity, and planted events
+sweep short moving fronts across the grid. The ground truth's per-minute
+activity is the mean of each minute's noise-free ticks.
 
-* tick mode (``rate_hz`` samples/s): walkers deposit moving activity along
-  their paths, dwellers deposit in-place activity, and planted events
-  sweep short moving fronts across the grid. Feeds the band filters.
-* minute mode: one frame per minute holding that minute's aggregate
-  activity, with the daily profile spread over the walkable blocks. Feeds
-  isochronal learning directly, standing in for per-minute aggregates of
-  the noise-free band (brief human activity passes the long high-pass
-  essentially unattenuated).
-
-Event arrivals follow a Poisson day count; placements are stratified with
-a minimum gap so planted events never merge, keeping per-event labels
-unambiguous. All randomness flows from the scenario seed.
+Event arrivals follow a Poisson day count. A daily profile that varies
+(``template`` at a non-zero ``profile_amplitude``) weights each event's
+minute of day; otherwise placements are stratified with a minimum gap so
+planted events never merge, keeping per-event labels unambiguous. All
+randomness flows from the scenario seed.
 """
 
 from __future__ import annotations
@@ -185,7 +181,6 @@ class Scenario:
     grid_h: int
     day_hours: float = 24.0
     rate_hz: float = 1.0
-    minute_mode: bool = False
     template: str = "flat"
     profile_amplitude: float = 0.0
     walkers: tuple[Walker, ...] = ()
@@ -420,25 +415,6 @@ def _minute_index(t_s: float) -> tuple[int, int]:
 def _per_minute_planted(scenario: Scenario, events: list[PlantedEvent], days: int) -> np.ndarray:
     """Planted per-minute mean activity, (days*1440, gh, gw)."""
     out = np.zeros((days * 1440, scenario.grid_h, scenario.grid_w))
-    walkable = _walkable_mask(scenario)
-    minutes_active = int(scenario.day_hours * 60)
-    if scenario.minute_mode:
-        profile = scenario.profile
-        for day in range(days):
-            for m in range(minutes_active):
-                out[day * 1440 + m][walkable] += profile[m]
-        for ev in events:
-            for second in range(int(ev.duration_s)):
-                t = ev.start_s + second
-                day, mod = _minute_index(t)
-                idx = day * 1440 + mod
-                if idx >= out.shape[0]:
-                    continue
-                for bx, by in ev.blocks_at(t):
-                    if 0 <= bx < scenario.grid_w and 0 <= by < scenario.grid_h:
-                        out[idx, by, bx] += ev.amplitude / 60.0
-        return out
-    # Tick mode: accumulate the actual deposit schedule per minute.
     ticks_per_day = int(round(scenario.day_seconds * scenario.rate_hz))
     per_min_ticks = np.zeros(days * 1440)
     cursor = _EventCursor(events)
@@ -458,9 +434,8 @@ def _per_minute_planted(scenario: Scenario, events: list[PlantedEvent], days: in
 def gen_stream(scenario: Scenario, days: int = 1) -> tuple[Iterator[MotionFrame], GroundTruth]:
     """Deterministic feature stream plus its ground truth.
 
-    The iterator yields one MotionFrame per tick (or per minute in minute
-    mode); noise is drawn from the scenario seed, so equal seeds give
-    byte-identical streams.
+    The iterator yields one MotionFrame per tick; noise is drawn from the
+    scenario seed, so equal seeds give byte-identical streams.
     """
     if days < 1:
         raise InvalidParameterError("days must be >= 1")
@@ -477,22 +452,6 @@ def gen_stream(scenario: Scenario, days: int = 1) -> tuple[Iterator[MotionFrame]
     def frames() -> Iterator[MotionFrame]:
         noise_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 2]))
         shape = (scenario.grid_h, scenario.grid_w)
-        if scenario.minute_mode:
-            minutes_active = int(scenario.day_hours * 60)
-            for day in range(days):
-                for m in range(minutes_active):
-                    idx = day * 1440 + m
-                    density = truth.per_minute[idx].copy()
-                    if scenario.noise_sigma > 0:
-                        density += noise_rng.normal(0.0, scenario.noise_sigma, shape)
-                        np.clip(density, 0.0, None, out=density)
-                    hist = np.zeros(shape + (N_DIR_BINS,))
-                    yield MotionFrame(
-                        density=density,
-                        dir_hist=hist,
-                        timestamp_ms=(day * 1440 + m) * 60_000,
-                    )
-            return
         ticks_per_day = int(round(scenario.day_seconds * scenario.rate_hz))
         cursor = _EventCursor(events)
         for day in range(days):

@@ -384,6 +384,17 @@ def test_gate_rejects_non_finite_parameters(name, value):
         EventGate("cam0", **{name: value})
 
 
+@pytest.mark.parametrize(
+    "value", [math.nan, 2.5, 3.0, -1, "3"], ids=["nan", "fraction", "float", "negative", "string"]
+)
+def test_gate_rejects_a_day_count_that_is_not_a_whole_number(value):
+    # A NaN day count was accepted, and then the cold-start floor never
+    # applied: threshold(0, 0, 0) gave 0.0 in place of the 0.02 floor.
+    with pytest.raises(InvalidParameterError, match="min_days"):
+        EventGate("cam0", min_days=value)
+    assert EventGate("cam0", min_days=np.int64(3)).threshold(0.0, 0.0, 0) == 0.02
+
+
 def test_gate_rejects_a_negative_threshold_floor():
     # While the store is cold the floor decides alone, and a negative one
     # fires on an all-zero band.

@@ -23,10 +23,9 @@ def _frame(density, t=0):
     return MotionFrame(density=d, dir_hist=hist, timestamp_ms=t)
 
 
-# The store file format v1 as the per-slot writer and reader produced it,
-# kept as the reference for reading v1 files. The writer takes a store's
-# fields plus direction bins (see ``_with_bins``); the reader drops the
-# bins, as ``load`` does.
+# The store file format v1 as the per-slot writer produced it. Version 1
+# is no longer read; these files check that it is rejected. The writer
+# takes a store's fields plus direction bins (see ``_with_bins``).
 
 def _reference_save(store, path):
     buf = BytesIO()
@@ -44,30 +43,6 @@ def _reference_save(store, path):
         buf.write(struct.pack("<I", int(store._days[m])))
     payload = buf.getvalue()
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-
-
-def _reference_load(path):
-    data = Path(path).read_bytes()
-    payload, trailer = data[:-4], data[-4:]
-    assert zlib.crc32(payload) & 0xFFFFFFFF == struct.unpack("<I", trailer)[0]
-    buf = BytesIO(payload)
-    assert buf.read(4) == b"ISO1"
-    assert struct.unpack("<H", buf.read(2)) == (1,)
-    (t_l2_days,) = struct.unpack("<d", buf.read(8))
-    (cam_len,) = struct.unpack("<H", buf.read(2))
-    camera_id = buf.read(cam_len).decode("utf-8")
-    grid_w, grid_h = struct.unpack("<HH", buf.read(4))
-    store = IsochronalStore(camera_id, grid_w, grid_h, t_l2_days)
-    n = grid_w * grid_h
-    assert buf.getbuffer().nbytes - buf.tell() == MINUTES_PER_DAY * (8 * n * (2 + N_DIR_BINS) + 4)
-    for m in range(MINUTES_PER_DAY):
-        store._mean_density[m] = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(
-            grid_h, grid_w
-        )
-        buf.read(8 * n * N_DIR_BINS)  # direction bins
-        store._var[m] = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(grid_h, grid_w)
-        (store._days[m],) = struct.unpack("<I", buf.read(4))
-    return store
 
 
 def _with_bins(store, seed=0):
@@ -238,6 +213,23 @@ class TestUpdateQuery:
                 store.update(minute, _frame([[1.0]]))
             with pytest.raises(InvalidParameterError):
                 store.query(minute)
+
+    @pytest.mark.parametrize(
+        "minute", [5.5, 5.0, np.float64(5.0), "5"], ids=["fraction", "float", "numpy-float", "string"]
+    )
+    def test_non_integer_minute_rejected(self, minute):
+        # 5.5 raised numpy's IndexError from update, query and scalar_stats.
+        store = IsochronalStore("cam0", 1, 1)
+        for call in (
+            lambda: store.update(minute, _frame([[1.0]])),
+            lambda: store.query(minute),
+            lambda: store.scalar_stats(minute),
+        ):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                call()
+        assert store.equals(IsochronalStore("cam0", 1, 1))
+        store.update(np.int64(5), _frame([[1.0]]))
+        assert store.scalar_stats(np.int16(5)) == (1.0, 0.0, 1)
 
     @pytest.mark.parametrize("span", [math.nan, math.inf])
     def test_non_finite_decay_span_rejected(self, span):
@@ -549,9 +541,16 @@ class _StoreDamage:
     the CRC is not what the case tests."""
 
     VERSION = 0
+    SLOT = _slot_dtype(3, 2)  # a record of the saved stores
 
     def _saved(self, tmp_path):
         raise NotImplementedError
+
+    def _rejected(self, path, match):
+        """Loading ``path``, damaged past its version field, fails the check
+        that ``match`` names."""
+        with pytest.raises(StoreLoadError, match=match):
+            IsochronalStore.load(path)
 
     def test_flipped_byte_anywhere_rejected(self, tmp_path):
         path = self._saved(tmp_path)
@@ -573,16 +572,18 @@ class _StoreDamage:
 
     def test_bad_version_rejected(self, tmp_path):
         path = self._saved(tmp_path)
-        for version in (0, 3, 0xFFFF):
+        for version in (0, 1, 3, 0xFFFF):
             _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", version)))
             with pytest.raises(StoreLoadError, match=f"unsupported store version {version}"):
                 IsochronalStore.load(path)
 
     def test_slots_of_the_other_version_rejected(self, tmp_path):
+        # Only version 2 is read: v1 slots labelled 2 fail the size check,
+        # and v2 slots labelled 1 the version check.
         path = self._saved(tmp_path)
         other = 3 - self.VERSION
         _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", other)))
-        with pytest.raises(StoreLoadError, match="payload bytes"):
+        with pytest.raises(StoreLoadError, match="payload bytes" if other == 2 else "store version 1 "):
             IsochronalStore.load(path)
 
     def test_bad_magic_with_valid_checksum_rejected(self, tmp_path):
@@ -604,15 +605,13 @@ class _StoreDamage:
     def test_wrong_payload_size_rejected(self, tmp_path, edit):
         path = self._saved(tmp_path)
         _rewrite(path, edit)
-        with pytest.raises(StoreLoadError, match="payload bytes"):
-            IsochronalStore.load(path)
+        self._rejected(path, "payload bytes")
 
     @pytest.mark.parametrize("span", [math.nan, math.inf])
     def test_non_finite_decay_span_rejected(self, tmp_path, span):
         path = self._saved(tmp_path)
         _rewrite(path, lambda b: b.__setitem__(slice(6, 14), struct.pack("<d", span)))
-        with pytest.raises(StoreLoadError, match="bad header.*duration must be finite"):
-            IsochronalStore.load(path)
+        self._rejected(path, "bad header.*duration must be finite")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -625,20 +624,11 @@ class _StoreDamage:
         path = self._saved(tmp_path)
         at = self._value_offset(600, field, block=4)
         _rewrite(path, lambda b: b.__setitem__(slice(at, at + 8), struct.pack("<d", value)))
-        with pytest.raises(StoreLoadError, match=f"{re.escape(str(path))} .* at minute 600$"):
-            IsochronalStore.load(path)
-
-    def test_negative_zero_mean_loads(self, tmp_path):
-        path = self._saved(tmp_path)
-        at = self._value_offset(600, "density", block=4)
-        _rewrite(path, lambda b: b.__setitem__(slice(at, at + 8), struct.pack("<d", -0.0)))
-        loaded = IsochronalStore.load(path)
-        assert math.copysign(1.0, loaded._mean_density[600, 1, 1]) == -1.0
+        self._rejected(path, f"{re.escape(str(path))} .* at minute 600$")
 
     def _value_offset(self, minute, field, block):
         # The saved stores are 3x2 with the id "cam0": a 24-byte header.
-        slot = _slot_dtype(3, 2, self.VERSION)
-        return 24 + minute * slot.itemsize + slot.fields[field][1] + 8 * block
+        return 24 + minute * self.SLOT.itemsize + self.SLOT.fields[field][1] + 8 * block
 
     @pytest.mark.parametrize(
         "rest",
@@ -654,13 +644,12 @@ class _StoreDamage:
         path = tmp_path / "s.iso"
         payload = b"ISO1" + struct.pack("<Hd", self.VERSION, 10.0) + rest
         path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
-        with pytest.raises(StoreLoadError, match="bad header"):
-            IsochronalStore.load(path)
+        self._rejected(path, "bad header")
 
 
 class TestPersistenceAgainstReference(_StoreDamage):
-    """``save`` writes v2 as the per-slot v2 writer does; ``load`` reads v1
-    files as the per-slot v1 reader does. The damage cases run on v2."""
+    """``save`` writes v2 as the per-slot v2 writer does, and ``load``
+    reads what that writer wrote. The damage cases run on v2."""
 
     VERSION = 2
     STORES = [
@@ -684,21 +673,20 @@ class TestPersistenceAgainstReference(_StoreDamage):
 
     @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
     def test_load_equals_reference_load(self, tmp_path, make):
-        # A v1 file with random bins loads as the store it was written from.
+        # A file from the per-slot writer loads as the store it was written
+        # from.
         store = make()
         path = tmp_path / "ref.iso"
-        _reference_save(_with_bins(store, seed=len(store.camera_id)), path)
+        _reference_save_v2(store, path)
         loaded = IsochronalStore.load(path)
-        assert loaded.equals(_reference_load(path))
         assert loaded.equals(store)
         for name in ("_mean_density", "_var", "_days"):
             got, want = getattr(loaded, name), getattr(store, name)
             assert got.dtype == want.dtype and got.flags.writeable
             assert not np.shares_memory(got, want)
-        # Saving it again writes v2.
-        loaded.save(tmp_path / "v2.iso")
-        _reference_save_v2(store, tmp_path / "ref-v2.iso")
-        assert (tmp_path / "v2.iso").read_bytes() == (tmp_path / "ref-v2.iso").read_bytes()
+        # Saving it again writes the same bytes.
+        loaded.save(tmp_path / "again.iso")
+        assert (tmp_path / "again.iso").read_bytes() == path.read_bytes()
         loaded.update(0, _frame(np.ones((store.grid_h, store.grid_w))))
         assert loaded.query(0)[2] == store.query(0)[2] + 1
 
@@ -717,6 +705,13 @@ class TestPersistenceAgainstReference(_StoreDamage):
         assert (tmp_path / "new.iso").read_bytes() == (tmp_path / "ref.iso").read_bytes()
         assert IsochronalStore.load(tmp_path / "new.iso").equals(loaded)
 
+    def test_negative_zero_mean_loads(self, tmp_path):
+        path = self._saved(tmp_path)
+        at = self._value_offset(600, "density", block=4)
+        _rewrite(path, lambda b: b.__setitem__(slice(at, at + 8), struct.pack("<d", -0.0)))
+        loaded = IsochronalStore.load(path)
+        assert math.copysign(1.0, loaded._mean_density[600, 1, 1]) == -1.0
+
     def _saved(self, tmp_path):
         path = tmp_path / "s.iso"
         _populated("cam0", 3, 2, seed=9).save(path)
@@ -724,9 +719,20 @@ class TestPersistenceAgainstReference(_StoreDamage):
 
 
 class TestV1FileDamage(_StoreDamage):
+    """Version 1 files, whose records also held direction bins, are no
+    longer read. Damage that a check before the version check catches is
+    still reported as that damage; the rest is reported as the version."""
+
     VERSION = 1
+    SLOT = np.dtype(
+        [("density", "<f8", (2, 3)), ("hist", "<f8", (2, 3, N_DIR_BINS)), ("var", "<f8", (2, 3)), ("days", "<u4")]
+    )
 
     def _saved(self, tmp_path):
         path = tmp_path / "s.iso"
         _reference_save(_with_bins(_populated("cam0", 3, 2, seed=9)), path)
         return path
+
+    def _rejected(self, path, match):
+        with pytest.raises(StoreLoadError, match="unsupported store version 1 "):
+            IsochronalStore.load(path)

@@ -42,3 +42,44 @@ def test_no_unused_module_level_import(path):
 def test_the_scan_finds_an_unused_import():
     tree = ast.parse("import math\nfrom dataclasses import dataclass, field\n@dataclass\nclass A: pass\n")
     assert _unused_imports(tree) == ["math (line 1)", "field (line 2)"]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions (assignments, functions and
+    classes, dunders aside) that no module of ``sources`` reads, as a
+    ``Name`` or as an ``Attribute``. ``sources`` maps module names to their
+    code."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [
+                (module, name, line) for name, line in names if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{name} (line {line})" for module, name, line in defined if name not in read]
+
+
+def test_every_private_helper_has_a_reader():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in _MODULES}
+    assert _unread_private_names(sources) == []
+
+
+def test_the_scan_finds_an_unread_helper():
+    sources = {
+        "a": "_USED = 1\n_ORPHAN = 2\ndef _helper(): pass\nclass _Kept: pass\n__all__ = []\n",
+        "b": "from .a import _USED, _Kept\nx = _USED + 1\ny = mod._Kept\n",
+    }
+    assert _unread_private_names(sources) == ["a._ORPHAN (line 2)", "a._helper (line 3)"]

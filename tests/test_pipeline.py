@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from motionbands.config import Config, EventsConfig
-from motionbands.errors import RejectedInputError
+from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.events import scalar_activity
 from motionbands.filters import BandParams
 from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
@@ -106,6 +106,18 @@ def test_rejected_frame_across_a_minute_boundary_flushes_nothing():
         pipe.ingest(late)
     assert pipe.frames_rejected == 1
     assert pipe.store.query(minute_of_day(frames[0].timestamp_ms))[2] == 0
+
+
+@pytest.mark.parametrize("grid", [(4, 3), (5, 4), (3, 5)], ids=["narrower", "taller", "transposed"])
+def test_store_on_another_grid_rejected_at_construction(grid):
+    # Accepted, such a store failed every minute flush after the cascade
+    # had stepped: frames at 59, 60 and 61 s each raised from the store.
+    with pytest.raises(InvalidParameterError, match="store grid"):
+        CameraPipeline("cam0", 5, 3, Config(), store=IsochronalStore("cam0", *grid))
+    pipe = CameraPipeline("cam0", 5, 3, Config(), store=IsochronalStore("cam0", 5, 3))
+    for t in (59_000, 60_000, 61_000):
+        pipe.ingest(MotionFrame.zeros(5, 3, timestamp_ms=t))
+    assert pipe.store.query(0)[2] == 1
 
 
 def test_activity_is_the_value_the_gate_tested():

@@ -26,12 +26,8 @@ from motionbands.planning import (
     SegmentBreakdown,
     _block_cells,
     _price_cameras,
-    cost1,
-    cost2,
     plan_path,
-    profiles_from_stores,
     read_costmap,
-    segment_cost,
     splat_activity,
     write_costmap,
 )
@@ -71,23 +67,40 @@ def _diamond(base_costs=(1.0, 1.0, 5.0, 5.0)):
     return PathGraph(nodes, segs)
 
 
+def _live_price(density, lam):
+    """The plan across one segment of base cost 0 under camera "cam", real
+    time with w1 = 0 and w2 = 1, the camera's live in-place band at
+    ``density`` and no store: its one activity is the live price alone."""
+    graph = PathGraph([Node("A", 0, 0), Node("B", 1, 0)], [Segment("ab", "A", "B", 1.0, "cam", base_cost=0.0)])
+    d = np.atleast_2d(np.asarray(density, dtype=float))
+    bands = BandOutputs(m_l1=_frame(d), m_s1=_frame(d), m_s2=_frame(np.zeros_like(d)))
+    query = PlanQuery("A", "B", mode="realtime", w1=0.0, w2=1.0, lam=lam)
+    return plan_path(graph, query, {}, {"cam": bands})
+
+
 class TestSegmentCost:
+    """A camera's activity price, lam times its view's mean density, read
+    from ``plan_path`` results."""
+
     def test_zero_profile(self):
-        assert segment_cost(_frame([[0.0, 0.0]]), 1.5) == 0.0
+        assert _live_price([[0.0, 0.0]], 1.5).segments[0].activity == 0.0
 
     def test_uniform_density(self):
-        assert segment_cost(_frame([[2.0, 2.0], [2.0, 2.0]]), 1.5) == pytest.approx(3.0)
+        assert _live_price([[2.0, 2.0], [2.0, 2.0]], 1.5).segments[0].activity == pytest.approx(3.0)
 
     def test_uncovered_segment_free(self):
-        assert segment_cost(None, 2.0) == 0.0
+        graph = PathGraph([Node("A", 0, 0), Node("B", 1, 0)], [Segment("ab", "A", "B", 1.0)])
+        res = plan_path(graph, PlanQuery("A", "B", mode="realtime", lam=2.0))
+        assert res.segments == [SegmentBreakdown("ab", 1.0, 0.0)]
+        assert res.total_cost == 1.0 and not res.degraded
 
     def test_invalid_lambda(self):
-        with pytest.raises(InvalidParameterError):
-            segment_cost(None, 0.0)
+        with pytest.raises(InvalidParameterError, match="lam"):
+            PlanQuery("A", "B", mode="realtime", lam=0.0)
 
     def test_nan_lambda_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            segment_cost(None, math.nan)
+        with pytest.raises(InvalidParameterError, match="lam"):
+            PlanQuery("A", "B", mode="realtime", lam=math.nan)
 
     @given(
         shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
@@ -102,29 +115,40 @@ class TestSegmentCost:
             st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, 1e300, 1.7976931348623157e308]),
         )
         n = shape[0] * shape[1]
-        frame = _frame(np.array(data.draw(st.lists(values, min_size=n, max_size=n))).reshape(shape))
+        density = np.array(data.draw(st.lists(values, min_size=n, max_size=n))).reshape(shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = lam * float(frame.density.mean())
-            got = segment_cost(frame, lam)
-        assert struct.pack("<d", got) == struct.pack("<d", want)
+            want = lam * float(density.mean())
+            res = _live_price(density, lam)
+        got = res.segments[0].activity
+        if 0 <= want < math.inf:
+            # The long-term term is a 0.0 that the live price is added to.
+            assert struct.pack("<d", got) == struct.pack("<d", 0.0 + want)
+            assert not res.degraded
+        else:
+            # A negative, NaN or overflowing live price is left out.
+            assert got == 0.0 and res.degraded and res.stale_cameras == ["cam"]
 
 
 class TestCost1:
+    """The off-line route cost: learned activity at ``t_star``, read from
+    ``plan_path`` results."""
+
     def test_never_active_segment_infeasible(self):
         graph = _diamond()
         stores = {"cam_busy": _store_with("cam_busy", 2.0), "cam_dead": _store_with("cam_dead", 0.0)}
-        profiles = profiles_from_stores(stores)
-        res = cost1(["ac", "cd"], 600, graph, stores, profiles)
-        assert not res.feasible
-        assert math.isinf(res.value)
+        # Every route to C crosses a segment of the never-active camera.
+        res = plan_path(graph, PlanQuery("A", "C", t_star=600), stores)
+        assert not res.found and math.isinf(res.total_cost)
+        assert res.excluded_cameras == ["cam_dead"]
+        res = plan_path(graph, PlanQuery("A", "D", t_star=600), stores)
+        assert res.nodes == ["A", "B", "D"] and res.excluded_cameras == ["cam_dead"]
 
     def test_single_segment_value(self):
         graph = _diamond()
         stores = {"cam_busy": _store_with("cam_busy", 4.0)}
-        profiles = profiles_from_stores(stores)
-        res = cost1(["ab"], 600, graph, stores, profiles, lam=1.0)
-        assert res.feasible
-        assert res.value == pytest.approx(4.0)
+        res = plan_path(graph, PlanQuery("A", "B", t_star=600, lam=1.0), stores)
+        assert res.segments == [SegmentBreakdown("ab", 1.0, 4.0)]
+        assert res.total_cost == 5.0
 
     def test_three_segment_sum_matches_oracle(self):
         nodes = [Node(n, 0, 0) for n in "ABCD"]
@@ -135,51 +159,52 @@ class TestCost1:
         ]
         graph = PathGraph(nodes, segs)
         stores = {"c1": _store_with("c1", 1.5), "c2": _store_with("c2", 2.5)}
-        profiles = profiles_from_stores(stores)
-        res = cost1(["s1", "s2", "s3"], 600, graph, stores, profiles, lam=2.0)
-        oracle = 2.0 * 1.5 + 2.0 * 2.5 + 0.0
-        assert res.value == pytest.approx(oracle)
-
-    def test_unknown_segment_raises(self):
-        graph = _diamond()
-        with pytest.raises(UnknownSegmentError):
-            cost1(["nope"], 0, graph, {}, {})
+        res = plan_path(graph, PlanQuery("A", "D", t_star=600, lam=2.0), stores)
+        assert [s.activity for s in res.segments] == [2.0 * 1.5, 2.0 * 2.5, 0.0]
+        assert res.total_cost == 3.0 + 2.0 * 1.5 + 2.0 * 2.5
 
 
 class TestCost2:
+    """The real-time route cost: w1 times the off-line cost at the current
+    minute plus w2 times the live activity, read from ``plan_path``
+    results."""
+
     def test_weight_collapse_to_cost1(self):
         graph = _diamond()
         stores = {"cam_busy": _store_with("cam_busy", 2.0, minutes=range(0, 1440, 60))}
         t_ms = 600 * 60_000
         live = {"cam_busy": _bands("cam_busy", 9.0, t_ms)}
-        res = cost2(["ab", "bd"], t_ms, graph, stores, live, w1=1.0, w2=0.0)
-        offline = cost1(["ab", "bd"], 600, graph, stores, profiles_from_stores(stores))
-        assert res.value == pytest.approx(1.0 * offline.value)
+        res = plan_path(graph, PlanQuery("A", "D", mode="realtime", t_ms=t_ms, w1=1.0, w2=0.0), stores, live)
+        offline = plan_path(graph, PlanQuery("A", "D", t_star=600), stores)
+        assert res.segments == offline.segments
+        assert res.total_cost == offline.total_cost
 
     def test_zero_activity_everywhere(self):
         nodes = [Node("A", 0, 0), Node("B", 1, 0)]
         graph = PathGraph(nodes, [Segment("ab", "A", "B", 1.0)])
-        res = cost2(["ab"], 0, graph, {}, {}, w1=1.0, w2=1.0)
-        assert res.feasible and res.value == 0.0
+        res = plan_path(graph, PlanQuery("A", "B", mode="realtime", w1=1.0, w2=1.0), {}, {})
+        assert res.found and res.segments[0].activity == 0.0
+        assert res.total_cost == 1.0 and not res.degraded
 
     def test_stale_live_data_degrades_to_longterm_only(self):
         graph = _diamond()
         stores = {"cam_busy": _store_with("cam_busy", 2.0, minutes=range(0, 1440, 60))}
         t_ms = 600 * 60_000
         stale = {"cam_busy": _bands("cam_busy", 9.0, t_ms - 60_000)}
-        res = cost2(["ab", "bd"], t_ms, graph, stores, stale, w1=0.5, w2=0.5, staleness_s=5.0)
-        assert res.degraded
-        offline = cost1(["ab", "bd"], 600, graph, stores, profiles_from_stores(stores))
-        assert res.value == pytest.approx(0.5 * offline.value)
+        query = PlanQuery("A", "D", mode="realtime", t_ms=t_ms, w1=0.5, w2=0.5, staleness_s=5.0)
+        res = plan_path(graph, query, stores, stale)
+        assert res.degraded and res.stale_cameras == ["cam_busy", "cam_dead"]
+        offline = plan_path(graph, PlanQuery("A", "D", t_star=600), stores)
+        assert [s.activity for s in res.segments] == [0.5 * s.activity for s in offline.segments]
 
     def test_live_term_included_when_fresh(self):
         graph = _diamond()
         stores = {"cam_busy": _store_with("cam_busy", 2.0, minutes=range(0, 1440, 60))}
         t_ms = 600 * 60_000
-        live = {"cam_busy": _bands("cam_busy", 3.0, t_ms)}
-        res = cost2(["ab", "bd"], t_ms, graph, stores, live, w1=0.5, w2=0.5)
-        assert not res.degraded
-        assert res.value == pytest.approx(0.5 * (2.0 + 2.0) + 0.5 * (3.0 + 3.0))
+        live = {"cam_busy": _bands("cam_busy", 3.0, t_ms), "cam_dead": _bands("cam_dead", 0.0, t_ms)}
+        res = plan_path(graph, PlanQuery("A", "D", mode="realtime", t_ms=t_ms, w1=0.5, w2=0.5), stores, live)
+        assert not res.degraded and res.stale_cameras == []
+        assert [s.activity for s in res.segments] == pytest.approx([0.5 * 2.0 + 0.5 * 3.0] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +212,14 @@ class TestCost2:
 # splat loop the planner used before pricing became per camera. The
 # planner must reproduce them exactly.
 # ---------------------------------------------------------------------------
+
+def _reference_profiles(stores):
+    return {cam: store.binarize(1e-3) for cam, store in stores.items()}
+
+
+def _reference_segment_cost(profile, lam):
+    return 0.0 if profile is None else lam * float(profile.density.mean())
+
 
 def _reference_segment_feasible(seg, profiles):
     if seg.camera_id is None:
@@ -206,10 +239,10 @@ def _reference_store_profile(stores, seg, minute):
 
 def _reference_edge_activity(seg, query, stores, profiles, live_bands):
     if query.mode == MODE_OFFLINE:
-        return segment_cost(_reference_store_profile(stores, seg, query.t_star), query.lam), False
+        return _reference_segment_cost(_reference_store_profile(stores, seg, query.t_star), query.lam), False
 
     minute = (query.t_ms // 60_000) % 1440
-    longterm = segment_cost(_reference_store_profile(stores, seg, minute), query.lam)
+    longterm = _reference_segment_cost(_reference_store_profile(stores, seg, minute), query.lam)
     live = 0.0
     degraded = False
     if seg.camera_id is not None:
@@ -217,14 +250,14 @@ def _reference_edge_activity(seg, query, stores, profiles, live_bands):
         if bands is None or abs(query.t_ms - bands.timestamp_ms) > query.staleness_s * 1000.0:
             degraded = True
         else:
-            live = segment_cost(bands.m_s1, query.lam)
+            live = _reference_segment_cost(bands.m_s1, query.lam)
             if query.include_moving:
-                live += segment_cost(bands.m_s2, query.lam)
+                live += _reference_segment_cost(bands.m_s2, query.lam)
     return query.w1 * longterm + query.w2 * live, degraded
 
 
-def _reference_plan_path(graph, query, stores, live_bands, profile_epsilon=1e-3):
-    profiles = profiles_from_stores(stores, profile_epsilon)
+def _reference_plan_path(graph, query, stores, live_bands):
+    profiles = _reference_profiles(stores)
     edge_cost = {}
     for sid, seg in graph.segments.items():
         if not _reference_segment_feasible(seg, profiles):
@@ -308,7 +341,7 @@ def _enumerate_paths(graph, origin, goal):
 def _oracle_best(graph, query, stores, live_bands=None):
     """Exhaustive minimum under the same edge pricing and tie-break."""
     live_bands = live_bands or {}
-    profiles = profiles_from_stores(stores)
+    profiles = _reference_profiles(stores)
     best = None
     for nodes, segs in _enumerate_paths(graph, query.origin, query.goal):
         total = 0.0
@@ -385,10 +418,14 @@ class TestPlanPath:
             {"staleness_s": -1.0},
             {"t_star": 99999},
             {"t_star": -1},
+            # Accepted, 600.5 made plan_path fail later with an IndexError.
+            {"t_star": 600.5},
+            {"t_star": 600.0},
         ],
         ids=[
             "lam-nan", "lam-inf", "lam-zero", "w1-nan-realtime", "w2-nan", "w1-inf",
             "staleness-nan", "staleness-negative", "t_star-99999", "t_star-negative",
+            "t_star-fraction", "t_star-float",
         ],
     )
     def test_invalid_query_rejected(self, fields):
@@ -472,13 +509,12 @@ class TestPlanPath:
         graph = _diamond()
         lo = {"cam_busy": _store_with("cam_busy", 1.0), "cam_dead": _store_with("cam_dead", 1.0)}
         hi = {"cam_busy": _store_with("cam_busy", 2.0), "cam_dead": _store_with("cam_dead", 1.0)}
-        p_lo = profiles_from_stores(lo)
-        p_hi = profiles_from_stores(hi)
-        c_lo = cost1(["ab", "bd"], 600, graph, lo, p_lo, lam=1.0)
-        c_hi = cost1(["ab", "bd"], 600, graph, hi, p_hi, lam=1.0)
-        assert c_hi.value >= c_lo.value
-        c_lam = cost1(["ab", "bd"], 600, graph, lo, p_lo, lam=2.0)
-        assert c_lam.value >= c_lo.value
+        c_lo = plan_path(graph, PlanQuery("A", "D", t_star=600, lam=1.0), lo)
+        c_hi = plan_path(graph, PlanQuery("A", "D", t_star=600, lam=1.0), hi)
+        assert c_lo.nodes == c_hi.nodes == ["A", "B", "D"]
+        assert c_hi.total_cost > c_lo.total_cost
+        c_lam = plan_path(graph, PlanQuery("A", "D", t_star=600, lam=2.0), lo)
+        assert c_lam.total_cost > c_lo.total_cost
 
 
 def _grid_world(n=12):
@@ -543,15 +579,24 @@ class TestPlanMatchesReference:
                 assert got.degraded == want.degraded
 
     def test_route_costs_sum_the_planner_prices(self):
+        # The route's cost is its segments' traversal costs and prices
+        # summed in order, bit for bit, and it is degraded where it
+        # crosses a stale camera.
         graph, stores = _grid_world()
         t_ms = 3 * 1440 * 60_000 + 600 * 60_000
         live = {"c0": _bands("c0", 1.0, t_ms, grid=(3, 2)), "c1": _bands("c1", 2.0, t_ms - 9_000, grid=(3, 2))}
-        query = PlanQuery("00_00", "11_11", mode="realtime", t_ms=t_ms)
+        # The goal lies in c1's quadrant. (Its corner 11_11 lies in c3's,
+        # which is never active, so no route reaches it.)
+        query = PlanQuery("00_00", "00_11", mode="realtime", t_ms=t_ms)
         res = plan_path(graph, query, stores, live)
-        sids = [s.segment_id for s in res.segments]
-        route = cost2(sids, t_ms, graph, stores, live)
-        assert route.value == pytest.approx(sum(s.activity for s in res.segments))
-        assert route.degraded == res.degraded
+        assert res.found
+        total = 0.0
+        for s in res.segments:
+            total = total + s.base + s.activity
+        assert res.total_cost == total
+        cameras = {graph.segments[s.segment_id].camera_id for s in res.segments}
+        assert res.degraded == bool(cameras & set(res.stale_cameras))
+        assert res.degraded and "c1" in cameras
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +605,7 @@ class TestPlanMatchesReference:
 # same route, segments and bit-identical cost.
 # ---------------------------------------------------------------------------
 
-def _parent_plan_path(graph, query, stores=None, live_bands=None, profile_epsilon=1e-3):
+def _parent_plan_path(graph, query, stores=None, live_bands=None):
     stores = stores or {}
     live_bands = live_bands or {}
     if query.origin not in graph.nodes or query.goal not in graph.nodes:
@@ -568,7 +613,7 @@ def _parent_plan_path(graph, query, stores=None, live_bands=None, profile_epsilo
     if query.origin == query.goal:
         raise InvalidParameterError("origin and goal must differ")
 
-    profiles = profiles_from_stores(stores, profile_epsilon)
+    profiles = _reference_profiles(stores)
     prices = _price_cameras(graph.camera_ids, query, stores, profiles, live_bands)
     explain = {
         "excluded_cameras": sorted(cam for cam, p in prices.items() if not p.feasible),
@@ -947,18 +992,20 @@ class TestNonFiniteLiveBands:
             plan_path(graph, query, stores)
 
     def test_overflowed_route_cost_rejected(self):
-        graph = _diamond()
+        # Each arm of the diamond alone, under the one camera whose price
+        # overflows.
         stores = {"cam_busy": _store_with("cam_busy", 40.0), "cam_dead": _store_with("cam_dead", 2.0)}
-        profiles = profiles_from_stores(stores)
         for route in (["ab", "bd"], ["ac", "cd"]):
-            with pytest.raises(InvalidParameterError, match=r"lam=1e\+308"):
-                cost1(route, 600, graph, stores, profiles, lam=1e308)
+            arm = [seg for sid, seg in _diamond().segments.items() if sid in route]
+            graph = PathGraph([Node(n, 0, 0) for n in "ABCD"], arm)
+            with pytest.raises(InvalidParameterError, match=rf"camera '{arm[0].camera_id}'.*lam=1e\+308"):
+                plan_path(graph, PlanQuery("A", "D", t_star=600, lam=1e308), stores)
 
     def test_route_cost_of_nan_band_is_degraded_and_finite(self):
         graph, stores, live, t_ms = self._world()
-        res = cost2(["ab", "bd"], t_ms, graph, stores, live)
+        res = plan_path(graph, PlanQuery("A", "D", mode="realtime", t_ms=t_ms), stores, live)
         assert res.degraded
-        assert res.value == pytest.approx(2 * 0.5 * 0.5)
+        assert [s.activity for s in res.segments] == [0.5 * 0.5, 0.5 * 0.5]
 
 
 class TestCostMap:

@@ -3,6 +3,7 @@ import pytest
 
 from motionbands.errors import InvalidParameterError
 from motionbands.sim import (
+    SECONDS_PER_DAY,
     Dweller,
     EventPlan,
     Scenario,
@@ -95,28 +96,24 @@ class TestGenStream:
         b, _ = gen_stream(Scenario(seed=2, **base), days=1)
         assert any(_frame_bytes(fa) != _frame_bytes(fb) for fa, fb in zip(a, b))
 
-    def test_minute_mode_office_correlates_with_profile(self):
+    def test_office_profile_weights_event_starts(self):
+        # One tick a minute: only the events' placement is under test.
         scn = Scenario(
             grid_w=6,
             grid_h=4,
-            minute_mode=True,
+            rate_hz=1 / 60,
             template="office",
             profile_amplitude=1.0,
-            walkers=(Walker(path=serpentine_path(6, 4)),),
-            noise_sigma=0.02,
+            events=EventPlan(mean_per_day=300, duration_s=5.0, width_blocks=2),
             seed=3,
         )
-        frames, truth = gen_stream(scn, days=10)
-        emitted = np.zeros(1440)
-        count = np.zeros(1440)
-        for f in frames:
-            minute = (f.timestamp_ms // 60_000) % 1440
-            emitted[minute] += f.density.mean()
-            count[minute] += 1
-        emitted /= count
+        _, truth = gen_stream(scn, days=3)
+        minutes = np.array([int(ev.start_s % SECONDS_PER_DAY) // 60 for ev in truth.events])
+        assert len(minutes) > 600
         profile = scn.profile
-        corr = np.corrcoef(emitted, profile)[0, 1]
-        assert corr >= 0.9
+        assert np.all(profile[minutes] > 0)
+        per_hour = np.bincount(minutes // 60, minlength=24)
+        assert np.corrcoef(per_hour, profile.reshape(24, 60).sum(axis=1))[0, 1] >= 0.9
 
     def test_ground_truth_events_overlap_emitted_activity(self):
         scn = Scenario(
@@ -166,24 +163,6 @@ class TestGenStream:
             quiet = f.density.copy()
             quiet[2, 2] = 0.0
             assert quiet.max() < 0.1  # noise only
-
-    def test_profile_mass_scales_linearly_with_amplitude(self):
-        def total(amp):
-            scn = Scenario(
-                grid_w=4,
-                grid_h=4,
-                minute_mode=True,
-                template="office",
-                profile_amplitude=amp,
-                walkers=(Walker(path=((1, 1), (2, 1), (2, 2)),),),
-                noise_sigma=0.0,
-                seed=4,
-            )
-            frames, _ = gen_stream(scn, days=10)
-            return sum(f.density.sum() for f in frames)
-
-        t1, t2 = total(1.0), total(2.0)
-        assert t2 / t1 == pytest.approx(2.0, rel=0.05)
 
     def test_walkable_mask_is_actor_union(self):
         path = ((1, 1), (2, 1))

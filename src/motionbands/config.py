@@ -5,19 +5,22 @@ The document has three optional sections: ``filter`` holds the cascade's
 noise floor for ``extract_motion``, and ``events`` the gate's thresholds
 and the pipeline's detector policy. A missing key keeps its default.
 
-A bad document fails at load with a :class:`ConfigError` naming the key,
-checked in this order: unknown keys (so typos fail loudly), then types
-(numbers only, never a string or a bool, and finite), then ranges (the
-checks each section makes when it is built: ``BandParams``' band ordering
-and rates, a block size of at least 1, and no negative noise floor,
-threshold factor, threshold floor, cooldown, day count or re-invocation
-period).
+Each section is frozen and checks every field once, when it is built, so
+what holds one need not check it again: ``CascadeFilter`` is built from
+its ``BandParams`` and ``EventGate`` from its ``EventsConfig``. Numbers
+must be finite, ``int`` fields integers (never bools), the block size at
+least 1, and nothing else negative; ``BandParams`` also checks its band
+ordering and rates. A bad document fails at load with a
+:class:`ConfigError` naming the key, checked in this order: unknown keys
+(so typos fail loudly), then JSON types (numbers only, never a string or
+a bool), then the sections' own checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -30,24 +33,29 @@ class ConfigError(ValueError):
     """Configuration could not be loaded or validated."""
 
 
-def _at_least(section: object, name: str, low: float) -> None:
-    """Raise unless the field is finite and at least ``low`` (NaN fails)."""
-    value = getattr(section, name)
-    if not low <= value < math.inf:
-        raise InvalidParameterError(f"{name} must be finite and >= {low}, got {value}")
+def _check(section: object, **lowest: float) -> None:
+    """Raise unless every field of ``section`` is finite (NaN fails) and at
+    least its ``lowest`` value, 0 if not given, and an integer where it is
+    typed ``int``. Bools are refused."""
+    types = get_type_hints(type(section))
+    for f in fields(section):
+        value, low, integral = getattr(section, f.name), lowest.get(f.name, 0), types[f.name] is int
+        kind = numbers.Integral if integral else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind) or not low <= value < math.inf:
+            what = "an integer" if integral else "finite and"
+            raise InvalidParameterError(f"{f.name} must be {what} >= {low}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MotionConfig:
     block_size: int = 16
     noise_floor: float = 8.0
 
     def __post_init__(self) -> None:
-        _at_least(self, "block_size", 1)
-        _at_least(self, "noise_floor", 0)
+        _check(self, block_size=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EventsConfig:
     k_sigma: float = 2.0
     cooldown_s: float = 3.0
@@ -56,11 +64,10 @@ class EventsConfig:
     reinvoke_every_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("k_sigma", "cooldown_s", "min_threshold", "min_days", "reinvoke_every_s"):
-            _at_least(self, name, 0)
+        _check(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     filter: BandParams = field(default_factory=BandParams)
     motion: MotionConfig = field(default_factory=MotionConfig)

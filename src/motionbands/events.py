@@ -2,10 +2,12 @@
 
 The gate turns the two short-term bands into a scalar activity sample (per
 block, the larger of in-place and moving density; then the block mean) and
-fires when that sample exceeds the learned per-minute mean plus a chosen
-number of standard deviations. While a store has seen fewer than
+fires when that sample exceeds the learned per-minute mean plus
+``k_sigma`` standard deviations. While a store has seen fewer than
 ``min_days`` days the learned spread is unreliable, so a fixed threshold
-floor takes over.
+floor takes over. The gate is built from its ``EventsConfig``, which
+checked these settings when it was built and cannot change, and from the
+decision rate.
 
 Consecutive firings belong to one event; an event closes only after
 ``cooldown_s`` of consecutive quiet decisions, which keeps brief dips from
@@ -22,11 +24,11 @@ caller owns the detector.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EventsConfig
 from .errors import InvalidParameterError, RejectedInputError
 from .motion import block_mean
 
@@ -79,36 +81,15 @@ def scalar_activity(m_s1, m_s2) -> float:
 class EventGate:
     """Stateful threshold gate over a per-camera band stream."""
 
-    def __init__(
-        self,
-        camera_id: str,
-        k_sigma: float = 2.0,
-        cooldown_s: float = 3.0,
-        min_threshold: float = 0.02,
-        min_days: int = 3,
-        decision_rate_hz: float = 1.0,
-    ):
-        # Written so that NaN fails each check.
-        if not 0 <= k_sigma < math.inf:
-            raise InvalidParameterError(f"k_sigma must be finite and >= 0, got {k_sigma}")
-        if not 0 <= cooldown_s < math.inf:
-            raise InvalidParameterError(f"cooldown_s must be finite and >= 0, got {cooldown_s}")
-        if not 0 < decision_rate_hz < math.inf:
+    def __init__(self, camera_id: str, config: EventsConfig, decision_rate_hz: float):
+        if not 0 < decision_rate_hz < math.inf:  # NaN fails too
             raise InvalidParameterError(
                 f"decision_rate_hz must be finite and > 0, got {decision_rate_hz}"
             )
-        if not 0 <= min_threshold < math.inf:
-            raise InvalidParameterError(
-                f"min_threshold must be finite and >= 0, got {min_threshold}"
-            )
-        if not (isinstance(min_days, numbers.Integral) and min_days >= 0):
-            raise InvalidParameterError(f"min_days must be an integer >= 0, got {min_days!r}")
         self.camera_id = camera_id
-        self.k_sigma = k_sigma
-        self.min_threshold = min_threshold
-        self.min_days = min_days
+        self.config = config
         self.tick_ms = int(round(1000.0 / decision_rate_hz))
-        self.cooldown_ticks = int(np.ceil(cooldown_s * decision_rate_hz))
+        self.cooldown_ticks = int(np.ceil(config.cooldown_s * decision_rate_hz))
         self._open: ActivityEvent | None = None
         self._quiet_run = 0
         self._last_hit_ms = 0
@@ -120,9 +101,10 @@ class EventGate:
         return self._open is not None
 
     def threshold(self, mean: float, std: float, days: int) -> float:
-        if days < self.min_days:
-            return self.min_threshold
-        return mean + self.k_sigma * std
+        config = self.config
+        if days < config.min_days:
+            return config.min_threshold
+        return mean + config.k_sigma * std
 
     def step(
         self,
@@ -157,7 +139,7 @@ class EventGate:
                     band=band,
                     threshold_mean=mean,
                     threshold_std=std,
-                    k_sigma=self.k_sigma,
+                    k_sigma=self.config.k_sigma,
                 )
             else:
                 self._open.peak = max(self._open.peak, a)

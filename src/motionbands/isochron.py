@@ -1,10 +1,10 @@
 """Long-term activity statistics per minute of day.
 
 One store per camera holds 1440 slots, one per minute of day. Each slot
-keeps an EMA of the per-minute density aggregate, an exponentially
-weighted density variance, and a day counter. Updates arrive once per
-slot per day; the EMA constant ``a`` is parameterized by a 10%-decay span
-in days.
+keeps an EMA of the per-minute density aggregate (the cascade's
+``filters._ema``), an exponentially weighted density variance, and a day
+counter. Updates arrive once per slot per day; the EMA constant ``a`` is
+parameterized by a 10%-decay span in days.
 
 The variance follows Finch (2009), "Incremental calculation of weighted
 mean and variance": with ``d`` the sample's deviation from the mean
@@ -70,7 +70,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidParameterError, RejectedInputError, StoreLoadError
-from .filters import alpha_from_decay
+from .filters import _ema, alpha_from_decay
 from .motion import MotionFrame, _finite_nonnegative, block_mean
 
 MINUTES_PER_DAY = 1440
@@ -159,16 +159,14 @@ class IsochronalStore:
             )
         self._support = None
         self._stats.pop(minute, None)
-        a = self.alpha_l2
+        a, mean = self.alpha_l2, self._mean_density[minute]
         if self._days[minute] == 0:
-            self._mean_density[minute] = sample.density
+            mean[...] = sample.density
             self._var[minute] = 0.0
         else:
-            dev = sample.density - self._mean_density[minute]
-            self._mean_density[minute] = (
-                a * self._mean_density[minute] + (1.0 - a) * sample.density
-            )
+            dev = sample.density - mean
             self._var[minute] = a * self._var[minute] + self._var_gain * dev * dev
+            _ema(mean, sample.density, a, dev)  # dev is spent: it serves as scratch
         self._days[minute] += 1
 
     # ------------------------------------------------------------------ query

@@ -76,6 +76,7 @@ Float frames take the same arithmetic in float64.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -292,8 +293,8 @@ def extract_motion(
         entries are non-negative, and a block with zero density has an
         all-zero histogram.
     """
-    if block_size < 1:
-        raise InvalidParameterError(f"block_size must be >= 1, got {block_size}")
+    if isinstance(block_size, bool) or not isinstance(block_size, numbers.Integral) or block_size < 1:
+        raise InvalidParameterError(f"block_size must be an integer >= 1, got {block_size!r}")
     if not noise_floor >= 0:
         raise InvalidParameterError(f"noise_floor must be >= 0, got {noise_floor}")
     if prev.pixels.shape != curr.pixels.shape:

@@ -10,6 +10,11 @@ one day. Minutes are told apart by absolute time (``timestamp_ms //
 60_000``), so a gap of exactly a day starts a new sample rather than
 joining the old day's, and each is stored under its minute of day.
 
+Settings come from a ``Config`` whose frozen sections checked them when
+built. A given ``store`` must be on the camera's grid and have the
+config's decay span (``filter.t_l2_days``): the config alone decides how
+it learns.
+
 The pipeline also owns the detector policy of the hybrid system, where
 the gate spends an expensive detector only on activity. On a decision
 tick it sets ``IngestResult.invoke_detector`` at an event's onset (the
@@ -22,7 +27,6 @@ own detector when the flag is set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,31 +84,18 @@ class CameraPipeline:
         self.camera_id = camera_id
         self.grid_w = grid_w
         self.grid_h = grid_h
-        ev = config.events
-        if not 0 <= ev.reinvoke_every_s < math.inf:
-            raise InvalidParameterError(
-                f"reinvoke_every_s must be finite and >= 0, got {ev.reinvoke_every_s}"
-            )
         self.params = config.filter
         self._stride = self.params.stride  # a rounded division; params are frozen
         self.cascade = CascadeFilter(grid_w, grid_h, self.params)
-        if store is not None and (store.grid_w, store.grid_h) != (grid_w, grid_h):
+        span = self.params.t_l2_days
+        if store is not None and (store.grid_w, store.grid_h, store.t_l2_days) != (grid_w, grid_h, span):
             raise InvalidParameterError(
-                f"store grid {store.grid_w}x{store.grid_h} does not match "
-                f"camera grid {grid_w}x{grid_h}"
+                f"store grid {store.grid_w}x{store.grid_h} and decay span {store.t_l2_days} days "
+                f"do not match camera grid {grid_w}x{grid_h} and config span {span} days"
             )
-        self.store = store or IsochronalStore(
-            camera_id, grid_w, grid_h, t_l2_days=self.params.t_l2_days
-        )
-        self.gate = EventGate(
-            camera_id,
-            k_sigma=ev.k_sigma,
-            cooldown_s=ev.cooldown_s,
-            min_threshold=ev.min_threshold,
-            min_days=ev.min_days,
-            decision_rate_hz=self.params.shortterm_rate,
-        )
-        self._reinvoke_ms = ev.reinvoke_every_s * 1000.0
+        self.store = store or IsochronalStore(camera_id, grid_w, grid_h, t_l2_days=span)
+        self.gate = EventGate(camera_id, config.events, self.params.shortterm_rate)
+        self._reinvoke_ms = config.events.reinvoke_every_s * 1000.0
         self.events: list[ActivityEvent] = []
         self.detector_invocations = 0
         self._last_invoke_ms = 0

@@ -7,11 +7,12 @@ is empty: if no person ever crosses a location, the planner treats it as
 untraversable. Real-time planning blends that long-term cost with the
 current short-term bands.
 
-Pricing is per camera: ``_price_cameras`` computes one activity price,
-feasibility flag and staleness flag per camera and query, and a segment
-costs its traversal cost plus its camera's price. A query therefore costs
-per camera and expanded node, not per segment. Support masks are cached by
-the stores.
+Pricing is per camera: per query, ``_price_cameras`` lists one activity
+by camera slot, ``None`` for an excluded camera and a last 0.0 for
+uncovered segments, which the search reads as it is, and names the stale
+cameras. A segment costs its traversal cost plus its slot's activity, so
+a query costs per camera and expanded node, not per segment. Support
+masks are cached by the stores.
 
 The planner finds the route a uniform-cost search over the non-negative
 additive edge costs would: among routes of equal cost it takes the one
@@ -20,10 +21,9 @@ between parallel segments, the smaller id of the last segment. The search
 runs on an integer index that ``PathGraph`` builds once: node ranks and
 segment slots number the ids in sorted order, so integer keys tie-break
 exactly as the ids would, and each node's adjacency holds (neighbour rank,
-segment slot, traversal cost, camera slot). Per query the camera prices
-become a list by camera slot, so the search loop makes no calls besides
-the heap's, and a key is pushed only if it beats every key already offered
-to its node.
+segment slot, traversal cost, camera slot). The search loop makes no
+calls besides the heap's, and a key is pushed only if it beats every key
+already offered to its node.
 
 The search is A* with landmark bounds (ALT: Goldberg and Harrelson, SODA
 2005). At build, ``PathGraph`` runs four Dijkstras over the traversal
@@ -61,7 +61,7 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 import yaml
@@ -72,7 +72,6 @@ from .isochron import IsochronalStore, minute_of_day
 from .motion import MotionFrame, block_mean
 
 LETHAL_COST = 254
-UNKNOWN_COST = 255
 
 # Landmarks per graph: per benchmark route 2 settled 283 nodes, 4 settled
 # 124, and 8 settled 114 in no less time.
@@ -153,7 +152,7 @@ class PathGraph:
         self._rank = rank = {nid: r for r, nid in enumerate(self._node_ids)}
         self._segments_by_slot = [self.segments[sid] for sid in sorted(self.segments)]
         slot = {seg.segment_id: k for k, seg in enumerate(self._segments_by_slot)}
-        cam_slot = {cam: k for k, cam in enumerate(self.camera_ids)}
+        self._camera_slot = cam_slot = {cam: k for k, cam in enumerate(self.camera_ids)}
         uncovered = len(self.camera_ids)
         self._ranked_adj = [
             tuple(
@@ -249,46 +248,32 @@ def _distances_from(adj: list[tuple[tuple[int, int, float, int], ...]], source: 
 # Costs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CameraPrice:
-    """One camera's terms for one query, shared by every segment it covers."""
-
-    activity: float
-    feasible: bool = True
-    stale: bool = False
-
-
-_UNCOVERED = _CameraPrice(0.0)
-
-
 def _price_cameras(
-    cameras: Iterable[str],
+    cameras: list[str],
     query: PlanQuery,
     stores: Mapping[str, IsochronalStore],
-    profiles: Mapping[str, np.ndarray],
     live_bands: Mapping[str, BandOutputs],
-) -> dict[str, _CameraPrice]:
-    """The planner's edge cost, per camera: a covered segment costs its
-    traversal cost plus its camera's ``activity``.
+) -> tuple[list[float | None], list[str]]:
+    """The planner's edge cost: a covered segment costs its traversal cost
+    plus its camera's activity. Returns the activity by camera slot, then
+    0.0 for uncovered segments, and the stale cameras in ``cameras`` order.
 
     Off-line, activity is lam times the learned mean activity at
     ``t_star`` (0 without a store). Real-time, it is w1 times that at the
     current minute plus w2 times the live short-term activity; live bands
     that are missing, older than ``staleness_s`` or non-finite are left
-    out and the camera is marked stale. A camera whose support profile is
-    empty is infeasible. An activity that overflows would tie every route
+    out and the camera is stale. A camera whose store's support profile is
+    empty is excluded, its activity ``None``; no store is not evidence that
+    people avoid the spot. An activity that overflows would tie every route
     through the camera at inf, so it raises :class:`InvalidParameterError`.
     """
     realtime = query.mode == MODE_REALTIME
     minute = minute_of_day(query.t_ms) if realtime else query.t_star
-    prices = {}
+    activities: list[float | None] = []
+    stale_cameras = []
     for cam in cameras:
-        profile = profiles.get(cam)
-        # No profile is not evidence that people avoid the spot.
-        feasible = profile is None or bool(profile.any())
         store = stores.get(cam)
         activity = 0.0 if store is None else query.lam * store.scalar_stats(minute)[0]
-        stale = False
         if realtime:
             live = 0.0
             bands = live_bands.get(cam)
@@ -301,14 +286,17 @@ def _price_cameras(
                 # cost, which the search's bound assumes never happens.
                 if not 0 <= live < math.inf:
                     live, stale = 0.0, True
+            if stale:
+                stale_cameras.append(cam)
             longterm = query.w1 * activity if query.w1 else 0.0  # 0 * inf would be NaN
             activity = longterm + query.w2 * live
         if not activity < math.inf:
             raise InvalidParameterError(
                 f"camera {cam!r}: activity price {activity} is not finite with lam={query.lam!r}"
             )
-        prices[cam] = _CameraPrice(activity, feasible, stale)
-    return prices
+        activities.append(None if store is not None and not store.binarize().any() else activity)
+    activities.append(0.0)
+    return activities, stale_cameras
 
 
 # ---------------------------------------------------------------------------
@@ -408,33 +396,25 @@ def plan_path(
     if query.origin == query.goal:
         raise InvalidParameterError("origin and goal must differ")
 
-    profiles = {cam: store.binarize() for cam, store in stores.items()}
-    prices = _price_cameras(graph.camera_ids, query, stores, profiles, live_bands)
+    activity, stale = _price_cameras(graph.camera_ids, query, stores, live_bands)
     explain = {
-        "excluded_cameras": sorted(cam for cam, p in prices.items() if not p.feasible),
-        "stale_cameras": sorted(cam for cam, p in prices.items() if p.stale),
+        "excluded_cameras": [cam for cam, a in zip(graph.camera_ids, activity) if a is None],
+        "stale_cameras": stale,
     }
-    # Activity by camera slot: None bars the camera's segments, and the
-    # slot past the last camera prices uncovered segments.
-    activity = [prices[cam].activity if prices[cam].feasible else None for cam in graph.camera_ids]
-    activity.append(0.0)
     adj, origin, goal = graph._ranked_adj, graph._rank[query.origin], graph._rank[query.goal]
     cost, path, via, settled = _search(adj, origin, goal, activity, graph._bound_to(goal))
     if path is not None and not cost <= graph._exact_up_to:
         cost, path, via, settled = _search(adj, origin, goal, activity, [0.0] * len(adj))
     if path is None:
         return PlanResult(found=False, expansions=settled, **explain)
-
-    def price(seg: Segment) -> _CameraPrice:
-        return _UNCOVERED if seg.camera_id is None else prices[seg.camera_id]
-
     segs = [graph._segments_by_slot[via[r]] for r in path[1:]]
+    slots = [graph._camera_slot.get(s.camera_id, len(graph.camera_ids)) for s in segs]
     return PlanResult(
         found=True,
         nodes=[graph._node_ids[r] for r in path],
-        segments=[SegmentBreakdown(s.segment_id, s.traversal_cost, price(s).activity) for s in segs],
+        segments=[SegmentBreakdown(s.segment_id, s.traversal_cost, activity[k]) for s, k in zip(segs, slots)],
         total_cost=cost,
-        degraded=any(price(s).stale for s in segs),
+        degraded=any(s.camera_id in stale for s in segs),
         expansions=settled,
         **explain,
     )

@@ -11,10 +11,10 @@ sweep short moving fronts across the grid. The ground truth's per-minute
 activity is the mean of each minute's noise-free ticks.
 
 Event arrivals follow a Poisson day count. A daily profile that varies
-(``template`` at a non-zero ``profile_amplitude``) weights each event's
-minute of day; otherwise placements are stratified with a minimum gap so
-planted events never merge, keeping per-event labels unambiguous. All
-randomness flows from the scenario seed.
+(any ``template`` but ``flat``) weights each event's minute of day;
+otherwise placements are stratified with a minimum gap so planted events
+never merge, keeping per-event labels unambiguous. All randomness flows
+from the scenario seed.
 """
 
 from __future__ import annotations
@@ -35,20 +35,19 @@ PROFILE_TEMPLATES = ("flat", "office", "university")
 _DIR_BIN = {(1, 0): 0, (0, -1): 2, (-1, 0): 4, (0, 1): 6}
 
 
-def gen_daily_profile(template: str, amplitude: float = 1.0, level: float | None = None) -> np.ndarray:
+def gen_daily_profile(template: str, amplitude: float = 1.0) -> np.ndarray:
     """Intensity per minute of day, shape (1440,), non-negative.
 
-    * ``flat``: constant ``level`` (defaults to ``amplitude``).
+    * ``flat``: constant ``amplitude``.
     * ``office``: quiet until 06:00, morning rise, a mid-day lull around
       12:30, an afternoon peak, fading out by 21:00.
     * ``university``: hourly bursts between 08:00 and 18:00.
     """
+    if not amplitude >= 0:
+        raise InvalidParameterError(f"profile amplitude must be >= 0, got {amplitude}")
     minutes = np.arange(1440)
     if template == "flat":
-        value = amplitude if level is None else level
-        if value < 0:
-            raise InvalidParameterError("profile level must be >= 0")
-        return np.full(1440, float(value))
+        return np.full(1440, float(amplitude))
     if template == "office":
         anchors = [
             (360, 0.0),   # 06:00
@@ -182,7 +181,6 @@ class Scenario:
     day_hours: float = 24.0
     rate_hz: float = 1.0
     template: str = "flat"
-    profile_amplitude: float = 0.0
     walkers: tuple[Walker, ...] = ()
     dwellers: tuple[Dweller, ...] = ()
     events: EventPlan | None = None
@@ -198,7 +196,7 @@ class Scenario:
             raise InvalidParameterError("rate_hz must be > 0")
         if self.noise_sigma < 0:
             raise InvalidParameterError("noise_sigma must be >= 0")
-        gen_daily_profile(self.template, 1.0)  # validates the template name
+        gen_daily_profile(self.template)  # validates the template name
         for w in self.walkers:
             for bx, by in w.path:
                 if not (0 <= bx < self.grid_w and 0 <= by < self.grid_h):
@@ -214,7 +212,7 @@ class Scenario:
 
     @property
     def profile(self) -> np.ndarray:
-        return gen_daily_profile(self.template, self.profile_amplitude)
+        return gen_daily_profile(self.template)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +270,12 @@ def _place_events(scenario: Scenario, days: int, rng: np.random.Generator) -> li
         raise InvalidParameterError("event plan fields must be positive")
 
     travel = int(plan.duration_s * plan.speed_bps)
-    profile = scenario.profile
-    weighted = profile.size and profile.max() > profile.min()
     day_minutes = int(scenario.day_hours * 60)
-    weights = profile[:day_minutes].astype(np.float64)
-    if weighted and weights.sum() > 0:
+    weights = scenario.profile[:day_minutes]
+    # Every template but flat varies over the day.
+    weighted = scenario.template != "flat" and weights.sum() > 0
+    if weighted:
         weights = weights / weights.sum()
-    else:
-        weighted = False
 
     events: list[PlantedEvent] = []
     for day in range(days):

@@ -1,14 +1,19 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 import motionbands
 
-from motionbands.config import Config, ConfigError, load_config
+from motionbands.config import Config, ConfigError, EventsConfig, MotionConfig, load_config
+from motionbands.errors import InvalidParameterError
+from motionbands.filters import BandParams
 
 
 def _write(tmp_path, obj, name="config.json"):
@@ -115,6 +120,49 @@ class TestLoadConfig:
     def test_non_object_document_rejected(self, tmp_path, doc):
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(_write(tmp_path, doc))
+
+
+_FIELDS = [
+    (section, f.name)
+    for section in (BandParams, MotionConfig, EventsConfig)
+    for f in dataclasses.fields(section)
+]
+
+
+def _bad_values(section, name):
+    """Values no field takes, and for an ``int`` field, numbers that are
+    not integers."""
+    bad = [math.nan, math.inf, -math.inf, -1]
+    return bad + [2.5, 3.0, True] if get_type_hints(section)[name] is int else bad
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        pytest.param(section, name, value, id=f"{section.__name__}.{name}={value!r}")
+        for section, name in _FIELDS
+        for value in _bad_values(section, name)
+    ],
+)
+def test_every_section_field_rejects_a_bad_value_when_built(section, name, value):
+    # Each section checks its fields once, here; nothing that holds one
+    # checks them again.
+    with pytest.raises(InvalidParameterError, match=name):
+        section(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "section, name", [pytest.param(*f, id=f"{f[0].__name__}.{f[1]}") for f in _FIELDS]
+)
+def test_every_section_field_is_frozen(section, name):
+    built = section()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, name, getattr(built, name))
+
+
+def test_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Config().events = EventsConfig()
 
 
 def test_no_module_imports_pydantic():

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from motionbands.config import Config, EventsConfig
 from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.events import ActivityEvent, EventGate, scalar_activity
 from motionbands.filters import BandParams, CascadeFilter
@@ -21,18 +23,23 @@ def _stats(mean, std, days=10):
     return (mean, std, days)
 
 
+def _gate(**events):
+    """A 1 Hz gate built from an ``EventsConfig`` of ``events``."""
+    return EventGate("cam0", EventsConfig(**events), 1.0)
+
+
 class TestGateDecision:
     def test_zero_bands_zero_stats(self):
-        gate = EventGate("cam0", k_sigma=1.0, min_days=0)
+        gate = _gate(k_sigma=1.0, min_days=0)
         decision, _ = gate.step(_band([[0.0]]), _band([[0.0]]), _stats(0.0, 0.0), 0)
         assert decision == 0
 
     def test_threshold_arithmetic(self):
         # a = 5, mean 1, std 1, k=2 -> 5 > 3 fires.
-        gate = EventGate("cam0", k_sigma=2.0, min_days=0)
+        gate = _gate(k_sigma=2.0, min_days=0)
         decision, _ = gate.step(_band([[5.0]]), _band([[0.0]]), _stats(1.0, 1.0), 0)
         assert decision == 1
-        gate2 = EventGate("cam0", k_sigma=5.0, min_days=0)
+        gate2 = _gate(k_sigma=5.0, min_days=0)
         decision, _ = gate2.step(_band([[5.0]]), _band([[0.0]]), _stats(1.0, 1.0), 0)
         assert decision == 0
 
@@ -42,12 +49,12 @@ class TestGateDecision:
         assert scalar_activity(s1, s2) == pytest.approx((1 + 2 + 3 + 0) / 4)
 
     def test_grid_mismatch_rejected(self):
-        gate = EventGate("cam0")
+        gate = _gate()
         with pytest.raises(RejectedInputError):
             gate.step(_band([[1.0]]), _band([[1.0, 2.0]]), _stats(0, 0), 0)
 
     def test_cold_start_uses_floor(self):
-        gate = EventGate("cam0", k_sigma=2.0, min_threshold=0.5, min_days=3)
+        gate = _gate(k_sigma=2.0, min_threshold=0.5, min_days=3)
         # Learned stats say "fire", but with 1 day observed the floor rules.
         decision, _ = gate.step(_band([[0.4]]), _band([[0.0]]), _stats(0.0, 0.0, days=1), 0)
         assert decision == 0
@@ -55,19 +62,19 @@ class TestGateDecision:
         assert decision == 1
 
     def test_trigger_band_labels(self):
-        gate = EventGate("cam0", min_days=0)
+        gate = _gate(min_days=0)
         gate.step(_band([[5.0]]), _band([[1.0]]), _stats(0, 0), 0)
         assert gate.flush().band == "in-place"
-        gate = EventGate("cam0", min_days=0)
+        gate = _gate(min_days=0)
         gate.step(_band([[1.0]]), _band([[5.0]]), _stats(0, 0), 0)
         assert gate.flush().band == "moving"
-        gate = EventGate("cam0", min_days=0)
+        gate = _gate(min_days=0)
         gate.step(_band([[2.0]]), _band([[2.0]]), _stats(0, 0), 0)
         assert gate.flush().band == "both"
 
 
     def test_event_json_keeps_its_threshold(self):
-        gate = EventGate("cam0", k_sigma=2.5, min_days=0)
+        gate = _gate(k_sigma=2.5, min_days=0)
         gate.step(_band([[5.0]]), _band([[1.0]]), _stats(0.25, 0.5), 2000)
         obj = gate.flush().to_json_obj()
         assert obj == {
@@ -85,7 +92,7 @@ class TestGateDecision:
 
 class TestHysteresis:
     def test_event_spans_gap_shorter_than_cooldown(self):
-        gate = EventGate("cam0", cooldown_s=3.0, min_days=0, min_threshold=0.5)
+        gate = _gate(cooldown_s=3.0, min_days=0, min_threshold=0.5)
         hot, cold = _band([[1.0]]), _band([[0.0]])
         closed = []
         pattern = [1, 1, 0, 0, 1, 1, 0, 0, 0, 0]
@@ -100,7 +107,7 @@ class TestHysteresis:
         assert ev.peak == pytest.approx(1.0)
 
     def test_events_split_when_gap_reaches_cooldown(self):
-        gate = EventGate("cam0", cooldown_s=2.0, min_days=0, min_threshold=0.5)
+        gate = _gate(cooldown_s=2.0, min_days=0, min_threshold=0.5)
         hot, cold = _band([[1.0]]), _band([[0.0]])
         closed = []
         for i, on in enumerate([1, 0, 0, 1, 0, 0]):
@@ -110,7 +117,7 @@ class TestHysteresis:
         assert len(closed) == 2
 
     def test_flush_closes_open_event(self):
-        gate = EventGate("cam0", min_days=0, min_threshold=0.5)
+        gate = _gate(min_days=0, min_threshold=0.5)
         gate.step(_band([[1.0]]), _band([[0.0]]), _stats(0, 0, 0), 5000)
         ev = gate.flush()
         assert ev is not None and ev.start_ms == 5000 and ev.end_ms == 6000
@@ -121,7 +128,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from motionbands.config import Config, EventsConfig
 from motionbands.filters import BandOutputs
 from motionbands.isochron import minute_of_day
 from motionbands.pipeline import CameraPipeline
@@ -156,11 +162,10 @@ def _reference_gate_pipeline(
     """
     gate = EventGate(
         store.camera_id,
-        k_sigma=k_sigma,
-        cooldown_s=cooldown_s,
-        min_threshold=min_threshold,
-        min_days=min_days,
-        decision_rate_hz=decision_rate_hz,
+        EventsConfig(
+            k_sigma=k_sigma, cooldown_s=cooldown_s, min_threshold=min_threshold, min_days=min_days
+        ),
+        decision_rate_hz,
     )
     events: list[ActivityEvent] = []
     detections: list[int] = []
@@ -380,8 +385,13 @@ def test_pipeline_policy_matches_the_reference_loop(name):
     ],
 )
 def test_gate_rejects_non_finite_parameters(name, value):
+    # The gate's settings reach it only through an EventsConfig, which
+    # checks them when built; the decision rate the gate checks itself.
     with pytest.raises(InvalidParameterError, match=name):
-        EventGate("cam0", **{name: value})
+        if name == "decision_rate_hz":
+            EventGate("cam0", EventsConfig(), value)
+        else:
+            _gate(**{name: value})
 
 
 @pytest.mark.parametrize(
@@ -391,25 +401,23 @@ def test_gate_rejects_a_day_count_that_is_not_a_whole_number(value):
     # A NaN day count was accepted, and then the cold-start floor never
     # applied: threshold(0, 0, 0) gave 0.0 in place of the 0.02 floor.
     with pytest.raises(InvalidParameterError, match="min_days"):
-        EventGate("cam0", min_days=value)
-    assert EventGate("cam0", min_days=np.int64(3)).threshold(0.0, 0.0, 0) == 0.02
+        _gate(min_days=value)
+    assert _gate(min_days=np.int64(3)).threshold(0.0, 0.0, 0) == 0.02
 
 
 def test_gate_rejects_a_negative_threshold_floor():
     # While the store is cold the floor decides alone, and a negative one
     # fires on an all-zero band.
     with pytest.raises(InvalidParameterError, match="min_threshold"):
-        EventGate("cam0", min_threshold=-0.01)
-    with pytest.raises(InvalidParameterError, match="min_threshold"):
-        EventsConfig(min_threshold=-0.01)
+        _gate(min_threshold=-0.01)
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
 def test_pipeline_rejects_a_bad_reinvocation_period(value):
-    # EventsConfig refuses the value when built, so set it afterwards.
+    # The pipeline does not check the period again: no EventsConfig is
+    # built with a bad one, and none can be given one afterwards.
+    with pytest.raises(InvalidParameterError, match="reinvoke_every_s"):
+        CameraPipeline("cam0", 4, 3, Config(events=EventsConfig(reinvoke_every_s=value)))
     config = Config()
-    config.events.reinvoke_every_s = value
-    with pytest.raises(InvalidParameterError, match="reinvoke_every_s"):
-        EventsConfig(reinvoke_every_s=value)
-    with pytest.raises(InvalidParameterError, match="reinvoke_every_s"):
-        CameraPipeline("cam0", 4, 3, config)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.events.reinvoke_every_s = value

@@ -177,6 +177,24 @@ class TestUpdateQuery:
         np.testing.assert_allclose(got_mean.density, mean, atol=1e-12)
         np.testing.assert_allclose(got_std, np.sqrt(var * (1 + alpha) / (2 * alpha)), atol=1e-12)
 
+    def test_update_matches_the_blend_written_out_bit_for_bit(self):
+        # The mean goes through the cascade's EMA, rounded as
+        # a * mean + (1 - a) * x; odd minutes' records sit off alignment.
+        rng = np.random.default_rng(5)
+        store = IsochronalStore("cam0", 5, 3, t_l2_days=4.0)
+        a, gain = store.alpha_l2, store._var_gain
+        for minute in (0, 1):
+            mean = rng.uniform(0, 2, (3, 5))
+            var = np.zeros((3, 5))
+            store.update(minute, _frame(mean))
+            for _ in range(6):
+                x = rng.uniform(0, 2, (3, 5))
+                store.update(minute, _frame(x))
+                dev = x - mean
+                mean, var = a * mean + (1.0 - a) * x, a * var + gain * dev * dev
+            np.testing.assert_array_equal(store._mean_density[minute], mean)
+            np.testing.assert_array_equal(store._var[minute], var)
+
     def test_stationary_stream_std_estimates_sigma(self):
         # 400 days of N(1, 0.1^2) per block: the learned spread must mean
         # what it says, not the 0.08 the deviation-from-the-new-mean

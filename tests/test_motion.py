@@ -320,6 +320,15 @@ class TestExtractMotion:
         with pytest.raises(InvalidParameterError):
             extract_motion(f, f, noise_floor=math.nan)
 
+    @pytest.mark.parametrize("block_size", [2.5, 16.0, True], ids=["fraction", "float", "bool"])
+    def test_block_size_that_is_not_an_integer_rejected(self, block_size):
+        # A fractional block size reached numpy's floor division and raised
+        # its UFuncTypeError in place of a parameter error.
+        f = _gray(np.zeros((8, 8)))
+        with pytest.raises(InvalidParameterError, match="block_size"):
+            extract_motion(f, f, block_size=block_size)
+        assert extract_motion(f, f, block_size=np.int64(4)).density.shape == (2, 2)
+
     @given(
         pair=_frame_pairs(),
         block_size=st.one_of(st.sampled_from([1, 128]), st.integers(2, 40)),

@@ -120,6 +120,16 @@ def test_store_on_another_grid_rejected_at_construction(grid):
     assert pipe.store.query(0)[2] == 1
 
 
+def test_store_with_another_decay_span_rejected_at_construction():
+    # Accepted, the store's span decided how the pipeline learned, and
+    # config.filter.t_l2_days was silently ignored.
+    with pytest.raises(InvalidParameterError, match="decay span 2.0 days"):
+        CameraPipeline("cam0", 5, 3, Config(), store=IsochronalStore("cam0", 5, 3, t_l2_days=2.0))
+    config = Config(filter=BandParams(t_l2_days=2.0))
+    pipe = CameraPipeline("cam0", 5, 3, config, store=IsochronalStore("cam0", 5, 3, t_l2_days=2.0))
+    assert pipe.store.t_l2_days == CameraPipeline("cam0", 5, 3, config).store.t_l2_days == 2.0
+
+
 def test_activity_is_the_value_the_gate_tested():
     pipe = CameraPipeline("cam0", 5, 4, Config())
     tested = None

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 
 from motionbands.errors import InvalidParameterError, RejectedInputError, UnknownSegmentError
 from motionbands.filters import BandOutputs
-from motionbands.isochron import IsochronalStore
-from motionbands.motion import MotionFrame
+from motionbands.isochron import IsochronalStore, minute_of_day
+from motionbands.motion import MotionFrame, block_mean
 from motionbands.planning import (
-    _UNCOVERED,
     LETHAL_COST,
     MODE_OFFLINE,
+    MODE_REALTIME,
     CostMap,
     Node,
     PathGraph,
@@ -25,7 +26,6 @@ from motionbands.planning import (
     Segment,
     SegmentBreakdown,
     _block_cells,
-    _price_cameras,
     plan_path,
     read_costmap,
     splat_activity,
@@ -600,6 +600,54 @@ class TestPlanMatchesReference:
 
 
 # ---------------------------------------------------------------------------
+# The camera pricing plan_path ran before it priced cameras straight into
+# the search's slot list, kept verbatim as the oracle of that list.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _CameraPrice:
+    """One camera's terms for one query, shared by every segment it covers."""
+
+    activity: float
+    feasible: bool = True
+    stale: bool = False
+
+
+_UNCOVERED = _CameraPrice(0.0)
+
+
+def _reference_price_cameras(cameras, query, stores, profiles, live_bands):
+    realtime = query.mode == MODE_REALTIME
+    minute = minute_of_day(query.t_ms) if realtime else query.t_star
+    prices = {}
+    for cam in cameras:
+        profile = profiles.get(cam)
+        # No profile is not evidence that people avoid the spot.
+        feasible = profile is None or bool(profile.any())
+        store = stores.get(cam)
+        activity = 0.0 if store is None else query.lam * store.scalar_stats(minute)[0]
+        stale = False
+        if realtime:
+            live = 0.0
+            bands = live_bands.get(cam)
+            stale = bands is None or abs(query.t_ms - bands.timestamp_ms) > query.staleness_s * 1000.0
+            if not stale:
+                live = query.lam * block_mean(bands.m_s1.density)
+                if query.include_moving:
+                    live += query.lam * block_mean(bands.m_s2.density)
+                if not 0 <= live < math.inf:
+                    live, stale = 0.0, True
+            longterm = query.w1 * activity if query.w1 else 0.0  # 0 * inf would be NaN
+            activity = longterm + query.w2 * live
+        if not activity < math.inf:
+            raise InvalidParameterError(
+                f"camera {cam!r}: activity price {activity} is not finite with lam={query.lam!r}"
+            )
+        prices[cam] = _CameraPrice(activity, feasible, stale)
+    return prices
+
+
+# ---------------------------------------------------------------------------
 # The search over node-id strings that plan_path ran before the graph kept
 # an integer index, kept verbatim as the oracle: plan_path must return the
 # same route, segments and bit-identical cost.
@@ -614,7 +662,7 @@ def _parent_plan_path(graph, query, stores=None, live_bands=None):
         raise InvalidParameterError("origin and goal must differ")
 
     profiles = _reference_profiles(stores)
-    prices = _price_cameras(graph.camera_ids, query, stores, profiles, live_bands)
+    prices = _reference_price_cameras(graph.camera_ids, query, stores, profiles, live_bands)
     explain = {
         "excluded_cameras": sorted(cam for cam, p in prices.items() if not p.feasible),
         "stale_cameras": sorted(cam for cam, p in prices.items() if p.stale),

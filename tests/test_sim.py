@@ -37,8 +37,13 @@ class TestDailyProfile:
         assert p.max() == pytest.approx(2.0)
 
     def test_flat_zero_level(self):
-        p = gen_daily_profile("flat", level=0.0)
+        p = gen_daily_profile("flat", amplitude=0.0)
         assert np.all(p == 0)
+
+    @pytest.mark.parametrize("template", ["flat", "office", "university"])
+    def test_negative_amplitude_rejected(self, template):
+        with pytest.raises(InvalidParameterError, match="amplitude"):
+            gen_daily_profile(template, amplitude=-1.0)
 
     def test_university_hourly_peaks(self):
         p = gen_daily_profile("university")
@@ -103,7 +108,6 @@ class TestGenStream:
             grid_h=4,
             rate_hz=1 / 60,
             template="office",
-            profile_amplitude=1.0,
             events=EventPlan(mean_per_day=300, duration_s=5.0, width_blocks=2),
             seed=3,
         )

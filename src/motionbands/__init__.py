@@ -8,13 +8,14 @@ learned and live activity; exports ROS-compatible cost maps.
 
 __version__ = "0.1.0"
 
+from .config import BandParams, alpha_from_decay
 from .errors import (
     InvalidParameterError,
     RejectedInputError,
     StoreLoadError,
     UnknownSegmentError,
 )
-from .filters import BandOutputs, BandParams, CascadeFilter, alpha_from_decay
+from .filters import BandOutputs, CascadeFilter
 from .isochron import IsochronalStore, minute_of_day
 from .motion import GrayFrame, MotionFrame, extract_motion
 

@@ -1,49 +1,121 @@
-"""Runtime configuration: one JSON document, strictly validated.
+"""Settings: three frozen sections, each checked once by one checker.
 
-The document has three optional sections: ``filter`` holds the cascade's
-:class:`~motionbands.filters.BandParams`, ``motion`` the block size and
-noise floor for ``extract_motion``, and ``events`` the gate's thresholds
-and the pipeline's detector policy. A missing key keeps its default.
+``BandParams`` holds the cascade's decay spans and rates, ``MotionConfig``
+the block size and noise floor for ``extract_motion``, and
+``EventsConfig`` the gate's thresholds and the pipeline's detector
+policy; ``Config`` bundles one of each. The module reads no file format.
+A caller with parsed JSON builds each section with ``**values`` and gets
+the same checks: an unknown key is a ``TypeError`` from the constructor,
+and a bad value an :class:`InvalidParameterError` naming the field.
 
-Each section is frozen and checks every field once, when it is built, so
-what holds one need not check it again: ``CascadeFilter`` is built from
-its ``BandParams`` and ``EventGate`` from its ``EventsConfig``. Numbers
-must be finite, ``int`` fields integers (never bools), the block size at
-least 1, and nothing else negative; ``BandParams`` also checks its band
-ordering and rates. A bad document fails at load with a
-:class:`ConfigError` naming the key, checked in this order: unknown keys
-(so typos fail loudly), then JSON types (numbers only, never a string or
-a bool), then the sections' own checks.
+Each section checks every field in ``__post_init__`` with :func:`_check`,
+so what holds one need not check it again: ``CascadeFilter`` is built
+from its ``BandParams`` and ``EventGate`` from its ``EventsConfig``.
+Every field must be a real number, never a bool or a string, finite and
+within float range; ``int`` fields must be integers; ``BandParams``
+fields must be above 0, the block size at least 1, and nothing else
+negative. ``BandParams`` also checks its band ordering and that the
+frame rate is a whole multiple of the short-term rate.
+
+This module imports no other package module but ``errors``, so every
+other module may read its defaults.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from pathlib import Path
-from typing import Any, get_type_hints
+from typing import get_type_hints
 
 from .errors import InvalidParameterError
-from .filters import BandParams
 
 
-class ConfigError(ValueError):
-    """Configuration could not be loaded or validated."""
-
-
-def _check(section: object, **lowest: float) -> None:
-    """Raise unless every field of ``section`` is finite (NaN fails) and at
-    least its ``lowest`` value, 0 if not given, and an integer where it is
-    typed ``int``. Bools are refused."""
+def _check(section: object, above: bool = False, **lowest: float) -> None:
+    """Raise unless every field of ``section`` is a real number (bools and
+    strings are refused), an integer where it is typed ``int``, finite as
+    a float (NaN and ints past float range fail), and at least its
+    ``lowest`` value, 0 if not given; strictly above it if ``above``."""
     types = get_type_hints(type(section))
     for f in fields(section):
         value, low, integral = getattr(section, f.name), lowest.get(f.name, 0), types[f.name] is int
         kind = numbers.Integral if integral else numbers.Real
-        if isinstance(value, bool) or not isinstance(value, kind) or not low <= value < math.inf:
-            what = "an integer" if integral else "finite and"
-            raise InvalidParameterError(f"{f.name} must be {what} >= {low}, got {value!r}")
+        ok = not isinstance(value, bool) and isinstance(value, kind)
+        if ok:
+            try:
+                ok = (low < value if above else low <= value) and float(value) < math.inf
+            except OverflowError:  # an int past float range
+                ok = False
+        if not ok:
+            what = "a finite integer" if integral else "finite and"
+            bound = f"> {low}" if above else f">= {low}"
+            raise InvalidParameterError(f"{f.name} must be {what} {bound}, got {value!r}")
+
+
+def alpha_from_decay(rate_r: float, duration_t: float) -> float:
+    """Filter coefficient for a 10%-decay duration of ``duration_t``.
+
+    ``rate_r`` is samples per time unit and ``duration_t`` the decay span
+    in the same unit (seconds for chronological stages, days for the
+    isochronal stage). Both must be finite and positive.
+    """
+    # Written so that NaN fails each check.
+    if not 0 < rate_r < math.inf:
+        raise InvalidParameterError(f"rate must be finite and > 0, got {rate_r}")
+    if not 0 < duration_t < math.inf:
+        raise InvalidParameterError(f"duration must be finite and > 0, got {duration_t}")
+    return 0.1 ** (1.0 / (rate_r * duration_t))
+
+
+@dataclass(frozen=True)
+class BandParams:
+    """Time constants for the four bands plus the two update rates.
+
+    Durations are seconds except ``t_l2_days``. Defaults match a factory
+    deployment: 30-minute noise-removal span, 10-day isochronal span, 20 s
+    in-place span, 1 s moving-band FIR window, 30 fps input, 1 Hz
+    short-term updates.
+    """
+
+    t_l1_s: float = 1800.0
+    t_l2_days: float = 10.0
+    t_s1_s: float = 20.0
+    t_s2_s: float = 1.0
+    frame_rate: float = 30.0
+    shortterm_rate: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check(self, above=True)
+        if self.t_s1_s <= self.t_s2_s:
+            raise InvalidParameterError(
+                f"moving band is empty: t_s1_s ({self.t_s1_s}) must exceed t_s2_s ({self.t_s2_s})"
+            )
+        if self.t_l1_s <= self.t_s1_s:
+            raise InvalidParameterError(
+                f"band ordering violated: t_l1_s ({self.t_l1_s}) must exceed t_s1_s ({self.t_s1_s})"
+            )
+        stride = self.frame_rate / self.shortterm_rate
+        if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
+            raise InvalidParameterError(
+                f"frame_rate ({self.frame_rate}) must be an integer multiple of "
+                f"shortterm_rate ({self.shortterm_rate})"
+            )
+
+    @property
+    def alpha_l1(self) -> float:
+        return alpha_from_decay(self.frame_rate, self.t_l1_s)
+
+    @property
+    def alpha_s1(self) -> float:
+        return alpha_from_decay(self.shortterm_rate, self.t_s1_s)
+
+    @property
+    def stride(self) -> int:
+        return int(round(self.frame_rate / self.shortterm_rate))
+
+    @property
+    def fir_window(self) -> int:
+        return int(math.ceil(self.shortterm_rate * self.t_s2_s))
 
 
 @dataclass(frozen=True)
@@ -72,66 +144,3 @@ class Config:
     filter: BandParams = field(default_factory=BandParams)
     motion: MotionConfig = field(default_factory=MotionConfig)
     events: EventsConfig = field(default_factory=EventsConfig)
-
-
-_SECTIONS = {f.name: f.default_factory for f in fields(Config)}
-
-
-def _number(value: Any, kind: type) -> int | float:
-    """``value`` as a ``kind``. Strings and bools are refused, and so are
-    JSON's NaN and Infinity, which Python's ``json`` accepts."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    if kind is int and value != int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return kind(value)
-
-
-def _validate(data: dict) -> Config:
-    unknown, wrong = [], []
-    checked: dict[str, dict] = {}
-    for name, values in data.items():
-        if name not in _SECTIONS:
-            unknown.append(name)
-            continue
-        if not isinstance(values, dict):
-            wrong.append(f"{name}: expected an object, got {values!r}")
-            continue
-        types = get_type_hints(_SECTIONS[name])
-        checked[name] = {}
-        for key, value in values.items():
-            if key not in types:
-                unknown.append(f"{name}.{key}")
-                continue
-            try:
-                checked[name][key] = _number(value, types[key])
-            except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
-                wrong.append(f"{name}.{key}: {exc}")
-    if unknown:
-        raise ConfigError("; ".join(f"{key}: unknown key" for key in unknown))
-    if wrong:
-        raise ConfigError("; ".join(wrong))
-
-    sections = {}
-    for name, values in checked.items():
-        try:
-            sections[name] = _SECTIONS[name](**values)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-    return Config(**sections)
-
-
-def load_config(path: str | Path | None) -> Config:
-    """Load and validate a config file; ``None`` uses pure defaults."""
-    data: dict = {}
-    if path is not None:
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-    return _validate(data)

@@ -3,7 +3,9 @@
 All IIR stages are first-order exponential moving averages parameterized by
 a 10%-decay duration: alpha = 0.1 ** (1 / (rate * duration)), so an impulse
 fed into the filter decays to 10% of its value after ``rate * duration``
-zero-input samples.
+zero-input samples. The spans and rates are the frozen, checked
+``config.BandParams``, which derives each stage's alpha with
+``config.alpha_from_decay``.
 
 Band structure, from one motion stream:
 
@@ -38,87 +40,14 @@ changes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BandParams
 from .errors import InvalidParameterError, RejectedInputError
 from .motion import MotionFrame
 
-
-def alpha_from_decay(rate_r: float, duration_t: float) -> float:
-    """Filter coefficient for a 10%-decay duration of ``duration_t``.
-
-    ``rate_r`` is samples per time unit and ``duration_t`` the decay span
-    in the same unit (seconds for chronological stages, days for the
-    isochronal stage). Both must be finite and positive.
-    """
-    # Written so that NaN fails each check.
-    if not 0 < rate_r < math.inf:
-        raise InvalidParameterError(f"rate must be finite and > 0, got {rate_r}")
-    if not 0 < duration_t < math.inf:
-        raise InvalidParameterError(f"duration must be finite and > 0, got {duration_t}")
-    return 0.1 ** (1.0 / (rate_r * duration_t))
-
-
-@dataclass(frozen=True)
-class BandParams:
-    """Time constants for the four bands plus the two update rates.
-
-    Durations are seconds except ``t_l2_days``. Defaults match a factory
-    deployment: 30-minute noise-removal span, 10-day isochronal span, 20 s
-    in-place span, 1 s moving-band FIR window, 30 fps input, 1 Hz
-    short-term updates.
-    """
-
-    t_l1_s: float = 1800.0
-    t_l2_days: float = 10.0
-    t_s1_s: float = 20.0
-    t_s2_s: float = 1.0
-    frame_rate: float = 30.0
-    shortterm_rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("t_l1_s", "t_l2_days", "t_s1_s", "t_s2_s", "frame_rate", "shortterm_rate"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails too
-                raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
-        if self.t_s1_s <= self.t_s2_s:
-            raise InvalidParameterError(
-                f"moving band is empty: t_s1_s ({self.t_s1_s}) must exceed t_s2_s ({self.t_s2_s})"
-            )
-        if self.t_l1_s <= self.t_s1_s:
-            raise InvalidParameterError(
-                f"band ordering violated: t_l1_s ({self.t_l1_s}) must exceed t_s1_s ({self.t_s1_s})"
-            )
-        stride = self.frame_rate / self.shortterm_rate
-        if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
-            raise InvalidParameterError(
-                f"frame_rate ({self.frame_rate}) must be an integer multiple of "
-                f"shortterm_rate ({self.shortterm_rate})"
-            )
-
-    @property
-    def alpha_l1(self) -> float:
-        return alpha_from_decay(self.frame_rate, self.t_l1_s)
-
-    @property
-    def alpha_s1(self) -> float:
-        return alpha_from_decay(self.shortterm_rate, self.t_s1_s)
-
-    @property
-    def stride(self) -> int:
-        return int(round(self.frame_rate / self.shortterm_rate))
-
-    @property
-    def fir_window(self) -> int:
-        return int(math.ceil(self.shortterm_rate * self.t_s2_s))
-
-
-# ---------------------------------------------------------------------------
-# Streaming band extraction
-# ---------------------------------------------------------------------------
 
 @dataclass
 class BandOutputs:

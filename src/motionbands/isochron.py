@@ -21,8 +21,9 @@ blending with the all-zero prior, avoiding a multi-day warm-up bias.
 ``binarize`` caches the support mask of the last epsilon asked for, and
 ``scalar_stats`` caches each minute's (mean, std, days); ``update`` drops
 the mask and the updated minute's stats, and a freshly constructed or
-loaded store starts with empty caches. ``binarize`` callers get a copy, so
-they cannot alter the cached mask.
+loaded store starts with empty caches. ``binarize`` hands out the cached
+mask itself, read-only like the cascade's bands, so no caller can alter
+it and no call copies it.
 
 File format v2 (little-endian): magic ``ISO1``, version u16 = 2, decay
 span f64, camera id length u16 and its UTF-8 bytes, grid dims u16 x2
@@ -69,8 +70,9 @@ from tempfile import NamedTemporaryFile
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .config import BandParams, alpha_from_decay
 from .errors import InvalidParameterError, RejectedInputError, StoreLoadError
-from .filters import _ema, alpha_from_decay
+from .filters import _ema, _frozen
 from .motion import MotionFrame, _finite_nonnegative, block_mean
 
 MINUTES_PER_DAY = 1440
@@ -105,7 +107,9 @@ def minute_of_day(timestamp_ms: int) -> int:
 class IsochronalStore:
     """Per-minute-of-day motion density statistics for one camera."""
 
-    def __init__(self, camera_id: str, grid_w: int, grid_h: int, t_l2_days: float = 10.0):
+    def __init__(
+        self, camera_id: str, grid_w: int, grid_h: int, t_l2_days: float = BandParams.t_l2_days
+    ):
         self._configure(camera_id, grid_w, grid_h, t_l2_days)
         self._adopt(np.zeros(MINUTES_PER_DAY, dtype=_slot_dtype(grid_w, grid_h)))
 
@@ -198,12 +202,14 @@ class IsochronalStore:
 
     def binarize(self, epsilon: float = 1e-3) -> np.ndarray:
         """Time-collapsed support mask: per block, 1 iff any minute's mean
-        density exceeds ``epsilon``. Cached until the next ``update``."""
+        density exceeds ``epsilon``. Cached until the next ``update``; the
+        mask is read-only, so every caller may share it."""
         if not epsilon >= 0:
             raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
         if self._support is None or self._support[0] != epsilon:
-            self._support = (epsilon, (self._mean_density.max(axis=0) > epsilon).astype(np.uint8))
-        return self._support[1].copy()
+            mask = (self._mean_density.max(axis=0) > epsilon).astype(np.uint8)
+            self._support = (epsilon, _frozen(mask))
+        return self._support[1]
 
     def minute_curve(self) -> np.ndarray:
         """Block-averaged mean activity per minute, shape (1440,)."""

@@ -82,6 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MotionConfig
 from .errors import InvalidParameterError, RejectedInputError
 
 N_DIR_BINS = 8
@@ -137,13 +138,6 @@ class GrayFrame:
             raise RejectedInputError("pixels must be finite and within [0, 255]")
         object.__setattr__(self, "pixels", px)
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
 
 @dataclass
@@ -209,10 +203,6 @@ class MotionFrame:
     def grid_h(self) -> int:
         return self.density.shape[0]
 
-    @property
-    def n_blocks(self) -> int:
-        return self.density.size
-
     def copy(self) -> "MotionFrame":
         return MotionFrame(self.density.copy(), self.dir_hist.copy(), self.timestamp_ms)
 
@@ -251,8 +241,8 @@ def block_mean(values: np.ndarray) -> float:
 def extract_motion(
     prev: GrayFrame,
     curr: GrayFrame,
-    block_size: int = 16,
-    noise_floor: float = 8.0,
+    block_size: int = MotionConfig.block_size,
+    noise_floor: float = MotionConfig.noise_floor,
 ) -> MotionFrame:
     """Reduce a frame pair to block-motion features.
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from motionbands.config import Config, EventsConfig
+from motionbands.config import BandParams, Config, EventsConfig
 from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.events import ActivityEvent, EventGate, scalar_activity
-from motionbands.filters import BandParams, CascadeFilter
+from motionbands.filters import CascadeFilter
 from motionbands.isochron import IsochronalStore
 from motionbands.motion import MotionFrame
 from motionbands.sim import EventPlan, Scenario, gen_stream

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motionbands.config import BandParams, alpha_from_decay
 from motionbands.errors import InvalidParameterError, RejectedInputError
-from motionbands.filters import (
-    BandOutputs,
-    BandParams,
-    CascadeFilter,
-    _ema,
-    alpha_from_decay,
-)
+from motionbands.filters import BandOutputs, CascadeFilter, _ema
 from motionbands.isochron import IsochronalStore
 from motionbands.motion import MotionFrame
 

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from motionbands.config import alpha_from_decay
 from motionbands.errors import InvalidParameterError, RejectedInputError, StoreLoadError
-from motionbands.filters import alpha_from_decay
 from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, _slot_dtype, minute_of_day
 from motionbands.motion import N_DIR_BINS, MotionFrame
 
@@ -375,7 +375,8 @@ class TestBinarizeCache:
         store = IsochronalStore("cam0", 2, 1)
         store.update(5, _frame([[0.0, 1.0]]))
         mask = store.binarize(0.01)
-        mask[:] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            mask[:] = 7
         assert store.binarize(0.01).tolist() == [[0, 1]]
 
     def test_freshly_loaded_store(self, tmp_path):

@@ -83,3 +83,39 @@ def test_the_scan_finds_an_unread_helper():
         "b": "from .a import _USED, _Kept\nx = _USED + 1\ny = mod._Kept\n",
     }
     assert _unread_private_names(sources) == ["a._ORPHAN (line 2)", "a._helper (line 3)"]
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The ``motionbands`` modules that a module imports anywhere in it,
+    relatively or by the package's name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif node.module == "motionbands" or (node.module or "").startswith("motionbands."):
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            found.update([base.split(".")[0]] if base else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("motionbands."))
+    return found
+
+
+def test_config_imports_no_package_module_but_errors():
+    # Other modules read their defaults from config, so config importing
+    # any of them back would make a cycle.
+    tree = ast.parse((_MODULES[0].parent / "config.py").read_text(encoding="utf-8"))
+    assert _package_imports(tree) <= {"errors"}
+
+
+def test_the_scan_finds_package_imports():
+    source = (
+        "import numpy\nfrom .errors import E\nfrom . import motion\n"
+        "def f():\n    from .filters import _ema\n    import motionbands.sim\n"
+        "from motionbands.isochron import S\nfrom motionbands import planning\n"
+    )
+    assert _package_imports(ast.parse(source)) == {
+        "errors", "motion", "filters", "sim", "isochron", "planning"
+    }

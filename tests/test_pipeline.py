@@ -9,10 +9,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from motionbands.config import Config, EventsConfig
+from motionbands.config import BandParams, Config, EventsConfig
 from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.events import scalar_activity
-from motionbands.filters import BandParams
 from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
 from motionbands.motion import MotionFrame, extract_motion
 from motionbands.pipeline import CameraPipeline, _MinuteAccumulator

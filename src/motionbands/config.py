@@ -1,4 +1,11 @@
-"""Settings: three frozen sections, each checked once by one checker.
+"""Settings, and the one rule for every number the package takes.
+
+:func:`checked` decides whether a scalar argument is valid, here and in
+every other module: a real number (an integer where one is needed), not
+a bool or a string, from a lower bound up to the largest float, so NaN,
+infinities and ints past float range fail. Only a minute of day and a
+simulated day's hours pass a lower ``high``, and ``extract_motion``'s
+noise floor ``high=math.inf``. Rules that tie values together stay put.
 
 ``BandParams`` holds the cascade's decay spans and rates, ``MotionConfig``
 the block size and noise floor for ``extract_motion``, and
@@ -11,45 +18,51 @@ and a bad value an :class:`InvalidParameterError` naming the field.
 Each section checks every field in ``__post_init__`` with :func:`_check`,
 so what holds one need not check it again: ``CascadeFilter`` is built
 from its ``BandParams`` and ``EventGate`` from its ``EventsConfig``.
-Every field must be a real number, never a bool or a string, finite and
-within float range; ``int`` fields must be integers; ``BandParams``
-fields must be above 0, the block size at least 1, and nothing else
-negative. ``BandParams`` also checks its band ordering and that the
-frame rate is a whole multiple of the short-term rate.
+``BandParams`` fields must be above 0, the block size at least 1, and
+nothing else negative; ``BandParams`` also checks its band ordering and
+that the frame rate is a whole multiple of the short-term rate.
 
 This module imports no other package module but ``errors``, so every
-other module may read its defaults.
+other module may use its defaults and its checker.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 from .errors import InvalidParameterError
 
+_LARGEST = sys.float_info.max
+
+
+def checked(name, value, low=0, high=_LARGEST, *, above=False, integral=False):
+    """``value`` if it is a real number (an integral one if ``integral``),
+    not a bool or a string, at least ``low`` (above it if ``above``) and
+    at most ``high``; else :class:`InvalidParameterError` naming ``name``.
+    Comparisons are exact, so NaN and ints past float range fail too."""
+    x = math.nan  # fails every comparison
+    if type(value) is int or type(value) is float and not integral:
+        x = value  # the common case, without the slower ABC checks below
+    elif not isinstance(value, bool) and isinstance(value, numbers.Integral if integral else numbers.Real):
+        # As a Python number: a numpy float32 would cast the largest float to inf.
+        x = int(value) if isinstance(value, numbers.Integral) else float(value)
+    if (low < x if above else low <= x) and x <= high:
+        return value
+    what = "an integer" if integral else "finite and" if high < math.inf else "a real number"
+    bound = (f"> {low}" if above else f">= {low}") + (f" and <= {high}" if high < _LARGEST else "")
+    raise InvalidParameterError(f"{name} must be {what} {bound}, got {value!r}")
+
 
 def _check(section: object, above: bool = False, **lowest: float) -> None:
-    """Raise unless every field of ``section`` is a real number (bools and
-    strings are refused), an integer where it is typed ``int``, finite as
-    a float (NaN and ints past float range fail), and at least its
-    ``lowest`` value, 0 if not given; strictly above it if ``above``."""
+    """:func:`checked` on each field of ``section``, from ``lowest`` or 0."""
     types = get_type_hints(type(section))
     for f in fields(section):
-        value, low, integral = getattr(section, f.name), lowest.get(f.name, 0), types[f.name] is int
-        kind = numbers.Integral if integral else numbers.Real
-        ok = not isinstance(value, bool) and isinstance(value, kind)
-        if ok:
-            try:
-                ok = (low < value if above else low <= value) and float(value) < math.inf
-            except OverflowError:  # an int past float range
-                ok = False
-        if not ok:
-            what = "a finite integer" if integral else "finite and"
-            bound = f"> {low}" if above else f">= {low}"
-            raise InvalidParameterError(f"{f.name} must be {what} {bound}, got {value!r}")
+        low = lowest.get(f.name, 0)
+        checked(f.name, getattr(section, f.name), low, above=above, integral=types[f.name] is int)
 
 
 def alpha_from_decay(rate_r: float, duration_t: float) -> float:
@@ -57,13 +70,10 @@ def alpha_from_decay(rate_r: float, duration_t: float) -> float:
 
     ``rate_r`` is samples per time unit and ``duration_t`` the decay span
     in the same unit (seconds for chronological stages, days for the
-    isochronal stage). Both must be finite and positive.
+    isochronal stage); :func:`checked` holds both to finite and > 0.
     """
-    # Written so that NaN fails each check.
-    if not 0 < rate_r < math.inf:
-        raise InvalidParameterError(f"rate must be finite and > 0, got {rate_r}")
-    if not 0 < duration_t < math.inf:
-        raise InvalidParameterError(f"duration must be finite and > 0, got {duration_t}")
+    checked("rate", rate_r, above=True)
+    checked("duration", duration_t, above=True)
     return 0.1 ** (1.0 / (rate_r * duration_t))
 
 

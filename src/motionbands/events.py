@@ -23,13 +23,12 @@ caller owns the detector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EventsConfig
-from .errors import InvalidParameterError, RejectedInputError
+from .config import EventsConfig, checked
+from .errors import RejectedInputError
 from .motion import block_mean
 
 BAND_IN_PLACE = "in-place"
@@ -82,10 +81,7 @@ class EventGate:
     """Stateful threshold gate over a per-camera band stream."""
 
     def __init__(self, camera_id: str, config: EventsConfig, decision_rate_hz: float):
-        if not 0 < decision_rate_hz < math.inf:  # NaN fails too
-            raise InvalidParameterError(
-                f"decision_rate_hz must be finite and > 0, got {decision_rate_hz}"
-            )
+        checked("decision_rate_hz", decision_rate_hz, above=True)
         self.camera_id = camera_id
         self.config = config
         self.tick_ms = int(round(1000.0 / decision_rate_hz))

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BandParams
-from .errors import InvalidParameterError, RejectedInputError
+from .config import BandParams, checked
+from .errors import RejectedInputError
 from .motion import MotionFrame
 
 
@@ -93,8 +93,8 @@ class CascadeFilter:
     """
 
     def __init__(self, grid_w: int, grid_h: int, params: BandParams):
-        if grid_w < 1 or grid_h < 1:
-            raise InvalidParameterError("grid dimensions must be positive")
+        checked("grid_w", grid_w, 1, integral=True)
+        checked("grid_h", grid_h, 1, integral=True)
         self.params = params
         self._grid = grid = (grid_h, grid_w)
         self._alpha_l1 = params.alpha_l1

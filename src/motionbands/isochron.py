@@ -60,7 +60,6 @@ would change the file format.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 import zlib
@@ -70,7 +69,7 @@ from tempfile import NamedTemporaryFile
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .config import BandParams, alpha_from_decay
+from .config import BandParams, alpha_from_decay, checked
 from .errors import InvalidParameterError, RejectedInputError, StoreLoadError
 from .filters import _ema, _frozen
 from .motion import MotionFrame, _finite_nonnegative, block_mean
@@ -105,7 +104,10 @@ def minute_of_day(timestamp_ms: int) -> int:
 
 
 class IsochronalStore:
-    """Per-minute-of-day motion density statistics for one camera."""
+    """Per-minute-of-day motion density statistics for one camera.
+
+    ``config.checked`` holds the grid to integers >= 1, ``t_l2_days`` (before
+    ``float``) to > 0, minutes to integers in [0, 1439] and ``epsilon`` to >= 0."""
 
     def __init__(
         self, camera_id: str, grid_w: int, grid_h: int, t_l2_days: float = BandParams.t_l2_days
@@ -114,13 +116,11 @@ class IsochronalStore:
         self._adopt(np.zeros(MINUTES_PER_DAY, dtype=_slot_dtype(grid_w, grid_h)))
 
     def _configure(self, camera_id: str, grid_w: int, grid_h: int, t_l2_days: float) -> None:
-        if grid_w < 1 or grid_h < 1:
-            raise InvalidParameterError("grid dimensions must be positive")
         self.camera_id = camera_id
-        self.grid_w = grid_w
-        self.grid_h = grid_h
+        self.grid_w = checked("grid_w", grid_w, 1, integral=True)
+        self.grid_h = checked("grid_h", grid_h, 1, integral=True)
+        self.alpha_l2 = a = alpha_from_decay(1.0, t_l2_days)
         self.t_l2_days = float(t_l2_days)
-        self.alpha_l2 = a = alpha_from_decay(1.0, self.t_l2_days)
         # Finch's a * (var + (1 - a) * d^2) scaled by (1 + a) / (2a).
         self._var_gain = (1.0 - a) * (1.0 + a) / 2.0
 
@@ -137,10 +137,7 @@ class IsochronalStore:
     # ------------------------------------------------------------------ update
 
     def _check_minute(self, minute: int) -> None:
-        if not (isinstance(minute, numbers.Integral) and 0 <= minute < MINUTES_PER_DAY):
-            raise InvalidParameterError(
-                f"minute-of-day must be an integer in [0, {MINUTES_PER_DAY - 1}], got {minute!r}"
-            )
+        checked("minute-of-day", minute, 0, MINUTES_PER_DAY - 1, integral=True)
 
     def update(self, minute: int, sample: MotionFrame) -> None:
         """Blend one per-minute aggregate's density into the slot's
@@ -182,7 +179,7 @@ class IsochronalStore:
         mean = MotionFrame(
             density=self._mean_density[minute].copy(),
             dir_hist=np.zeros((self.grid_h, self.grid_w, 0)),
-            timestamp_ms=minute * 60_000,
+            timestamp_ms=int(minute) * 60_000,
         )
         std = np.sqrt(self._var[minute])
         return mean, std, int(self._days[minute])
@@ -190,9 +187,9 @@ class IsochronalStore:
     def scalar_stats(self, minute: int) -> tuple[float, float, int]:
         """Block-averaged (mean activity, std, days) for threshold checks.
         Cached per minute until the next ``update`` of that minute."""
+        self._check_minute(minute)  # first: True or 5.0 would find 1's or 5's stats
         stats = self._stats.get(minute)
         if stats is None:
-            self._check_minute(minute)
             stats = self._stats[minute] = (
                 block_mean(self._mean_density[minute]),
                 block_mean(np.sqrt(self._var[minute])),
@@ -204,8 +201,7 @@ class IsochronalStore:
         """Time-collapsed support mask: per block, 1 iff any minute's mean
         density exceeds ``epsilon``. Cached until the next ``update``; the
         mask is read-only, so every caller may share it."""
-        if not epsilon >= 0:
-            raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+        checked("epsilon", epsilon)
         if self._support is None or self._support[0] != epsilon:
             mask = (self._mean_density.max(axis=0) > epsilon).astype(np.uint8)
             self._support = (epsilon, _frozen(mask))

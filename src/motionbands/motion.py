@@ -76,14 +76,13 @@ Float frames take the same arithmetic in float64.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MotionConfig
-from .errors import InvalidParameterError, RejectedInputError
+from .config import MotionConfig, checked
+from .errors import RejectedInputError
 
 N_DIR_BINS = 8
 
@@ -183,8 +182,8 @@ class MotionFrame:
 
     @classmethod
     def zeros(cls, grid_w: int, grid_h: int, timestamp_ms: int = 0) -> "MotionFrame":
-        if grid_w < 1 or grid_h < 1:
-            raise InvalidParameterError("grid dimensions must be positive")
+        checked("grid_w", grid_w, 1, integral=True)
+        checked("grid_h", grid_h, 1, integral=True)
         return cls(
             density=np.zeros((grid_h, grid_w)),
             dir_hist=np.zeros((grid_h, grid_w, N_DIR_BINS)),
@@ -271,10 +270,11 @@ def extract_motion(
     prev, curr : GrayFrame
         Consecutive frames of identical dimensions.
     block_size : int
-        Block edge in pixels. Edge blocks narrower than this are averaged
-        over their actual pixel count.
+        Block edge in pixels, an integer >= 1. Edge blocks narrower than
+        this are averaged over their actual pixel count.
     noise_floor : float
-        Per-pixel |curr - prev| below this contributes nothing.
+        Per-pixel |curr - prev| below this contributes nothing: a real
+        number >= 0 (both via ``config.checked``); at +inf no pixel is active.
 
     Returns
     -------
@@ -283,21 +283,21 @@ def extract_motion(
         entries are non-negative, and a block with zero density has an
         all-zero histogram.
     """
-    if isinstance(block_size, bool) or not isinstance(block_size, numbers.Integral) or block_size < 1:
-        raise InvalidParameterError(f"block_size must be an integer >= 1, got {block_size!r}")
-    if not noise_floor >= 0:
-        raise InvalidParameterError(f"noise_floor must be >= 0, got {noise_floor}")
+    checked("block_size", block_size, 1, integral=True)
+    checked("noise_floor", noise_floor, high=math.inf)
     if prev.pixels.shape != curr.pixels.shape:
         raise RejectedInputError(
             f"frame dimensions differ: {prev.pixels.shape} vs {curr.pixels.shape}"
         )
 
     h, w = curr.pixels.shape
+    # From max(h, w) on, one block covers the frame: keep huge ints out of numpy.
+    block_size = min(block_size, max(h, w))
     integral = prev.pixels.dtype.kind in "biu" and curr.pixels.dtype.kind in "biu"
     work = np.dtype(np.int16 if integral else np.float64)
-    # Integer differences are whole numbers (at most 255 in magnitude), so
-    # the rounded-up floor selects the same pixels.
-    floor = math.ceil(min(noise_floor, 256.0)) if integral else noise_floor
+    # Differences are at most 255, so a floor past 256 selects what 256 does;
+    # integer ones are whole numbers, so the rounded-up floor selects the same.
+    floor = math.ceil(min(noise_floor, 256.0)) if integral else min(noise_floor, 256.0)
     density, dir_hist = _extractor(h, w, work, block_size).extract(
         prev.pixels, curr.pixels, floor
     )

@@ -57,8 +57,8 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import numbers
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -66,9 +66,10 @@ from typing import Mapping
 import numpy as np
 import yaml
 
+from .config import checked
 from .errors import InvalidParameterError, RejectedInputError, UnknownSegmentError
 from .filters import BandOutputs
-from .isochron import IsochronalStore, minute_of_day
+from .isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
 from .motion import MotionFrame, block_mean
 
 LETHAL_COST = 254
@@ -106,11 +107,9 @@ class Segment:
     base_cost: float | None = None  # defaults to length_m
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails each check.
-        if not 0 < self.length_m < math.inf:
-            raise InvalidParameterError(f"segment {self.segment_id}: length must be finite and > 0")
-        if self.base_cost is not None and not 0 <= self.base_cost < math.inf:
-            raise InvalidParameterError(f"segment {self.segment_id}: base cost must be finite and >= 0")
+        checked(f"segment {self.segment_id}: length_m", self.length_m, above=True)
+        if self.base_cost is not None:
+            checked(f"segment {self.segment_id}: base_cost", self.base_cost)
 
     @property
     def traversal_cost(self) -> float:
@@ -309,6 +308,10 @@ MODE_REALTIME = "realtime"
 
 @dataclass(frozen=True)
 class PlanQuery:
+    """One route. ``config.checked`` holds ``lam`` to finite and > 0, ``w1``,
+    ``w2`` and ``staleness_s`` to finite and >= 0, ``t_star`` to an integer
+    minute of day and ``t_ms`` to an integer >= 0; real time needs w1 + w2 > 0."""
+
     origin: str
     goal: str
     mode: str = MODE_OFFLINE
@@ -323,17 +326,12 @@ class PlanQuery:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_OFFLINE, MODE_REALTIME):
             raise InvalidParameterError(f"unknown plan mode {self.mode!r}")
-        # Written so that NaN fails each check.
-        if not 0 < self.lam < math.inf:
-            raise InvalidParameterError(f"lam must be finite and > 0, got {self.lam}")
-        if not (0 <= self.w1 < math.inf and 0 <= self.w2 < math.inf):
-            raise InvalidParameterError(f"weights must be finite and >= 0, got {self.w1}, {self.w2}")
-        if not self.staleness_s >= 0:
-            raise InvalidParameterError(f"staleness_s must be >= 0, got {self.staleness_s}")
-        if not (isinstance(self.t_star, numbers.Integral) and 0 <= self.t_star <= 1439):
-            raise InvalidParameterError(
-                f"t_star must be an integer minute of day in [0, 1439], got {self.t_star!r}"
-            )
+        checked("lam", self.lam, above=True)
+        checked("w1", self.w1)
+        checked("w2", self.w2)
+        checked("staleness_s", self.staleness_s)
+        checked("t_star", self.t_star, 0, MINUTES_PER_DAY - 1, integral=True)
+        checked("t_ms", self.t_ms, integral=True)
         if self.mode == MODE_REALTIME and self.w1 + self.w2 <= 0:
             raise InvalidParameterError("w1 + w2 must be > 0 in realtime mode")
 
@@ -499,7 +497,8 @@ def _search(
 
 @dataclass
 class CostMap:
-    """Occupancy cost grid: 0 free .. 254 lethal, 255 unknown."""
+    """Occupancy cost grid: 0 free .. 254 lethal, 255 unknown. A non-finite
+    origin would put every block off the map, so it is refused."""
 
     resolution_m: float
     origin_x: float
@@ -507,8 +506,9 @@ class CostMap:
     cells: np.ndarray  # (rows, cols) uint8
 
     def __post_init__(self) -> None:
-        if self.resolution_m <= 0:
-            raise InvalidParameterError("resolution must be > 0")
+        checked("resolution_m", self.resolution_m, above=True)
+        checked("origin_x", self.origin_x, -sys.float_info.max)
+        checked("origin_y", self.origin_y, -sys.float_info.max)
         c = np.asarray(self.cells, dtype=np.uint8)
         if c.ndim != 2:
             raise RejectedInputError(f"cost grid must be 2-D, got shape {c.shape}")
@@ -556,16 +556,16 @@ def _pgm_raster(path: str | Path) -> np.ndarray:
 
 
 def read_costmap(pgm_path: str | Path, yaml_path: str | Path) -> CostMap:
-    with open(yaml_path, "r", encoding="utf-8") as fh:
-        meta = yaml.safe_load(fh)
+    """A ROS map-server pair. Metadata other than a YAML mapping of a valid
+    ``resolution`` and optional ``origin`` (x, y, ...) is a RejectedInputError."""
     cells = (255 - _pgm_raster(pgm_path).astype(np.int16)).astype(np.uint8)
-    origin = meta.get("origin", [0.0, 0.0, 0.0])
-    return CostMap(
-        resolution_m=float(meta["resolution"]),
-        origin_x=float(origin[0]),
-        origin_y=float(origin[1]),
-        cells=cells,
-    )
+    try:
+        with open(yaml_path, "r", encoding="utf-8") as fh:
+            meta = yaml.safe_load(fh)
+        origin = meta.get("origin", [0.0, 0.0, 0.0])  # AttributeError: not a mapping
+        return CostMap(float(meta["resolution"]), float(origin[0]), float(origin[1]), cells)
+    except (yaml.YAMLError, AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+        raise RejectedInputError(f"bad cost-map metadata in {yaml_path}: {exc!r}") from exc
 
 
 @dataclass
@@ -592,8 +592,7 @@ def splat_activity(
     order, before anything is projected. Block cells come from a cache
     (see the module docstring).
     """
-    if not density_scale > 0:
-        raise InvalidParameterError("density_scale must be > 0")
+    checked("density_scale", density_scale, above=True)
     cameras = sorted(activity_frames.items())
     views = []
     for cam_id, frame in cameras:

@@ -24,6 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import checked
 from .errors import InvalidParameterError
 from .motion import N_DIR_BINS, GrayFrame, MotionFrame
 
@@ -43,8 +44,7 @@ def gen_daily_profile(template: str, amplitude: float = 1.0) -> np.ndarray:
       12:30, an afternoon peak, fading out by 21:00.
     * ``university``: hourly bursts between 08:00 and 18:00.
     """
-    if not amplitude >= 0:
-        raise InvalidParameterError(f"profile amplitude must be >= 0, got {amplitude}")
+    checked("amplitude", amplitude)
     minutes = np.arange(1440)
     if template == "flat":
         return np.full(1440, float(amplitude))
@@ -188,14 +188,11 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.grid_w < 1 or self.grid_h < 1:
-            raise InvalidParameterError("grid dimensions must be positive")
-        if not 0 < self.day_hours <= 24:
-            raise InvalidParameterError("day_hours must lie in (0, 24]")
-        if self.rate_hz <= 0:
-            raise InvalidParameterError("rate_hz must be > 0")
-        if self.noise_sigma < 0:
-            raise InvalidParameterError("noise_sigma must be >= 0")
+        checked("grid_w", self.grid_w, 1, integral=True)
+        checked("grid_h", self.grid_h, 1, integral=True)
+        checked("day_hours", self.day_hours, 0, 24, above=True)
+        checked("rate_hz", self.rate_hz, above=True)
+        checked("noise_sigma", self.noise_sigma)
         gen_daily_profile(self.template)  # validates the template name
         for w in self.walkers:
             for bx, by in w.path:
@@ -264,10 +261,11 @@ def _walkable_mask(scenario: Scenario) -> np.ndarray:
 
 def _place_events(scenario: Scenario, days: int, rng: np.random.Generator) -> list[PlantedEvent]:
     plan = scenario.events
-    if plan is None or plan.mean_per_day <= 0:
+    if plan is None or checked("mean_per_day", plan.mean_per_day) == 0:
         return []
-    if plan.width_blocks < 1 or plan.duration_s <= 0 or plan.speed_bps < 0:
-        raise InvalidParameterError("event plan fields must be positive")
+    checked("width_blocks", plan.width_blocks, 1, integral=True)
+    checked("duration_s", plan.duration_s, above=True)
+    checked("speed_bps", plan.speed_bps)
 
     travel = int(plan.duration_s * plan.speed_bps)
     day_minutes = int(scenario.day_hours * 60)
@@ -433,8 +431,7 @@ def gen_stream(scenario: Scenario, days: int = 1) -> tuple[Iterator[MotionFrame]
     The iterator yields one MotionFrame per tick; noise is drawn from the
     scenario seed, so equal seeds give byte-identical streams.
     """
-    if days < 1:
-        raise InvalidParameterError("days must be >= 1")
+    checked("days", days, 1, integral=True)
     event_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 1]))
     events = _place_events(scenario, days, event_rng)
     truth = GroundTruth(
@@ -494,8 +491,7 @@ def gen_blob_frames(
     shape: str = "disc",
 ) -> Iterator[GrayFrame]:
     """Bright blob translating rightward over a black background."""
-    if n_frames < 1:
-        raise InvalidParameterError("n_frames must be >= 1")
+    checked("n_frames", n_frames, 1, integral=True)
     if shape not in ("disc", "square"):
         raise InvalidParameterError(f"unknown blob shape {shape!r}")
     cx0 = radius + 2.0 if start_x is None else start_x

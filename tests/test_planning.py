@@ -1094,6 +1094,48 @@ class TestCostMap:
         with pytest.raises(RejectedInputError):
             read_costmap(tmp_path / "map.pgm", tmp_path / "map.yaml")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "- 0.5\n- [0.0, 0.0, 0.0]\n",
+            "origin: [0.0, 0.0, 0.0]\n",
+            "resolution: abc\n",
+            "resolution: 0.5\norigin: [1.0]\n",
+            "resolution: 0.5\norigin: 1.0\n",
+            "resolution: .nan\n",
+            "resolution: 0.5\norigin: [.nan, 0.0, 0.0]\n",
+            "resolution: 0.5\norigin: [0.0, -.inf, 0.0]\n",
+            "resolution: [0.5\n",
+        ],
+        ids=[
+            "empty",
+            "list",
+            "no-resolution",
+            "text-resolution",
+            "short-origin",
+            "scalar-origin",
+            "nan-resolution",
+            "nan-origin",
+            "infinite-origin",
+            "not-yaml",
+        ],
+    )
+    def test_malformed_yaml_rejected(self, tmp_path, text):
+        # An empty or list file raised AttributeError, a missing resolution
+        # KeyError, text ValueError and a short origin IndexError; a NaN
+        # resolution or origin loaded.
+        (tmp_path / "map.pgm").write_bytes(b"P5\n2 1\n255\n\x00\x00")
+        (tmp_path / "map.yaml").write_text(text)
+        with pytest.raises(RejectedInputError):
+            read_costmap(tmp_path / "map.pgm", tmp_path / "map.yaml")
+
+    def test_yaml_without_origin_reads_origin_zero(self, tmp_path):
+        (tmp_path / "map.pgm").write_bytes(b"P5\n2 1\n255\n\x00\x00")
+        (tmp_path / "map.yaml").write_text("resolution: 2\n")
+        back = read_costmap(tmp_path / "map.pgm", tmp_path / "map.yaml")
+        assert (back.resolution_m, back.origin_x, back.origin_y) == (2.0, 0.0, 0.0)
+
     def test_zero_activity_is_byte_identical_to_static(self, tmp_path):
         m = self._static()
         write_costmap(m, tmp_path / "static.pgm", tmp_path / "static.yaml")

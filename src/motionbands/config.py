@@ -54,7 +54,11 @@ def checked(name, value, low=0, high=_LARGEST, *, above=False, integral=False):
         return value
     what = "an integer" if integral else "finite and" if high < math.inf else "a real number"
     bound = (f"> {low}" if above else f">= {low}") + (f" and <= {high}" if high < _LARGEST else "")
-    raise InvalidParameterError(f"{name} must be {what} {bound}, got {value!r}")
+    try:
+        shown = repr(value)
+    except ValueError:  # an int past Python's limit on digits converted to str
+        shown = f"an {type(value).__name__} too long to print"
+    raise InvalidParameterError(f"{name} must be {what} {bound}, got {shown}")
 
 
 def _check(section: object, above: bool = False, **lowest: float) -> None:

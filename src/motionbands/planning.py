@@ -563,7 +563,9 @@ def read_costmap(pgm_path: str | Path, yaml_path: str | Path) -> CostMap:
         with open(yaml_path, "r", encoding="utf-8") as fh:
             meta = yaml.safe_load(fh)
         origin = meta.get("origin", [0.0, 0.0, 0.0])  # AttributeError: not a mapping
-        return CostMap(float(meta["resolution"]), float(origin[0]), float(origin[1]), cells)
+        named = {"resolution": meta["resolution"], "origin_x": origin[0], "origin_y": origin[1]}
+        # float() would take a bool or a numeric string; checked refuses both.
+        return CostMap(*(float(checked(k, v, -sys.float_info.max)) for k, v in named.items()), cells)
     except (yaml.YAMLError, AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise RejectedInputError(f"bad cost-map metadata in {yaml_path}: {exc!r}") from exc
 

@@ -40,12 +40,19 @@ _FIELDS = [
 
 # An int that no float can hold: float() of it raises OverflowError.
 _PAST_FLOAT = 10**400
+# An int too long for str(): repr() of it raises ValueError.
+_PAST_STR = 10**5000
+_NAMED = {_PAST_FLOAT: "10**400", -_PAST_FLOAT: "-10**400", _PAST_STR: "10**5000"}
+
+
+def _label(value):
+    return _NAMED[value] if value in _NAMED else repr(value)
 
 
 def _bad_values(section, name):
-    """Values no field takes (a bool, a string, an int past float range),
+    """Values no field takes (a bool, a string, ints past float range),
     and for an ``int`` field, numbers that are not integers."""
-    bad = [math.nan, math.inf, -math.inf, -1, True, "1", _PAST_FLOAT]
+    bad = [math.nan, math.inf, -math.inf, -1, True, "1", _PAST_FLOAT, _PAST_STR]
     return bad + [2.5, 3.0] if get_type_hints(section)[name] is int else bad
 
 
@@ -56,7 +63,7 @@ def _bad_values(section, name):
             section,
             name,
             value,
-            id=f"{section.__name__}.{name}={'10**400' if value is _PAST_FLOAT else repr(value)}",
+            id=f"{section.__name__}.{name}={_label(value)}",
         )
         for section, name in _FIELDS
         for value in _bad_values(section, name)
@@ -126,7 +133,7 @@ _ENTRY_POINTS = [
             ("noise_sigma", "real"),
         ]
     ),
-    ("gen_daily_profile", "amplitude", lambda v: gen_daily_profile("flat", v), "real"),
+    ("gen_daily_profile", "amplitude", lambda v: gen_daily_profile("office", v), "real"),
     ("gen_stream", "days", lambda v: gen_stream(Scenario(**_DAY), v), "int"),
     *(
         (
@@ -142,17 +149,16 @@ _ENTRY_POINTS = [
             ("speed_bps", "real"),
         ]
     ),
-    # A generator: the check runs when the first frame is asked for.
-    ("gen_blob_frames", "n_frames", lambda v: next(gen_blob_frames(8, 8, v)), "int"),
+    ("gen_blob_frames", "n_frames", lambda v: gen_blob_frames(8, 8, v), "int"),
 ]
 
 
 def _bad_scalars(kind):
     """What an entry point of ``kind`` must refuse: a bool, a string, NaN,
-    both infinities, -1, an int past float range, and 2.5 where an
+    both infinities, -1, ints past float range and past str(), 2.5 where an
     integer is needed. A noise floor takes +inf and any number past 255,
     which no pixel difference clears, and a map origin takes -1."""
-    bad = [True, "1", math.nan, -math.inf, math.inf, -1, _PAST_FLOAT]
+    bad = [True, "1", math.nan, -math.inf, math.inf, -1, _PAST_FLOAT, _PAST_STR]
     if kind == "int":
         bad.append(2.5)
     if kind == "floor":
@@ -160,10 +166,6 @@ def _bad_scalars(kind):
     if kind == "origin":
         bad[bad.index(-1)] = -_PAST_FLOAT
     return bad
-
-
-def _label(value):
-    return {_PAST_FLOAT: "10**400", -_PAST_FLOAT: "-10**400"}.get(value, repr(value))
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,17 @@ def test_config_imports_no_package_module_but_errors():
     assert _package_imports(tree) <= {"errors"}
 
 
+def test_no_package_module_imports_sim():
+    # sim generates test and benchmark inputs; nothing on the camera path
+    # may depend on it, so it can move out of the package.
+    importers = [
+        path.name
+        for path in _MODULES
+        if path.stem != "sim" and "sim" in _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == []
+
+
 def test_the_scan_finds_package_imports():
     source = (
         "import numpy\nfrom .errors import E\nfrom . import motion\n"

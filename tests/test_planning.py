@@ -1107,6 +1107,9 @@ class TestCostMap:
             "resolution: 0.5\norigin: [.nan, 0.0, 0.0]\n",
             "resolution: 0.5\norigin: [0.0, -.inf, 0.0]\n",
             "resolution: [0.5\n",
+            "resolution: true\n",
+            'resolution: "0.05"\n',
+            "resolution: 0.5\norigin: [true, 0, 0]\n",
         ],
         ids=[
             "empty",
@@ -1119,12 +1122,16 @@ class TestCostMap:
             "nan-origin",
             "infinite-origin",
             "not-yaml",
+            "bool-resolution",
+            "string-resolution",
+            "bool-origin",
         ],
     )
     def test_malformed_yaml_rejected(self, tmp_path, text):
         # An empty or list file raised AttributeError, a missing resolution
         # KeyError, text ValueError and a short origin IndexError; a NaN
-        # resolution or origin loaded.
+        # resolution or origin loaded, and so did a bool or a quoted number,
+        # which float() took.
         (tmp_path / "map.pgm").write_bytes(b"P5\n2 1\n255\n\x00\x00")
         (tmp_path / "map.yaml").write_text(text)
         with pytest.raises(RejectedInputError):

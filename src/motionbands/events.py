@@ -49,24 +49,6 @@ class ActivityEvent:
     threshold_std: float
     k_sigma: float
 
-    @property
-    def duration_ms(self) -> int:
-        if self.end_ms is None:
-            return 0
-        return self.end_ms - self.start_ms
-
-    def to_json_obj(self) -> dict:
-        return {
-            "cam": self.camera_id,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "peak": self.peak,
-            "band": self.band,
-            "threshold_mean": self.threshold_mean,
-            "threshold_std": self.threshold_std,
-            "k_sigma": self.k_sigma,
-        }
-
 
 def scalar_activity(m_s1, m_s2) -> float:
     """Block mean of the per-block max of the two short-term densities."""

@@ -180,16 +180,6 @@ class MotionFrame:
         frame.timestamp_ms = timestamp_ms
         return frame
 
-    @classmethod
-    def zeros(cls, grid_w: int, grid_h: int, timestamp_ms: int = 0) -> "MotionFrame":
-        checked("grid_w", grid_w, 1, integral=True)
-        checked("grid_h", grid_h, 1, integral=True)
-        return cls(
-            density=np.zeros((grid_h, grid_w)),
-            dir_hist=np.zeros((grid_h, grid_w, N_DIR_BINS)),
-            timestamp_ms=timestamp_ms,
-        )
-
     def finite_nonnegative(self) -> bool:
         """True iff every density and bin is finite and >= 0."""
         return _finite_nonnegative(self.density) and _finite_nonnegative(self.dir_hist)
@@ -201,9 +191,6 @@ class MotionFrame:
     @property
     def grid_h(self) -> int:
         return self.density.shape[0]
-
-    def copy(self) -> "MotionFrame":
-        return MotionFrame(self.density.copy(), self.dir_hist.copy(), self.timestamp_ms)
 
 
 # Bit pattern of +inf. A float64 is finite and at least +0.0 iff its bits,

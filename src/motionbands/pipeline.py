@@ -102,7 +102,6 @@ class CameraPipeline:
         self.frames_ingested = 0
         self.frames_rejected = 0
         self.frames_late = 0
-        self.last_bands: BandOutputs | None = None
         self._acc: _MinuteAccumulator | None = None
         # Absolute minute of the last sample stored: after ``finish`` its
         # later frames must not store a second sample for it.
@@ -142,7 +141,6 @@ class CameraPipeline:
         if self._acc is not None:
             self._acc.add(bands.m_l1.density)
         self.frames_ingested += 1
-        self.last_bands = bands
 
         closed = None
         invoke = False

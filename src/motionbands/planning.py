@@ -196,18 +196,33 @@ class PathGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PathGraph":
-        nodes = [Node(str(n["id"]), float(n["x"]), float(n["y"])) for n in obj["nodes"]]
-        segments = [
-            Segment(
-                segment_id=str(e.get("id", f"{e['u']}-{e['v']}")),
-                u=str(e["u"]),
-                v=str(e["v"]),
-                length_m=float(e["len_m"]),
-                camera_id=e.get("cam"),
-                base_cost=None if e.get("base_cost") is None else float(e["base_cost"]),
-            )
-            for e in obj["edges"]
-        ]
+        """A graph from its JSON description: ``nodes`` with ``id``, ``x``
+        and ``y``, and ``edges`` with ``u``, ``v``, ``len_m`` and optional
+        ``id``, ``cam`` (a string or null) and ``base_cost``. A description
+        that is malformed or holds a bad number is a RejectedInputError."""
+        try:
+            nodes = [
+                Node(str(n["id"]), *(float(checked(k, n[k], -sys.float_info.max)) for k in "xy"))
+                for n in obj["nodes"]
+            ]
+            segments = []
+            for e in obj["edges"]:
+                cam, base = e.get("cam"), e.get("base_cost")
+                if not (cam is None or isinstance(cam, str)):
+                    raise TypeError(f"camera id {cam!r} is not a string")
+                segments.append(
+                    Segment(
+                        segment_id=str(e.get("id", f"{e['u']}-{e['v']}")),
+                        u=str(e["u"]),
+                        v=str(e["v"]),
+                        # float() would take a bool or a numeric string; checked refuses both.
+                        length_m=float(checked("len_m", e["len_m"], above=True)),
+                        camera_id=cam,
+                        base_cost=None if base is None else float(checked("base_cost", base)),
+                    )
+                )
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise RejectedInputError(f"bad graph description: {exc!r}") from exc
         return cls(nodes, segments)
 
 
@@ -357,21 +372,6 @@ class PlanResult:
     # Nodes settled by the search that returned the result, the goal
     # included.
     expansions: int = 0
-
-    def to_json_obj(self) -> dict:
-        return {
-            "feasible": self.found,
-            "nodes": self.nodes,
-            "total_cost": None if math.isinf(self.total_cost) else self.total_cost,
-            "degraded": self.degraded,
-            "segments": [
-                {"id": s.segment_id, "base": s.base, "activity": s.activity}
-                for s in self.segments
-            ],
-            "excluded_cameras": self.excluded_cameras,
-            "stale_cameras": self.stale_cameras,
-            "expansions": self.expansions,
-        }
 
 
 def plan_path(
@@ -580,13 +580,13 @@ def splat_activity(
     static_map: CostMap,
     activity_frames: Mapping[str, MotionFrame],
     homographies: Mapping[str, np.ndarray],
-    density_scale: float = 254.0,
 ) -> tuple[CostMap, ExportReport]:
     """Overlay block activity onto a static map.
 
     Each camera's homography maps block-center coordinates (bx + 0.5,
     by + 0.5) to world meters; each block's density lands in the containing
-    cell, scaled and clipped to [0, 254]. Blocks falling outside the map
+    cell, scaled by ``LETHAL_COST`` and clipped to [0, 254], so a density
+    of 1 or more is lethal. Blocks falling outside the map
     are skipped and counted. The combined map is the element-wise max of
     the static and activity layers. Every camera's homography is checked
     before any density: a missing or non-finite homography, then a
@@ -594,7 +594,6 @@ def splat_activity(
     order, before anything is projected. Block cells come from a cache
     (see the module docstring).
     """
-    checked("density_scale", density_scale, above=True)
     cameras = sorted(activity_frames.items())
     views = []
     for cam_id, frame in cameras:
@@ -617,7 +616,7 @@ def splat_activity(
     active = density > 0
     hit = np.flatnonzero(active & (cells >= 0))  # two gathers by a mask cost more
     combined = static_map.cells.copy()
-    cost = np.minimum(np.rint(density[hit] * density_scale), LETHAL_COST).astype(np.uint8)
+    cost = np.minimum(np.rint(density[hit] * LETHAL_COST), LETHAL_COST).astype(np.uint8)
     np.maximum.at(combined.reshape(-1), cells[hit], cost)
     report = ExportReport(cells_touched=hit.size, blocks_skipped=int(np.count_nonzero(active)) - hit.size)
     return CostMap(static_map.resolution_m, static_map.origin_x, static_map.origin_y, combined), report

@@ -1,11 +1,11 @@
 """Deterministic synthetic activity scenarios with ground truth.
 
-Scenarios generate motion-feature streams (and grayscale blob frames)
-together with the labels needed to judge the pipeline: planted
-per-minute activity, event intervals, and which blocks carry moving
-activity at any instant. Its readers are the benchmark (``perfbench/``)
-and the package tests; ``sim`` is not on the camera path, and no other
-package module imports it.
+Scenarios generate motion-feature streams together with the labels
+needed to judge the pipeline: planted per-minute activity and event
+intervals. Its readers are the benchmark (``perfbench/``) and the package
+tests; ``sim`` is not on the camera path, and no other package module
+imports it. Every setting is checked by ``config.checked`` when the
+actor, event plan or scenario holding it is built.
 
 Streams tick at ``rate_hz`` samples/s: walkers deposit moving activity
 along their paths, dwellers deposit in-place activity, and planted events
@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import checked
 from .errors import InvalidParameterError
-from .motion import N_DIR_BINS, GrayFrame, MotionFrame
+from .motion import N_DIR_BINS, MotionFrame
 
 SECONDS_PER_DAY = 86_400
 
@@ -91,6 +91,11 @@ class Walker:
     amplitude: float = 1.0
     loop: bool = False
 
+    def __post_init__(self) -> None:
+        checked("speed_bps", self.speed_bps)
+        checked("start_s", self.start_s)
+        checked("amplitude", self.amplitude)
+
     def block_at(self, t_s: float) -> tuple[int, int] | None:
         if t_s < self.start_s or self.speed_bps <= 0 or not self.path:
             return None
@@ -119,6 +124,11 @@ class Dweller:
     duration_s: float = 60.0
     amplitude: float = 1.0
 
+    def __post_init__(self) -> None:
+        checked("start_s", self.start_s)
+        checked("duration_s", self.duration_s)
+        checked("amplitude", self.amplitude)
+
     def active(self, t_s: float) -> bool:
         return self.start_s <= t_s < self.start_s + self.duration_s
 
@@ -138,6 +148,14 @@ class EventPlan:
     width_blocks: int = 4
     speed_bps: float = 1.0
     min_gap_s: float = 15.0
+
+    def __post_init__(self) -> None:
+        checked("mean_per_day", self.mean_per_day)
+        checked("duration_s", self.duration_s, above=True)
+        checked("amplitude", self.amplitude)
+        checked("width_blocks", self.width_blocks, 1, integral=True)
+        checked("speed_bps", self.speed_bps)
+        checked("min_gap_s", self.min_gap_s)
 
 
 @dataclass(frozen=True)
@@ -186,13 +204,14 @@ class Scenario:
         checked("rate_hz", self.rate_hz, above=True)
         checked("noise_sigma", self.noise_sigma)
         for w in self.walkers:
-            for bx, by in w.path:
-                if not (0 <= bx < self.grid_w and 0 <= by < self.grid_h):
-                    raise InvalidParameterError(f"walker path block ({bx},{by}) outside grid")
+            for block in w.path:
+                self._check_block("walker path block", block)
         for d in self.dwellers:
-            bx, by = d.block
-            if not (0 <= bx < self.grid_w and 0 <= by < self.grid_h):
-                raise InvalidParameterError(f"dweller block ({bx},{by}) outside grid")
+            self._check_block("dweller block", d.block)
+
+    def _check_block(self, what: str, block: tuple[int, int]) -> None:
+        checked(f"{what} x", block[0], 0, self.grid_w - 1, integral=True)
+        checked(f"{what} y", block[1], 0, self.grid_h - 1, integral=True)
 
     @property
     def day_seconds(self) -> float:
@@ -211,23 +230,8 @@ class GroundTruth:
     events: list[PlantedEvent]
     per_minute: np.ndarray        # (days * 1440, gh, gw) planted mean activity
 
-    def moving_blocks(self, t_s: float) -> set[tuple[int, int]]:
-        """Blocks carrying moving activity at time t (walkers + events)."""
-        day_t = t_s % SECONDS_PER_DAY
-        out = set()
-        for w in self.scenario.walkers:
-            b = w.block_at(day_t)
-            if b is not None:
-                out.add(b)
-        for ev in self.events:
-            out.update(ev.blocks_at(t_s))
-        return {b for b in out if self._inside(b)}
-
     def event_intervals_ms(self) -> list[tuple[int, int]]:
         return [(int(e.start_s * 1000), int(e.end_s * 1000)) for e in self.events]
-
-    def _inside(self, block: tuple[int, int]) -> bool:
-        return 0 <= block[0] < self.scenario.grid_w and 0 <= block[1] < self.scenario.grid_h
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +240,8 @@ class GroundTruth:
 
 def _place_events(scenario: Scenario, days: int, rng: np.random.Generator) -> list[PlantedEvent]:
     plan = scenario.events
-    if plan is None or checked("mean_per_day", plan.mean_per_day) == 0:
+    if plan is None or plan.mean_per_day == 0:
         return []
-    checked("width_blocks", plan.width_blocks, 1, integral=True)
-    checked("duration_s", plan.duration_s, above=True)
-    checked("speed_bps", plan.speed_bps)
 
     travel = int(plan.duration_s * plan.speed_bps)
     feasible = _feasible_directions(scenario, plan.width_blocks, travel)
@@ -376,37 +377,3 @@ def gen_stream(scenario: Scenario, days: int = 1) -> tuple[Iterator[MotionFrame]
             )
 
     return frames(), truth
-
-
-# ---------------------------------------------------------------------------
-# Pixel mode
-# ---------------------------------------------------------------------------
-
-def gen_blob_frames(
-    width: int,
-    height: int,
-    n_frames: int,
-    radius: float = 12.0,
-    speed_px: float = 4.0,
-    center_y: float | None = None,
-    shape: str = "disc",
-) -> Iterator[GrayFrame]:
-    """White blob translating rightward over a black background at 30 fps.
-    The arguments are checked when called, before any frame is drawn."""
-    checked("n_frames", n_frames, 1, integral=True)
-    if shape not in ("disc", "square"):
-        raise InvalidParameterError(f"unknown blob shape {shape!r}")
-    cy = height / 2.0 if center_y is None else center_y
-    yy, xx = np.mgrid[0:height, 0:width]
-
-    def frames() -> Iterator[GrayFrame]:
-        for i in range(n_frames):
-            cx = radius + 2.0 + i * speed_px
-            if shape == "disc":
-                mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2
-            else:
-                mask = (np.abs(xx - cx) <= radius) & (np.abs(yy - cy) <= radius)
-            pixels = np.where(mask, 255, 0).astype(np.uint8)
-            yield GrayFrame(pixels=pixels, timestamp_ms=int(round(i * 1000.0 / 30.0)))
-
-    return frames()

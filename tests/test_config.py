@@ -17,7 +17,7 @@ from motionbands.errors import InvalidParameterError
 from motionbands.events import EventGate
 from motionbands.filters import CascadeFilter
 from motionbands.isochron import IsochronalStore
-from motionbands.motion import GrayFrame, MotionFrame, extract_motion
+from motionbands.motion import GrayFrame, extract_motion
 from motionbands.planning import (
     MODE_REALTIME,
     CostMap,
@@ -26,9 +26,10 @@ from motionbands.planning import (
     PlanQuery,
     Segment,
     plan_path,
-    splat_activity,
 )
-from motionbands.sim import EventPlan, Scenario, gen_blob_frames, gen_daily_profile, gen_stream
+from motionbands.sim import Dweller, EventPlan, Scenario, Walker, gen_daily_profile, gen_stream
+
+from inputs import zero_frame
 
 
 _FIELDS = [
@@ -82,7 +83,6 @@ def _store():
 
 _PIXELS = GrayFrame(np.zeros((4, 4), np.uint8))
 _CELLS = np.zeros((2, 2), np.uint8)
-_MAP = CostMap(1.0, 0.0, 0.0, _CELLS)
 _DAY = dict(grid_w=4, grid_h=4, day_hours=0.01)
 
 # Every public entry point that takes a number: (where, the name its error
@@ -98,12 +98,10 @@ _ENTRY_POINTS = [
     ("IsochronalStore", "grid_h", lambda v: IsochronalStore("cam", 2, v), "int"),
     # t_l2_days reaches the check through alpha_from_decay.
     ("IsochronalStore.t_l2_days", "duration", lambda v: IsochronalStore("cam", 2, 2, v), "real"),
-    ("IsochronalStore.update", "minute-of-day", lambda v: _store().update(v, MotionFrame.zeros(2, 2)), "int"),
+    ("IsochronalStore.update", "minute-of-day", lambda v: _store().update(v, zero_frame(2, 2)), "int"),
     ("IsochronalStore.query", "minute-of-day", lambda v: _store().query(v), "int"),
     ("IsochronalStore.scalar_stats", "minute-of-day", lambda v: _store().scalar_stats(v), "int"),
     ("IsochronalStore.binarize", "epsilon", lambda v: _store().binarize(v), "real"),
-    ("MotionFrame.zeros", "grid_w", lambda v: MotionFrame.zeros(v, 2), "int"),
-    ("MotionFrame.zeros", "grid_h", lambda v: MotionFrame.zeros(2, v), "int"),
     ("extract_motion", "block_size", lambda v: extract_motion(_PIXELS, _PIXELS, block_size=v), "int"),
     ("extract_motion", "noise_floor", lambda v: extract_motion(_PIXELS, _PIXELS, noise_floor=v), "floor"),
     ("Segment", "length_m", lambda v: Segment("s", "a", "b", v), "real"),
@@ -122,7 +120,6 @@ _ENTRY_POINTS = [
     ("CostMap", "resolution_m", lambda v: CostMap(v, 0.0, 0.0, _CELLS), "real"),
     ("CostMap", "origin_x", lambda v: CostMap(1.0, v, 0.0, _CELLS), "origin"),
     ("CostMap", "origin_y", lambda v: CostMap(1.0, 0.0, v, _CELLS), "origin"),
-    ("splat_activity", "density_scale", lambda v: splat_activity(_MAP, {}, {}, v), "real"),
     *(
         ("Scenario", name, lambda v, name=name: Scenario(**{**_DAY, name: v}), kind)
         for name, kind in [
@@ -135,21 +132,29 @@ _ENTRY_POINTS = [
     ),
     ("gen_daily_profile", "amplitude", lambda v: gen_daily_profile("office", v), "real"),
     ("gen_stream", "days", lambda v: gen_stream(Scenario(**_DAY), v), "int"),
+    ("Scenario", "walker path block x", lambda v: Scenario(**_DAY, walkers=(Walker(path=((v, 0),)),)), "int"),
+    ("Scenario", "walker path block y", lambda v: Scenario(**_DAY, walkers=(Walker(path=((0, v),)),)), "int"),
+    ("Scenario", "dweller block x", lambda v: Scenario(**_DAY, dwellers=(Dweller(block=(v, 0)),)), "int"),
+    ("Scenario", "dweller block y", lambda v: Scenario(**_DAY, dwellers=(Dweller(block=(0, v)),)), "int"),
     *(
-        (
-            "gen_stream.EventPlan",
-            name,
-            lambda v, name=name: gen_stream(Scenario(**_DAY, events=EventPlan(**{name: v}))),
-            kind,
-        )
+        ("Walker", name, lambda v, name=name: Walker(path=(), **{name: v}), "real")
+        for name in ["speed_bps", "start_s", "amplitude"]
+    ),
+    *(
+        ("Dweller", name, lambda v, name=name: Dweller(block=(0, 0), **{name: v}), "real")
+        for name in ["start_s", "duration_s", "amplitude"]
+    ),
+    *(
+        ("EventPlan", name, lambda v, name=name: EventPlan(**{name: v}), kind)
         for name, kind in [
             ("mean_per_day", "real"),
-            ("width_blocks", "int"),
             ("duration_s", "real"),
+            ("amplitude", "real"),
+            ("width_blocks", "int"),
             ("speed_bps", "real"),
+            ("min_gap_s", "real"),
         ]
     ),
-    ("gen_blob_frames", "n_frames", lambda v: gen_blob_frames(8, 8, v), "int"),
 ]
 
 
@@ -186,7 +191,7 @@ def test_every_entry_point_rejects_a_bad_scalar_naming_it(name, call, value):
 
 def test_good_scalars_still_pass():
     store = _store()
-    store.update(np.int16(5), MotionFrame.zeros(2, 2))
+    store.update(np.int16(5), zero_frame(2, 2))
     assert store.query(np.int16(5))[2] == 1
     assert store.scalar_stats(np.int16(5)) == (0.0, 0.0, 1)
     assert PlanQuery("a", "b", t_star=np.int16(5), t_ms=np.int64(7)).t_star == 5
@@ -213,7 +218,7 @@ def test_fractional_realtime_clock_rejected_whatever_the_cache(warm):
     # "minute-of-day must be an integer" on a cold store and planned on a
     # warm one, whose cache found its minute 0.0 equal to 0.
     store = _store()
-    store.update(0, MotionFrame.zeros(2, 2))
+    store.update(0, zero_frame(2, 2))
     if warm:
         store.scalar_stats(0)
     graph = PathGraph([Node("a", 0.0, 0.0), Node("b", 1.0, 0.0)], [Segment("ab", "a", "b", 1.0, "cam")])

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -12,6 +11,8 @@ from motionbands.filters import CascadeFilter
 from motionbands.isochron import IsochronalStore
 from motionbands.motion import MotionFrame
 from motionbands.sim import EventPlan, Scenario, gen_stream
+
+from inputs import moving_blocks, zero_frame
 
 
 def _band(density):
@@ -73,21 +74,19 @@ class TestGateDecision:
         assert gate.flush().band == "both"
 
 
-    def test_event_json_keeps_its_threshold(self):
+    def test_event_keeps_its_threshold(self):
         gate = _gate(k_sigma=2.5, min_days=0)
         gate.step(_band([[5.0]]), _band([[1.0]]), _stats(0.25, 0.5), 2000)
-        obj = gate.flush().to_json_obj()
-        assert obj == {
-            "cam": "cam0",
-            "start_ms": 2000,
-            "end_ms": 3000,
-            "peak": 5.0,
-            "band": "in-place",
-            "threshold_mean": 0.25,
-            "threshold_std": 0.5,
-            "k_sigma": 2.5,
-        }
-        assert json.loads(json.dumps(obj)) == obj
+        assert gate.flush() == ActivityEvent(
+            camera_id="cam0",
+            start_ms=2000,
+            end_ms=3000,
+            peak=5.0,
+            band="in-place",
+            threshold_mean=0.25,
+            threshold_std=0.5,
+            k_sigma=2.5,
+        )
 
 
 class TestHysteresis:
@@ -277,7 +276,7 @@ def _run_event_day(k_sigma=2.0, cooldown_s=3.0, min_threshold=0.016, reinvoke=0.
 
 
 def _quiet_frames():
-    return [MotionFrame.zeros(4, 3, i * 1000) for i in range(600)]
+    return [zero_frame(4, 3, i * 1000) for i in range(600)]
 
 
 def _continuous_frames():
@@ -311,7 +310,7 @@ class TestGatePipeline:
         assert abs(report.detector_invocations - 300) <= 30
 
         # Share of the 10 h day that the events cover.
-        duty = sum(e.duration_ms for e in report.events) / (10 * 3600 * 1000)
+        duty = sum(e.end_ms - e.start_ms for e in report.events) / (10 * 3600 * 1000)
         assert duty == pytest.approx(0.083, abs=0.005)
 
     def test_detector_sees_planted_blocks(self):
@@ -319,7 +318,7 @@ class TestGatePipeline:
         assert not truth.scenario.walkers and not truth.scenario.dwellers
         # Each onset request falls while a planted front is on the grid.
         assert report.detections
-        assert all(truth.moving_blocks(t / 1000) for t in report.detections)
+        assert all(moving_blocks(truth, t / 1000) for t in report.detections)
 
     def test_gate_monotone_in_k_sigma(self):
         # With a learned-stats day the k matters; here the floor dominates,
@@ -338,7 +337,7 @@ class TestGatePipeline:
         report = _run_pipeline(_continuous_frames(), 2, 2, min_threshold=0.01)
         assert report.detector_invocations == 1
         assert len(report.events) == 1
-        duty = sum(e.duration_ms for e in report.events) / (0.5 * 3600 * 1000)
+        duty = sum(e.end_ms - e.start_ms for e in report.events) / (0.5 * 3600 * 1000)
         assert duty == pytest.approx(1.0, abs=0.01)
 
     def test_reinvocation_during_long_events(self):

@@ -13,6 +13,8 @@ from motionbands.filters import BandOutputs, CascadeFilter, _ema
 from motionbands.isochron import IsochronalStore
 from motionbands.motion import MotionFrame
 
+from inputs import zero_frame
+
 
 def _frame(density, t=0):
     d = np.atleast_2d(np.asarray(density, dtype=float))
@@ -200,7 +202,7 @@ class TestCascade:
         params = self._params()
         f = CascadeFilter(3, 2, params)
         for i in range(50):
-            out = f.step(MotionFrame.zeros(3, 2, i * 200))
+            out = f.step(zero_frame(3, 2, i * 200))
             assert np.all(out.m_l1.density == 0)
             assert np.all(out.m_s1.density == 0)
             assert np.all(out.m_s2.density == 0)
@@ -222,7 +224,7 @@ class TestCascade:
     def test_grid_mismatch_rejected(self):
         f = CascadeFilter(3, 2, self._params())
         with pytest.raises(RejectedInputError):
-            f.step(MotionFrame.zeros(2, 3))
+            f.step(zero_frame(2, 3))
 
     def test_short_term_bands_carried_between_ticks(self):
         params = self._params()  # stride 5
@@ -448,7 +450,7 @@ def _band_params(draw):
 def _stream_frame(kind, rng, gw, gh, t):
     shape = (gh, gw)
     if kind == "zero":
-        return MotionFrame.zeros(gw, gh, t)
+        return zero_frame(gw, gh, t)
     if kind == "constant":
         return MotionFrame(np.full(shape, 0.37), np.full(shape + (8,), 0.11), t)
     if kind == "large":
@@ -555,7 +557,7 @@ class TestRejectedFrames:
         # clean stream alone.
         rng = np.random.default_rng(12)
         clean = [_rand_frame(rng, 4, 3, t=i * 200) for i in range(100)]
-        poisoned = clean[50].copy()
+        poisoned = MotionFrame(clean[50].density.copy(), clean[50].dir_hist.copy(), clean[50].timestamp_ms)
         getattr(poisoned, channel)[(1, 2) if channel == "density" else (1, 2, 5)] = bad
         f = CascadeFilter(4, 3, _FIVE_FPS_PARAMS)
         g = CascadeFilter(4, 3, _FIVE_FPS_PARAMS)

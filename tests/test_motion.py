@@ -21,7 +21,8 @@ from motionbands.motion import (
     block_mean,
     extract_motion,
 )
-from motionbands.sim import gen_blob_frames
+
+from inputs import blob_frames
 
 SOBEL_MAX = 4.0 * math.sqrt(2.0) * 255.0
 
@@ -263,7 +264,7 @@ class TestExtractMotion:
         np.testing.assert_allclose(mf.dir_hist, hist, atol=1e-12)
 
     def test_rightward_disc_dominates_zero_degree_bin(self):
-        frames = list(gen_blob_frames(96, 48, 6, radius=8.0, speed_px=5.0))
+        frames = blob_frames(96, 48, 6, radius=8.0, speed_px=5.0)
         prev, curr = frames[2], frames[3]
         mf = extract_motion(prev, curr, block_size=16, noise_floor=0)
         total = mf.dir_hist.sum(axis=(0, 1))
@@ -277,11 +278,7 @@ class TestExtractMotion:
         # Square blob spanning exactly one block row: only its vertical
         # edges change under horizontal motion, so every crossed block
         # must vote the 0-degree bin.
-        frames = list(
-            gen_blob_frames(
-                96, 48, 6, radius=7.5, speed_px=5.0, center_y=23.5, shape="square"
-            )
-        )
+        frames = blob_frames(96, 48, 6, radius=7.5, speed_px=5.0, center_y=23.5, shape="square")
         prev, curr = frames[2], frames[3]
         mf = extract_motion(prev, curr, block_size=16, noise_floor=0)
         crossed = mf.density > 0

@@ -293,7 +293,7 @@ def _reference_plan_path(graph, query, stores, live_bands):
     return PlanResult(found=False)
 
 
-def _reference_splat(static_map, activity_frames, homographies, density_scale=254.0):
+def _reference_splat(static_map, activity_frames, homographies):
     activity = np.zeros(static_map.cells.shape, dtype=np.uint8)
     skipped = 0
     touched = 0
@@ -314,7 +314,7 @@ def _reference_splat(static_map, activity_frames, homographies, density_scale=25
                     skipped += 1
                     continue
                 cell = row, col
-                cost = min(LETHAL_COST, int(round(d * density_scale)))
+                cost = min(LETHAL_COST, int(round(d * 254.0)))
                 if cost > activity[cell]:
                     activity[cell] = cost
                 touched += 1
@@ -876,7 +876,6 @@ class TestPlanMatchesParent:
         stores = {"cam_busy": _store_with("cam_busy", 0.0), "cam_dead": _store_with("cam_dead", 0.0)}
         got = _assert_plan_matches_parent(graph, PlanQuery("A", "D"), stores)
         assert not got.found and got.expansions == 1
-        assert got.to_json_obj()["expansions"] == 1
 
 
 _BASES = [0.0, 1e-300, 1e-12, 1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-40, 1e12]
@@ -969,9 +968,6 @@ class TestPlanExplanations:
         assert res.found
         assert res.excluded_cameras == ["c3"]
         assert res.stale_cameras == ["c1", "c2"]
-        obj = res.to_json_obj()
-        assert obj["excluded_cameras"] == ["c3"]
-        assert obj["stale_cameras"] == ["c1", "c2"]
 
     def test_offline_query_has_no_stale_cameras(self):
         graph, stores = _grid_world()
@@ -985,7 +981,6 @@ class TestPlanExplanations:
         res = plan_path(graph, PlanQuery(origin="A", goal="D"), stores)
         assert not res.found
         assert res.excluded_cameras == ["cam_busy", "cam_dead"]
-        assert res.to_json_obj()["excluded_cameras"] == ["cam_busy", "cam_dead"]
 
 
 class TestNonFiniteLiveBands:
@@ -1156,11 +1151,11 @@ class TestCostMap:
         # Block centers in block units; homography scales blocks to meters.
         h = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 1.5], [0.0, 0.0, 1.0]])
         frame = _frame([[0.0, 0.0], [0.0, 0.5]])  # block (1, 1) active
-        combined, report = splat_activity(m, {"cam0": frame}, {"cam0": h}, density_scale=200.0)
+        combined, report = splat_activity(m, {"cam0": frame}, {"cam0": h})
         # Center (1.5, 1.5) -> world (2.0, 3.0) -> cell col 4, row 6.
-        assert combined.cells[6, 4] == 100  # round(0.5 * 200)
+        assert combined.cells[6, 4] == 127  # round(0.5 * 254)
         diff = combined.cells.astype(int) - m.cells.astype(int)
-        assert diff[6, 4] == 100
+        assert diff[6, 4] == 127
         assert np.count_nonzero(diff) == 1
         assert report.cells_touched == 1
         assert report.blocks_skipped == 0
@@ -1185,7 +1180,7 @@ class TestCostMap:
         m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
         h = np.eye(3)
         frame = _frame([[50.0]])
-        combined, _ = splat_activity(m, {"cam0": frame}, {"cam0": h}, density_scale=254.0)
+        combined, _ = splat_activity(m, {"cam0": frame}, {"cam0": h})
         assert combined.cells.max() == 254
 
     def test_duplicate_node_id_rejected(self):
@@ -1227,12 +1222,54 @@ class TestCostMap:
     def test_graph_json_round_trip(self):
         obj = {
             "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 3, "y": 4}],
-            "edges": [{"id": "ab", "u": "A", "v": "B", "len_m": 5.0, "cam": "cam0"}],
+            "edges": [{"id": "ab", "u": "A", "v": "B", "len_m": 5, "cam": "cam0"}],
         }
         graph = PathGraph.from_json_obj(json.loads(json.dumps(obj)))
         assert set(graph.nodes) == {"A", "B"}
         assert graph.segments["ab"].camera_id == "cam0"
         assert graph.segments["ab"].traversal_cost == 5.0
+        # Integers load as floats.
+        assert graph.nodes["B"] == Node("B", 3.0, 4.0)
+        assert type(graph.nodes["B"].x) is type(graph.segments["ab"].length_m) is float
+
+
+def _graph_obj(*, node=None, edge=None, more_edges=()):
+    """Two nodes and one edge, with ``node`` and ``edge`` overriding or
+    (for a value of ``...``) dropping keys of the first of each."""
+    def merged(base, extra):
+        return {k: v for k, v in {**base, **(extra or {})}.items() if v is not ...}
+
+    return {
+        "nodes": [merged({"id": "A", "x": 0.0, "y": 0.0}, node), {"id": "B", "x": 1.0, "y": 0.0}],
+        "edges": [merged({"id": "ab", "u": "A", "v": "B", "len_m": 1.0}, edge), *more_edges],
+    }
+
+
+# Each loaded without complaint, or raised a bare OverflowError, KeyError
+# or TypeError, before the description's values went through checked.
+_BAD_GRAPHS = {
+    "len_m true": _graph_obj(edge={"len_m": True}),
+    "len_m string": _graph_obj(edge={"len_m": "2"}),
+    "len_m past float": _graph_obj(edge={"len_m": 10**400}),
+    "len_m missing": _graph_obj(edge={"len_m": ...}),
+    "base_cost string": _graph_obj(edge={"base_cost": "1"}),
+    "node x string nan": _graph_obj(node={"x": "nan"}),
+    "node y nan": _graph_obj(node={"y": math.nan}),
+    "node y missing": _graph_obj(node={"y": ...}),
+    "mixed camera ids": _graph_obj(
+        edge={"cam": 3}, more_edges=[{"id": "ba", "u": "B", "v": "A", "len_m": 1.0, "cam": "c"}]
+    ),
+    "camera id list": _graph_obj(edge={"cam": ["c"]}),
+    "edges missing": {"nodes": _graph_obj()["nodes"]},
+    "edge not an object": {**_graph_obj(), "edges": [["A", "B"]]},
+    "not an object": [],
+}
+
+
+@pytest.mark.parametrize("obj", list(_BAD_GRAPHS.values()), ids=list(_BAD_GRAPHS))
+def test_malformed_graph_description_rejected(obj):
+    with pytest.raises(RejectedInputError, match="bad graph description"):
+        PathGraph.from_json_obj(obj)
 
 
 _coef = st.one_of(
@@ -1274,8 +1311,7 @@ def _splat_case(draw):
             h[2] = [1.0, 0.0, -1.5]
         frames[f"cam{k}"] = _frame(density)
         homographies[f"cam{k}"] = h
-    scale = draw(st.sampled_from([254.0, 200.0, 1.0, 1000.0]))
-    return static, frames, homographies, scale
+    return static, frames, homographies
 
 
 # Block (2, 3) projects to within one rounding of the cell edge x = 0:
@@ -1285,7 +1321,6 @@ _EDGE_CASE = (
     CostMap(0.5, 0.0, 0.0, np.zeros((8, 8), dtype=np.uint8)),
     {"cam0": _frame(np.full((4, 4), 0.5))},
     {"cam0": np.array([[0.47, 0.14, -1.665], [0.0, 0.25, 0.5], [0.0, 0.0, 1.0]])},
-    254.0,
 )
 
 
@@ -1294,11 +1329,7 @@ class TestSplatMatchesReference:
     @example(case=_EDGE_CASE)
     @settings(max_examples=300, deadline=None)
     def test_cells_and_counts_bit_identical(self, case):
-        static, frames, homographies, scale = case
-        want_cells, want_touched, want_skipped = _reference_splat(static, frames, homographies, scale)
-        got, report = splat_activity(static, frames, homographies, density_scale=scale)
-        np.testing.assert_array_equal(got.cells, want_cells)
-        assert (report.cells_touched, report.blocks_skipped) == (want_touched, want_skipped)
+        _assert_splat_matches_reference(*case)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_density_rejected_naming_camera(self, bad, monkeypatch):
@@ -1316,12 +1347,6 @@ class TestSplatMatchesReference:
         homographies["cam9"] = np.full((3, 3), math.nan)
         with pytest.raises(RejectedInputError, match="homography for cam9"):
             splat_activity(m, frames, homographies)
-
-    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
-    def test_invalid_density_scale_rejected(self, scale):
-        m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(InvalidParameterError):
-            splat_activity(m, {"cam0": _frame([[0.2]])}, {"cam0": np.eye(3)}, density_scale=scale)
 
     def test_missing_homography_rejected_naming_camera(self, monkeypatch):
         m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
@@ -1364,9 +1389,9 @@ def _refresh_frames(rng, homographies, grid=(30, 40)):
     }
 
 
-def _assert_splat_matches_reference(static, frames, homographies, scale=254.0):
-    want_cells, want_touched, want_skipped = _reference_splat(static, frames, homographies, scale)
-    got, report = splat_activity(static, frames, homographies, density_scale=scale)
+def _assert_splat_matches_reference(static, frames, homographies):
+    want_cells, want_touched, want_skipped = _reference_splat(static, frames, homographies)
+    got, report = splat_activity(static, frames, homographies)
     np.testing.assert_array_equal(got.cells, want_cells)
     assert (report.cells_touched, report.blocks_skipped) == (want_touched, want_skipped)
 

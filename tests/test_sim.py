@@ -8,10 +8,11 @@ from motionbands.sim import (
     Scenario,
     Walker,
     _fit_front,
-    gen_blob_frames,
     gen_daily_profile,
     gen_stream,
 )
+
+from inputs import moving_blocks
 
 
 def _frame_bytes(frame):
@@ -135,7 +136,7 @@ class TestGenStream:
         for ev in truth.events:
             t_ms = int(np.ceil(ev.start_s)) * 1000
             frame = by_t[t_ms]
-            active = truth.moving_blocks(t_ms / 1000.0)
+            active = moving_blocks(truth, t_ms / 1000.0)
             assert active
             assert any(frame.density[by, bx] > 0 for bx, by in active)
 
@@ -172,21 +173,6 @@ class TestGenStream:
         scn = Scenario(grid_w=2, grid_h=2)
         with pytest.raises(InvalidParameterError):
             gen_stream(scn, days=0)
-
-
-class TestBlobFrames:
-    def test_blob_moves_right(self):
-        frames = list(gen_blob_frames(64, 32, 4, radius=5.0, speed_px=6.0))
-        centers = []
-        for f in frames:
-            ys, xs = np.nonzero(f.pixels)
-            centers.append(xs.mean())
-        assert all(b - a == pytest.approx(6.0, abs=1.0) for a, b in zip(centers, centers[1:]))
-
-    def test_deterministic(self):
-        a = [f.pixels.tobytes() for f in gen_blob_frames(32, 32, 3)]
-        b = [f.pixels.tobytes() for f in gen_blob_frames(32, 32, 3)]
-        assert a == b
 
 
 def _reference_fit_front(scenario, direction, width, travel, rng):

@@ -2,9 +2,9 @@
 
 One store per camera holds 1440 slots, one per minute of day. Each slot
 keeps an EMA of the per-minute density aggregate (the cascade's
-``filters._ema``), an exponentially weighted density variance, and a day
-counter. Updates arrive once per slot per day; the EMA constant ``a`` is
-parameterized by a 10%-decay span in days.
+``filters._ema``), an exponentially weighted density variance, a day
+counter and the absolute day of its last dated sample. The EMA constant
+``a`` is parameterized by a 10%-decay span in days.
 
 The variance follows Finch (2009), "Incremental calculation of weighted
 mean and variance": with ``d`` the sample's deviation from the mean
@@ -18,6 +18,26 @@ deviation.
 The first observation of a slot initializes the mean directly instead of
 blending with the all-zero prior, avoiding a multi-day warm-up bias.
 
+A sample is dated or undated. A dated sample carries its absolute day
+(``timestamp_ms // 86_400_000``). One on or before the slot's last dated
+day is refused and changes nothing, so a restarted pipeline or a replayed
+day cannot store a minute twice. Otherwise it blends with ``a' = a **
+(day - last_day)``, the weight of the days since the slot's last dated
+sample (``a`` for the slot's first dated sample): the mean by the EMA with
+``a'``, the variance by ``a' * var + (1 - a')(1 + a') / 2 * d^2``, the
+irregular-interval form of the rule above, equal to it on consecutive
+days. An undated sample counts as one day after the last with weight
+``a`` and leaves the last dated day alone. Either kind adds one to the
+day counter, which the event gate reads.
+
+Means and variances are stored as float32 and computed in float64:
+``update`` widens the minute's mean and variance, blends, and rounds once
+when it stores them, and every reader widens what it reads, so ``query``
+and ``minute_curve`` return float64 and ``binarize`` compares in float64.
+Float32 keeps about seven significant digits: on eight replayed days of
+the benchmark's scenes, every gate decision is the same as with float64
+records.
+
 ``binarize`` caches the support mask of the last epsilon asked for, and
 ``scalar_stats`` caches each minute's (mean, std, days); ``update`` drops
 the mask and the updated minute's stats, and a freshly constructed or
@@ -25,36 +45,32 @@ loaded store starts with empty caches. ``binarize`` hands out the cached
 mask itself, read-only like the cascade's bands, so no caller can alter
 it and no call copies it.
 
-File format v2 (little-endian): magic ``ISO1``, version u16 = 2, decay
+File format v3 (little-endian): magic ``ISO1``, version u16 = 3, decay
 span f64, camera id length u16 and its UTF-8 bytes, grid dims u16 x2
-(width, height), then 1440 slots of (density mean f64[gh*gw], density
-variance f64[gh*gw], days u32), closed by a CRC32 trailer over everything
-before it: 16 * gh * gw + 4 bytes per minute, 19,204 on a 40x30 grid.
-Writes go to a temp file renamed into place, so readers never observe a
-partial store.
+(width, height), zero bytes up to the next multiple of 8, then 1440
+records of (density mean f32[gh*gw], density variance f32[gh*gw], days
+u32, last dated day i32, -1 for none), closed by a CRC32 trailer over
+everything before it: 8 * gh * gw + 8 bytes per minute, 9,608 on a 40x30
+grid, 13.84 MB a store. The padding and the record size keep every field
+of every record aligned in a loaded store, whatever the camera id's
+length. Writes go to a temp file renamed into place, so readers never
+observe a partial store; a failed write removes its temp file.
 
-The store's memory is the v2 slot layout: one packed structured array of
-1440 such records, of which the mean, variance and day counts are field
-views. ``save`` writes the header, that array's bytes and the CRC, with no
-copy. ``load`` reads the whole file once into a fresh buffer and, after
-its checks, keeps the slot bytes of that buffer as the store's array. A
-load's peak allocation is the file's size plus about 64 KB, numpy's
-buffer for the value check over unaligned records: 27.72 MB for a
-27.65 MB file. Nothing maps the file: rewriting it after a load leaves the store alone.
+The store's memory is the v3 record layout: one packed structured array
+of 1440 records, of which the mean, variance, day counts and last days
+are field views. ``save`` writes the header, that array's bytes and the
+CRC, with no copy. ``load`` reads the whole file once into a fresh buffer
+and, after its checks, keeps the record bytes of that buffer as the
+store's array. Its checks allocate only small temporaries, so a load's
+peak allocation is the file's size plus about 32 KB: 13.87 MB for a
+13.84 MB file. Nothing maps the file: rewriting it after a load leaves the
+store alone.
 
-``load`` reads version 2 only. Its checks, in order: CRC, magic, version,
-header fields, a payload size that must match the slot layout exactly,
-and finite, non-negative means and variances.
-
-The price of the packed layout is alignment. A 40x30 record is 19,204
-bytes, so every other minute's fields sit 4 bytes off an 8-byte boundary
-(in a loaded store, every minute's when the header's length is not a
-multiple of 8), and numpy takes its slower unaligned path over them.
-Medians of six alternating processes on a 40x30 store (2-vCPU Xeon),
-three separate aligned arrays against this layout: ``binarize`` 0.71 ->
-1.15 ms (cached until the next update), ``update`` 14.4 -> 21.0 us (once
-per camera-minute), ``minute_curve`` 0.76 -> 1.41 ms. Padding the records
-would change the file format.
+``load`` reads version 3 only; a file of an earlier version is refused
+with its version in the message. Its checks, in order: CRC, magic,
+version, header fields and zero padding, a payload size that must match
+the record layout exactly, finite, non-negative means and variances, and
+last days of at least -1.
 """
 
 from __future__ import annotations
@@ -77,22 +93,32 @@ from .motion import MotionFrame, _finite_nonnegative, block_mean
 MINUTES_PER_DAY = 1440
 
 _MAGIC = b"ISO1"
-_VERSION = 2
+_VERSION = 3
+_ALIGN = 8  # the header is padded to a multiple of this many bytes
+_LAST_DAY_MAX = int(np.iinfo(np.int32).max)
 
 
 def _slot_dtype(grid_w: int, grid_h: int) -> np.dtype:
-    """One minute's record, packed: density mean, density variance, days."""
+    """One minute's record, packed: density mean, density variance, days,
+    last dated day."""
     grid = (grid_h, grid_w)
-    return np.dtype([("density", "<f8", grid), ("var", "<f8", grid), ("days", "<u4")])
+    return np.dtype(
+        [("density", "<f4", grid), ("var", "<f4", grid), ("days", "<u4"), ("last_day", "<i4")]
+    )
+
+
+def _padding(header_len: int) -> int:
+    return -header_len % _ALIGN
 
 
 def _first_bad_minute(slots: np.ndarray, cells: int) -> int | None:
     """The first minute whose density mean or variance is non-finite or
     negative, or None. The check is one pass over a (1440, 2 * cells)
-    float64 view of ``slots`` with the record stride: in a record the
-    variance follows the mean, and the days are left out."""
+    float32 view of ``slots`` with the record stride: in a record the
+    variance follows the mean, and the day counts and last days are left
+    out."""
     values = as_strided(
-        slots["density"], (MINUTES_PER_DAY, 2 * cells), (slots.itemsize, 8), writeable=False
+        slots["density"], (MINUTES_PER_DAY, 2 * cells), (slots.itemsize, 4), writeable=False
     )
     if _finite_nonnegative(values):
         return None
@@ -107,13 +133,16 @@ class IsochronalStore:
     """Per-minute-of-day motion density statistics for one camera.
 
     ``config.checked`` holds the grid to integers >= 1, ``t_l2_days`` (before
-    ``float``) to > 0, minutes to integers in [0, 1439] and ``epsilon`` to >= 0."""
+    ``float``) to > 0, minutes to integers in [0, 1439], days to integers in
+    [0, 2**31 - 1] and ``epsilon`` to >= 0."""
 
     def __init__(
         self, camera_id: str, grid_w: int, grid_h: int, t_l2_days: float = BandParams.t_l2_days
     ):
         self._configure(camera_id, grid_w, grid_h, t_l2_days)
-        self._adopt(np.zeros(MINUTES_PER_DAY, dtype=_slot_dtype(grid_w, grid_h)))
+        slots = np.zeros(MINUTES_PER_DAY, dtype=_slot_dtype(grid_w, grid_h))
+        slots["last_day"] = -1
+        self._adopt(slots)
 
     def _configure(self, camera_id: str, grid_w: int, grid_h: int, t_l2_days: float) -> None:
         self.camera_id = camera_id
@@ -131,6 +160,7 @@ class IsochronalStore:
         self._mean_density = slots["density"]
         self._var = slots["var"]
         self._days = slots["days"]
+        self._last_day = slots["last_day"]
         self._support: tuple[float, np.ndarray] | None = None  # (epsilon, mask)
         self._stats: dict[int, tuple[float, float, int]] = {}  # minute -> scalar_stats
 
@@ -139,16 +169,20 @@ class IsochronalStore:
     def _check_minute(self, minute: int) -> None:
         checked("minute-of-day", minute, 0, MINUTES_PER_DAY - 1, integral=True)
 
-    def update(self, minute: int, sample: MotionFrame) -> None:
+    def update(self, minute: int, sample: MotionFrame, day: int | None = None) -> bool:
         """Blend one per-minute aggregate's density into the slot's
-        statistics.
+        statistics; True if it was stored.
 
-        Callers feed at most one sample per slot per day. The sample may
-        carry direction bins, which are checked and not stored. A sample
-        with a NaN, infinite or negative density or bin raises
-        :class:`RejectedInputError` and leaves the store unchanged.
+        ``day`` is the sample's absolute day, or None for an undated
+        sample (see the module docstring). A dated sample on or before the
+        slot's last dated day returns False and leaves the store unchanged.
+        The sample may carry direction bins, which are checked and not
+        stored. A sample with a NaN, infinite or negative density or bin
+        raises :class:`RejectedInputError` and leaves the store unchanged.
         """
         self._check_minute(minute)
+        if day is not None:
+            checked("day", day, 0, _LAST_DAY_MAX, integral=True)
         if (sample.grid_h, sample.grid_w) != (self.grid_h, self.grid_w):
             raise RejectedInputError(
                 f"sample grid {(sample.grid_h, sample.grid_w)} does not match "
@@ -158,41 +192,53 @@ class IsochronalStore:
             raise RejectedInputError(
                 f"sample for minute {minute} has a non-finite or negative density or bin"
             )
+        a, gain = self.alpha_l2, self._var_gain
+        if day is not None:
+            last = int(self._last_day[minute])
+            if day <= last:
+                return False
+            if last >= 0:
+                a = a ** int(day - last)
+                gain = (1.0 - a) * (1.0 + a) / 2.0
+            self._last_day[minute] = day
         self._support = None
         self._stats.pop(minute, None)
-        a, mean = self.alpha_l2, self._mean_density[minute]
         if self._days[minute] == 0:
-            mean[...] = sample.density
+            self._mean_density[minute] = sample.density
             self._var[minute] = 0.0
         else:
+            mean = self._mean_density[minute].astype(np.float64)
             dev = sample.density - mean
-            self._var[minute] = a * self._var[minute] + self._var_gain * dev * dev
+            self._var[minute] = a * self._var[minute].astype(np.float64) + gain * dev * dev
             _ema(mean, sample.density, a, dev)  # dev is spent: it serves as scratch
+            self._mean_density[minute] = mean
         self._days[minute] += 1
+        return True
 
     # ------------------------------------------------------------------ query
 
     def query(self, minute: int) -> tuple[MotionFrame, np.ndarray, int]:
         """Immutable snapshot: (density-only mean frame, per-block density
-        std, days seen)."""
+        std, days seen), in float64."""
         self._check_minute(minute)
         mean = MotionFrame(
-            density=self._mean_density[minute].copy(),
+            density=self._mean_density[minute].astype(np.float64),
             dir_hist=np.zeros((self.grid_h, self.grid_w, 0)),
             timestamp_ms=int(minute) * 60_000,
         )
-        std = np.sqrt(self._var[minute])
+        std = np.sqrt(self._var[minute], dtype=np.float64)
         return mean, std, int(self._days[minute])
 
     def scalar_stats(self, minute: int) -> tuple[float, float, int]:
-        """Block-averaged (mean activity, std, days) for threshold checks.
-        Cached per minute until the next ``update`` of that minute."""
+        """Block-averaged (mean activity, std, days) for threshold checks,
+        the block means of ``query``'s arrays. Cached per minute until the
+        next ``update`` of that minute."""
         self._check_minute(minute)  # first: True or 5.0 would find 1's or 5's stats
         stats = self._stats.get(minute)
         if stats is None:
             stats = self._stats[minute] = (
-                block_mean(self._mean_density[minute]),
-                block_mean(np.sqrt(self._var[minute])),
+                block_mean(self._mean_density[minute].astype(np.float64)),
+                block_mean(np.sqrt(self._var[minute], dtype=np.float64)),
                 int(self._days[minute]),
             )
         return stats
@@ -203,13 +249,15 @@ class IsochronalStore:
         mask is read-only, so every caller may share it."""
         checked("epsilon", epsilon)
         if self._support is None or self._support[0] != epsilon:
-            mask = (self._mean_density.max(axis=0) > epsilon).astype(np.uint8)
+            # A float64 threshold: against a Python float, numpy would
+            # compare the float32 means in float32.
+            mask = (self._mean_density.max(axis=0) > np.float64(epsilon)).astype(np.uint8)
             self._support = (epsilon, _frozen(mask))
         return self._support[1]
 
     def minute_curve(self) -> np.ndarray:
         """Block-averaged mean activity per minute, shape (1440,)."""
-        return self._mean_density.mean(axis=(1, 2))
+        return self._mean_density.mean(axis=(1, 2), dtype=np.float64)
 
     # ------------------------------------------------------------------ persistence
 
@@ -223,17 +271,22 @@ class IsochronalStore:
                 struct.pack("<HH", self.grid_w, self.grid_h),
             )
         )
+        header += bytes(_padding(len(header)))
         body = self._slots.view(np.uint8)
         crc = zlib.crc32(body, zlib.crc32(header))
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with NamedTemporaryFile(dir=path.parent, delete=False) as tmp:
-            tmp.write(header)
-            tmp.write(body)
-            tmp.write(struct.pack("<I", crc))
-            tmp_path = Path(tmp.name)
-        tmp_path.replace(path)
+        tmp = NamedTemporaryFile(dir=path.parent, delete=False)
+        try:
+            with tmp:
+                tmp.write(header)
+                tmp.write(body)
+                tmp.write(struct.pack("<I", crc))
+            Path(tmp.name).replace(path)
+        except BaseException:
+            Path(tmp.name).unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "IsochronalStore":
@@ -263,7 +316,10 @@ class IsochronalStore:
             store._configure(camera_id, grid_w, grid_h, t_l2_days)
         except (struct.error, UnicodeDecodeError, InvalidParameterError) as exc:
             raise StoreLoadError(f"bad header in store file {path}: {exc}") from exc
-        start = 20 + cam_len
+        pad = _padding(20 + cam_len)
+        start = 20 + cam_len + pad
+        if payload[start - pad : start] != bytes(pad):
+            raise StoreLoadError(f"bad header in store file {path}: padding is not {pad} zero bytes")
         slot = _slot_dtype(grid_w, grid_h)
         expected = len(payload) - start
         needed = MINUTES_PER_DAY * slot.itemsize
@@ -277,6 +333,11 @@ class IsochronalStore:
             raise StoreLoadError(
                 f"store file {path} has a non-finite or negative density mean or "
                 f"variance at minute {bad}"
+            )
+        early = np.flatnonzero(slots["last_day"] < -1)
+        if early.size:
+            raise StoreLoadError(
+                f"store file {path} has a last day below -1 at minute {early[0]}"
             )
         store._adopt(slots)
         return store
@@ -292,4 +353,5 @@ class IsochronalStore:
             and np.array_equal(self._mean_density, other._mean_density)
             and np.array_equal(self._var, other._var)
             and np.array_equal(self._days, other._days)
+            and np.array_equal(self._last_day, other._last_day)
         )

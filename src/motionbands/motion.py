@@ -193,13 +193,14 @@ class MotionFrame:
         return self.density.shape[0]
 
 
-# Bit pattern of +inf. A float64 is finite and at least +0.0 iff its bits,
-# read as an unsigned integer, lie below this.
-_INF_BITS = 0x7FF0000000000000
+# Per float width in bytes: the unsigned integer of that width and the bit
+# pattern of +inf. A float is finite and at least +0.0 iff its bits, read
+# as that unsigned integer, lie below +inf's.
+_INF_BITS = {8: (np.uint64, 0x7FF0000000000000), 4: (np.uint32, 0x7F800000)}
 
 
 def _finite_nonnegative(values: np.ndarray) -> bool:
-    """True iff every entry of a float64 array is finite and >= 0.
+    """True iff every entry of a float64 or float32 array is finite and >= 0.
 
     A clean array passes on one unsigned max over its bit patterns; any
     other (NaN, infinite, negative, or -0.0, which passes) goes on to the
@@ -207,8 +208,9 @@ def _finite_nonnegative(values: np.ndarray) -> bool:
     negative value. An empty array passes: the reductions have no identity
     to return for it.
     """
+    bits, inf = _INF_BITS[values.itemsize]
     return values.size == 0 or bool(
-        np.maximum.reduce(values.view(np.uint64), axis=None) < _INF_BITS
+        np.maximum.reduce(values.view(bits), axis=None) < inf
         or (
             np.minimum.reduce(values, axis=None) >= 0.0
             and np.maximum.reduce(values, axis=None) < math.inf

@@ -5,10 +5,15 @@ One pipeline owns one camera's mutable state (single writer); its outputs
 are immutable snapshots. The isochronal store receives one aggregate per
 completed minute, accumulated as a running sum so frame rate does not
 affect memory. Frames must arrive in timestamp order: a late or duplicate
-frame is rejected, so a replayed stretch cannot count a minute twice in
-one day. Minutes are told apart by absolute time (``timestamp_ms //
-60_000``), so a gap of exactly a day starts a new sample rather than
-joining the old day's, and each is stored under its minute of day.
+frame is rejected. Minutes are told apart by absolute time (``timestamp_ms
+// 60_000``), so a gap of exactly a day starts a new sample rather than
+joining the old day's, and each is stored under its minute of day with
+its absolute day (``minute // 1440``). The store refuses a sample on or
+before the day it last stored for that minute of day, so a minute is
+stored at most once a day: frames after ``finish`` in a flushed minute, a
+pipeline restarted on the same store mid-minute or at a minute boundary,
+and a replayed day add no second sample. ``samples_skipped`` counts the
+minutes so refused.
 
 Settings come from a ``Config`` whose frozen sections checked them when
 built. A given ``store`` must be on the camera's grid and have the
@@ -35,8 +40,12 @@ from .config import Config
 from .errors import InvalidParameterError, RejectedInputError
 from .events import ActivityEvent, EventGate
 from .filters import BandOutputs, CascadeFilter
-from .isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
+from .isochron import _LAST_DAY_MAX, MINUTES_PER_DAY, IsochronalStore, minute_of_day
 from .motion import MotionFrame
+
+# Frames are stamped in ms since the epoch, within the days a store can
+# date: 0 to _LAST_DAY_MAX.
+_END_MS = (_LAST_DAY_MAX + 1) * MINUTES_PER_DAY * 60_000
 
 
 @dataclass
@@ -102,11 +111,9 @@ class CameraPipeline:
         self.frames_ingested = 0
         self.frames_rejected = 0
         self.frames_late = 0
+        self.samples_skipped = 0
         self._acc: _MinuteAccumulator | None = None
-        # Absolute minute of the last sample stored: after ``finish`` its
-        # later frames must not store a second sample for it.
-        self._flushed_minute: int | None = None
-        self._last_ms: int | None = None  # timestamp of the last accepted frame
+        self._last_ms = -1  # timestamp of the last accepted frame
         self._last_decision = 0
 
     def ingest(self, frame: MotionFrame) -> IngestResult:
@@ -114,13 +121,21 @@ class CameraPipeline:
         detector should run on it.
 
         A frame whose timestamp is not after the last accepted frame's
-        (late or duplicate) is counted in ``frames_late``; a frame the
-        cascade rejects (wrong grid, non-finite or negative values) is
-        counted in ``frames_rejected``. Either raises
-        :class:`RejectedInputError` and changes no other state.
+        (late or duplicate) is counted in ``frames_late``; a frame stamped
+        outside the days a store can date (before the epoch, or after day
+        2**31 - 1) or one the cascade rejects (wrong grid, non-finite or
+        negative values) is counted in ``frames_rejected``. Either raises
+        :class:`RejectedInputError` and changes no other state. A completed
+        minute the store refuses, because it already holds a sample of that
+        minute for that day, is counted in ``samples_skipped``.
         """
         t = frame.timestamp_ms
-        if self._last_ms is not None and t <= self._last_ms:
+        if not self._last_ms < t < _END_MS:
+            if not 0 <= t < _END_MS:
+                self.frames_rejected += 1
+                raise RejectedInputError(
+                    f"frame at {t} ms is not within days 0 to {_LAST_DAY_MAX} since the epoch"
+                )
             self.frames_late += 1
             raise RejectedInputError(
                 f"frame at {t} ms is not after the last accepted frame at {self._last_ms} ms"
@@ -134,12 +149,8 @@ class CameraPipeline:
         absolute_minute = t // 60_000
         if self._acc is None or absolute_minute != self._acc.minute:
             self._flush_minute()
-            if absolute_minute != self._flushed_minute:
-                self._acc = _MinuteAccumulator(
-                    absolute_minute, np.zeros((self.grid_h, self.grid_w))
-                )
-        if self._acc is not None:
-            self._acc.add(bands.m_l1.density)
+            self._acc = _MinuteAccumulator(absolute_minute, np.zeros((self.grid_h, self.grid_w)))
+        self._acc.add(bands.m_l1.density)
         self.frames_ingested += 1
 
         closed = None
@@ -170,15 +181,17 @@ class CameraPipeline:
         )
 
     def _flush_minute(self) -> None:
-        if self._acc is not None:
-            self.store.update(self._acc.minute % MINUTES_PER_DAY, self._acc.aggregate())
-            self._flushed_minute = self._acc.minute
+        acc = self._acc
+        if acc is not None:
+            day, minute = divmod(acc.minute, MINUTES_PER_DAY)
+            if not self.store.update(minute, acc.aggregate(), day):
+                self.samples_skipped += 1
             self._acc = None
 
     def finish(self) -> None:
         """Flush the partial minute and close any open event. Frames that
-        arrive later in the same minute are filtered and gated but add no
-        second sample for it."""
+        arrive later in the same minute are filtered and gated, and their
+        minute's sample is refused by the store."""
         self._flush_minute()
         tail = self.gate.flush()
         if tail is not None:

@@ -226,7 +226,6 @@ class Scenario:
 class GroundTruth:
     """Labels consistent with the emitted stream by construction."""
 
-    scenario: Scenario
     events: list[PlantedEvent]
     per_minute: np.ndarray        # (days * 1440, gh, gw) planted mean activity
 
@@ -357,11 +356,7 @@ def gen_stream(scenario: Scenario, days: int = 1) -> tuple[Iterator[MotionFrame]
     checked("days", days, 1, integral=True)
     event_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 1]))
     events = _place_events(scenario, days, event_rng)
-    truth = GroundTruth(
-        scenario=scenario,
-        events=events,
-        per_minute=_per_minute_planted(scenario, events, days),
-    )
+    truth = GroundTruth(events=events, per_minute=_per_minute_planted(scenario, events, days))
 
     def frames() -> Iterator[MotionFrame]:
         noise_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 2]))

@@ -240,21 +240,24 @@ def _run_reference(frames, gw, gh, **events) -> GateReport:
     )
 
 
+# A quiet 10 h day at 1 Hz with ~300 planted events.
+_EVENT_SCENARIO = Scenario(
+    grid_w=16,
+    grid_h=12,
+    day_hours=10.0,
+    rate_hz=1.0,
+    events=EventPlan(
+        mean_per_day=300, duration_s=10.0, amplitude=1.0, width_blocks=4, min_gap_s=15.0
+    ),
+    noise_sigma=0.002,
+    seed=19,
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _event_day():
-    """A quiet 10 h day at 1 Hz with ~300 planted events."""
-    scenario = Scenario(
-        grid_w=16,
-        grid_h=12,
-        day_hours=10.0,
-        rate_hz=1.0,
-        events=EventPlan(
-            mean_per_day=300, duration_s=10.0, amplitude=1.0, width_blocks=4, min_gap_s=15.0
-        ),
-        noise_sigma=0.002,
-        seed=19,
-    )
-    frames, truth = gen_stream(scenario, days=1)
+    """The frames and ground truth of one ``_EVENT_SCENARIO`` day."""
+    frames, truth = gen_stream(_EVENT_SCENARIO, days=1)
     return tuple(frames), truth
 
 
@@ -315,10 +318,10 @@ class TestGatePipeline:
 
     def test_detector_sees_planted_blocks(self):
         report, truth = _run_event_day()
-        assert not truth.scenario.walkers and not truth.scenario.dwellers
+        assert not _EVENT_SCENARIO.walkers and not _EVENT_SCENARIO.dwellers
         # Each onset request falls while a planted front is on the grid.
         assert report.detections
-        assert all(moving_blocks(truth, t / 1000) for t in report.detections)
+        assert all(moving_blocks(_EVENT_SCENARIO, truth, t / 1000) for t in report.detections)
 
     def test_gate_monotone_in_k_sigma(self):
         # With a learned-stats day the k matters; here the floor dominates,

@@ -62,7 +62,8 @@ def _with_bins(store, seed=0):
 
 
 def _reference_save_v2(store, path):
-    """Per-slot writer of the v2 format: v1 without the bins."""
+    """Per-slot writer of the v2 format: v1 without the bins. Version 2 is
+    no longer read either."""
     buf = BytesIO()
     buf.write(b"ISO1")
     buf.write(struct.pack("<H", 2))
@@ -79,9 +80,31 @@ def _reference_save_v2(store, path):
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
+def _reference_save_v3(store, path):
+    """Per-slot writer of the v3 format: the v2 header padded with zeros to
+    a multiple of 8 bytes, then float32 means and variances, the days and
+    the last dated day."""
+    buf = BytesIO()
+    buf.write(b"ISO1")
+    buf.write(struct.pack("<H", 3))
+    buf.write(struct.pack("<d", store.t_l2_days))
+    cam = store.camera_id.encode("utf-8")
+    buf.write(struct.pack("<H", len(cam)))
+    buf.write(cam)
+    buf.write(struct.pack("<HH", store.grid_w, store.grid_h))
+    buf.write(bytes(-buf.tell() % 8))
+    for m in range(MINUTES_PER_DAY):
+        buf.write(store._mean_density[m].astype("<f4").tobytes())
+        buf.write(store._var[m].astype("<f4").tobytes())
+        buf.write(struct.pack("<Ii", int(store._days[m]), int(store._last_day[m])))
+    payload = buf.getvalue()
+    Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
 def _populated(camera_id, grid_w, grid_h, seed, t_l2_days=10.0):
     """A store with random samples on a scatter of minutes, some seen on
-    several days, and random direction bins."""
+    several days, and random direction bins. Samples on odd minutes are
+    dated, the rest undated."""
     rng = np.random.default_rng(seed)
     store = IsochronalStore(camera_id, grid_w, grid_h, t_l2_days=t_l2_days)
     for day in range(4):
@@ -92,8 +115,14 @@ def _populated(camera_id, grid_w, grid_h, seed, t_l2_days=10.0):
                     rng.uniform(0, 2, (grid_h, grid_w)),
                     rng.uniform(0, 1, (grid_h, grid_w, N_DIR_BINS)),
                 ),
+                day if minute % 2 else None,
             )
     return store
+
+
+def _f32(x):
+    """``x`` rounded to float32 and widened back, as the store keeps it."""
+    return np.asarray(x, np.float32).astype(np.float64)
 
 
 def _rewrite(path, edit):
@@ -139,7 +168,8 @@ class TestUpdateQuery:
         assert std[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_alternating_stream_matches_recursion_oracle(self):
-        # Plain-float oracle of the same blend.
+        # Plain-float oracle of the same blend, in Finch's unscaled form;
+        # its mean is rounded to float32 after each update, as stored.
         alpha = alpha_from_decay(1, 10)
         store = IsochronalStore("cam0", 1, 1, t_l2_days=10)
         mean = None
@@ -151,10 +181,10 @@ class TestUpdateQuery:
                 mean, var = x, 0.0
             else:
                 dev = x - mean
-                mean = alpha * mean + (1 - alpha) * x
+                mean = _f32(alpha * mean + (1 - alpha) * x)
                 var = alpha * (var + (1 - alpha) * dev * dev)
         got_mean, got_std, _ = store.query(7)
-        assert got_mean.density[0, 0] == pytest.approx(mean, abs=1e-6)
+        assert got_mean.density[0, 0] == mean
         assert got_std[0, 0] == pytest.approx((var * (1 + alpha) / (2 * alpha)) ** 0.5, abs=1e-6)
 
     def test_randomized_stream_matches_oracle(self):
@@ -167,31 +197,36 @@ class TestUpdateQuery:
             sample = rng.uniform(0, 4, (3, 2))
             store.update(0, _frame(sample))
             if mean is None:
-                mean = sample.copy()
+                mean = _f32(sample)
             else:
                 dev = sample - mean
-                mean = alpha * mean + (1 - alpha) * sample
+                mean = _f32(alpha * mean + (1 - alpha) * sample)
                 var = alpha * (var + (1 - alpha) * dev * dev)
         got_mean, got_std, days = store.query(0)
         assert days == 20
-        np.testing.assert_allclose(got_mean.density, mean, atol=1e-12)
-        np.testing.assert_allclose(got_std, np.sqrt(var * (1 + alpha) / (2 * alpha)), atol=1e-12)
+        np.testing.assert_array_equal(got_mean.density, mean)
+        # The stored variance is rounded to float32 after each update too;
+        # the unscaled form is the oracle's own, so it agrees to float32's
+        # precision.
+        np.testing.assert_allclose(got_std, np.sqrt(var * (1 + alpha) / (2 * alpha)), rtol=1e-6)
 
     def test_update_matches_the_blend_written_out_bit_for_bit(self):
         # The mean goes through the cascade's EMA, rounded as
-        # a * mean + (1 - a) * x; odd minutes' records sit off alignment.
+        # a * mean + (1 - a) * x in float64, and mean and variance are
+        # rounded to float32 once, when stored.
         rng = np.random.default_rng(5)
         store = IsochronalStore("cam0", 5, 3, t_l2_days=4.0)
         a, gain = store.alpha_l2, store._var_gain
         for minute in (0, 1):
-            mean = rng.uniform(0, 2, (3, 5))
+            mean = _f32(rng.uniform(0, 2, (3, 5)))
             var = np.zeros((3, 5))
             store.update(minute, _frame(mean))
             for _ in range(6):
                 x = rng.uniform(0, 2, (3, 5))
                 store.update(minute, _frame(x))
                 dev = x - mean
-                mean, var = a * mean + (1.0 - a) * x, a * var + gain * dev * dev
+                mean, var = _f32(a * mean + (1.0 - a) * x), _f32(a * var + gain * dev * dev)
+            assert store._mean_density.dtype == store._var.dtype == np.float32
             np.testing.assert_array_equal(store._mean_density[minute], mean)
             np.testing.assert_array_equal(store._var[minute], var)
 
@@ -218,11 +253,14 @@ class TestUpdateQuery:
     def test_impulse_decay_to_ten_percent(self):
         store = IsochronalStore("cam0", 1, 1, t_l2_days=10)
         store.update(0, _frame([[5.0]]))  # bootstrap impulse day
-        post_impulse = store.query(0)[0].density[0, 0]
+        post_impulse = want = store.query(0)[0].density[0, 0]
         for _ in range(10):
             store.update(0, _frame([[0.0]]))
+            want = _f32(store.alpha_l2 * want + (1.0 - store.alpha_l2) * 0.0)
         final = store.query(0)[0].density[0, 0]
-        assert final / post_impulse == pytest.approx(0.1, abs=1e-9)
+        assert final == want
+        # Ten float32 roundings away from the exact 0.1.
+        assert final / post_impulse == pytest.approx(0.1, rel=1e-6)
 
     def test_minute_range_checked(self):
         store = IsochronalStore("cam0", 1, 1)
@@ -269,6 +307,7 @@ class TestUpdateQuery:
         before._mean_density[...] = store._mean_density
         before._var[...] = store._var
         before._days[...] = store._days
+        before._last_day[...] = store._last_day
         stats = store.scalar_stats(5)
         mask = store.binarize()
         sample = MotionFrame(np.full((2, 3), 0.5), np.full((2, 3, N_DIR_BINS), 0.1))
@@ -310,6 +349,79 @@ class TestUpdateQuery:
         mean, _, _ = store.query(0)
         mean.density[0, 0] = 99.0
         assert store.query(0)[0].density[0, 0] == 1.0
+
+
+class TestDatedUpdate:
+    """A dated sample blends with a' = a ** (days since the slot's last
+    dated sample), and one on or before that day is refused."""
+
+    def test_days_0_1_and_6_match_the_closed_form(self):
+        rng = np.random.default_rng(14)
+        store = IsochronalStore("cam0", 3, 2, t_l2_days=10)
+        x0, x1, x6 = (rng.uniform(0, 2, (2, 3)) for _ in range(3))
+        for day, x in ((0, x0), (1, x1), (6, x6)):
+            assert store.update(9, _frame(x), day) is True
+        mean, var = _f32(x0), np.zeros((2, 3))
+        for a, x in ((store.alpha_l2, x1), (store.alpha_l2**5, x6)):
+            dev = x - mean
+            gain = (1.0 - a) * (1.0 + a) / 2.0
+            mean, var = _f32(a * mean + (1.0 - a) * x), _f32(a * var + gain * dev * dev)
+        got_mean, got_std, days = store.query(9)
+        assert days == 3 and store._last_day[9] == 6
+        np.testing.assert_array_equal(got_mean.density, mean)
+        np.testing.assert_array_equal(got_std, np.sqrt(var))
+
+    def test_a_decay_span_of_absence_leaves_a_tenth_of_the_old_mean(self):
+        store = IsochronalStore("cam0", 1, 1, t_l2_days=10)
+        store.update(0, _frame([[5.0]]), 3)
+        store.update(0, _frame([[1.0]]), 13)
+        assert store.query(0)[0].density[0, 0] == pytest.approx(0.1 * 5.0 + 0.9 * 1.0, rel=1e-6)
+
+    def test_a_refused_day_changes_nothing(self):
+        store = _populated("cam0", 3, 2, seed=4)
+        assert store.update(5, _frame(np.full((2, 3), 0.5)), 3)
+        snapshot = IsochronalStore("cam0", 3, 2)
+        snapshot._slots[...] = store._slots
+        stats, mask = store.scalar_stats(5), store.binarize()
+        for day in (3, 2, 0, np.int32(1)):
+            assert store.update(5, _frame(np.full((2, 3), 9.0)), day) is False
+        assert store.equals(snapshot)
+        assert store.scalar_stats(5) is stats and store.binarize() is mask
+
+    def test_an_undated_sample_keeps_the_last_day(self):
+        dated, undated = IsochronalStore("cam0", 2, 1), IsochronalStore("cam0", 2, 1)
+        for x, day in (([[1.0, 2.0]], 4), ([[3.0, 0.5]], None), ([[2.0, 2.0]], 5)):
+            assert dated.update(8, _frame(x), day)
+            undated.update(8, _frame(x))
+        assert dated._last_day[8] == 5 and undated._last_day[8] == -1
+        # Day 5 is one day after the last dated day, 4: it blends with a,
+        # as the undated store's third sample does.
+        for name in ("_mean_density", "_var", "_days"):
+            np.testing.assert_array_equal(getattr(dated, name), getattr(undated, name))
+        assert not dated.update(8, _frame([[0.0, 0.0]]), 5)
+
+    def test_the_first_dated_sample_after_an_undated_history_blends_with_a(self):
+        rng = np.random.default_rng(2)
+        history, x = rng.uniform(0, 2, (3, 2, 3)), rng.uniform(0, 2, (2, 3))
+        stores = IsochronalStore("cam0", 3, 2), IsochronalStore("cam0", 3, 2)
+        for store, day in zip(stores, (None, 700)):
+            for h in history:
+                store.update(0, _frame(h))
+            assert store.update(0, _frame(x), day)
+        np.testing.assert_array_equal(stores[0]._mean_density, stores[1]._mean_density)
+        np.testing.assert_array_equal(stores[0]._var, stores[1]._var)
+        assert stores[1]._last_day[0] == 700 and stores[1].query(0)[2] == 4
+
+    @pytest.mark.parametrize("day", [-1, 2.0, 2.5, True, "3", 2**31], ids=repr)
+    def test_bad_day_rejected_before_any_change(self, day):
+        store = _populated("cam0", 3, 2, seed=4)
+        snapshot = IsochronalStore("cam0", 3, 2)
+        snapshot._slots[...] = store._slots
+        with pytest.raises(InvalidParameterError, match="day must be an integer >= 0"):
+            store.update(5, _frame(np.ones((2, 3))), day)
+        assert store.equals(snapshot)
+        assert store.update(5, _frame(np.ones((2, 3))), 2**31 - 1)
+        assert store._last_day[5] == 2**31 - 1
 
 
 class TestBinarize:
@@ -422,9 +534,9 @@ class TestScalarStatsCache:
             first = store.scalar_stats(m)
             assert first == _uncached_stats(store, m)
             assert store.scalar_stats(m) is first  # served from the cache
-        # Bit for bit, against the store's own arrays.
-        mean = float(store._mean_density[7].mean())
-        std = float(np.sqrt(store._var[7]).mean())
+        # Bit for bit, against the store's own arrays widened to float64.
+        mean = float(store._mean_density[7].astype(np.float64).mean())
+        std = float(np.sqrt(store._var[7].astype(np.float64)).mean())
         assert store.scalar_stats(7) == (mean, std, 4)
 
     def test_freshly_loaded_store(self, tmp_path):
@@ -549,7 +661,7 @@ class TestSlotLayout:
     def test_two_loads_share_no_memory(self, tmp_path):
         store, path = self._saved(tmp_path)
         first, second = IsochronalStore.load(path), IsochronalStore.load(path)
-        for name in ("_mean_density", "_var", "_days"):
+        for name in ("_mean_density", "_var", "_days", "_last_day"):
             assert not np.shares_memory(getattr(first, name), getattr(second, name))
         first.update(5, _frame(np.ones((30, 40))))
         assert second.equals(store)
@@ -591,19 +703,21 @@ class _StoreDamage:
 
     def test_bad_version_rejected(self, tmp_path):
         path = self._saved(tmp_path)
-        for version in (0, 1, 3, 0xFFFF):
+        for version in (0, 1, 2, 4, 0xFFFF):
             _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", version)))
             with pytest.raises(StoreLoadError, match=f"unsupported store version {version}"):
                 IsochronalStore.load(path)
 
     def test_slots_of_the_other_version_rejected(self, tmp_path):
-        # Only version 2 is read: v1 slots labelled 2 fail the size check,
-        # and v2 slots labelled 1 the version check.
+        # Only version 3 is read: v1 and v2 slots labelled 3 fail the size
+        # check, and v3 slots labelled 1 or 2 the version check.
         path = self._saved(tmp_path)
-        other = 3 - self.VERSION
-        _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", other)))
-        with pytest.raises(StoreLoadError, match="payload bytes" if other == 2 else "store version 1 "):
-            IsochronalStore.load(path)
+        for other in sorted({1, 2, 3} - {self.VERSION}):
+            _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", other)))
+            with pytest.raises(
+                StoreLoadError, match="payload bytes" if other == 3 else f"store version {other} "
+            ):
+                IsochronalStore.load(path)
 
     def test_bad_magic_with_valid_checksum_rejected(self, tmp_path):
         path = self._saved(tmp_path)
@@ -641,13 +755,17 @@ class _StoreDamage:
         # Behind a valid CRC, these loaded and read (nan, nan, 1) from
         # scalar_stats(600).
         path = self._saved(tmp_path)
-        at = self._value_offset(600, field, block=4)
-        _rewrite(path, lambda b: b.__setitem__(slice(at, at + 8), struct.pack("<d", value)))
+        self._set_value(path, 600, field, 4, value)
         self._rejected(path, f"{re.escape(str(path))} .* at minute 600$")
 
-    def _value_offset(self, minute, field, block):
-        # The saved stores are 3x2 with the id "cam0": a 24-byte header.
-        return 24 + minute * self.SLOT.itemsize + self.SLOT.fields[field][1] + 8 * block
+    def _set_value(self, path, minute, field, block, value):
+        """Write ``value`` as ``block``'s entry of ``field`` in ``minute``'s
+        record, in the field's own float width. The saved stores are 3x2
+        with the id "cam0": a 24-byte header, which needs no padding."""
+        dtype, offset = self.SLOT.fields[field][:2]
+        at = 24 + minute * self.SLOT.itemsize + offset + dtype.base.itemsize * block
+        raw = np.array(value, dtype.base).tobytes()
+        _rewrite(path, lambda b: b.__setitem__(slice(at, at + len(raw)), raw))
 
     @pytest.mark.parametrize(
         "rest",
@@ -667,10 +785,10 @@ class _StoreDamage:
 
 
 class TestPersistenceAgainstReference(_StoreDamage):
-    """``save`` writes v2 as the per-slot v2 writer does, and ``load``
-    reads what that writer wrote. The damage cases run on v2."""
+    """``save`` writes v3 as the per-slot v3 writer does, and ``load``
+    reads what that writer wrote. The damage cases run on v3."""
 
-    VERSION = 2
+    VERSION = 3
     STORES = [
         ("fresh", lambda: IsochronalStore("camA", 2, 2)),
         ("one-block", lambda: _populated("c", 1, 1, seed=1)),
@@ -683,12 +801,13 @@ class TestPersistenceAgainstReference(_StoreDamage):
     def test_save_is_byte_identical_to_reference(self, tmp_path, make):
         store = make()
         store.save(tmp_path / "new.iso")
-        _reference_save_v2(store, tmp_path / "ref.iso")
+        _reference_save_v3(store, tmp_path / "ref.iso")
         data = (tmp_path / "new.iso").read_bytes()
         assert data == (tmp_path / "ref.iso").read_bytes()
         header = 20 + len(store.camera_id.encode("utf-8"))
+        header += -header % 8
         cells = store.grid_w * store.grid_h
-        assert len(data) == header + MINUTES_PER_DAY * (16 * cells + 4) + 4
+        assert len(data) == header + MINUTES_PER_DAY * (8 * cells + 8) + 4
 
     @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
     def test_load_equals_reference_load(self, tmp_path, make):
@@ -696,12 +815,12 @@ class TestPersistenceAgainstReference(_StoreDamage):
         # from.
         store = make()
         path = tmp_path / "ref.iso"
-        _reference_save_v2(store, path)
+        _reference_save_v3(store, path)
         loaded = IsochronalStore.load(path)
         assert loaded.equals(store)
-        for name in ("_mean_density", "_var", "_days"):
+        for name in ("_mean_density", "_var", "_days", "_last_day"):
             got, want = getattr(loaded, name), getattr(store, name)
-            assert got.dtype == want.dtype and got.flags.writeable
+            assert got.dtype == want.dtype and got.flags.writeable and got.flags.aligned
             assert not np.shares_memory(got, want)
         # Saving it again writes the same bytes.
         loaded.save(tmp_path / "again.iso")
@@ -716,25 +835,93 @@ class TestPersistenceAgainstReference(_StoreDamage):
         store.save(tmp_path / "s.iso")
         loaded = IsochronalStore.load(tmp_path / "s.iso")
         rng = np.random.default_rng(len(store.camera_id))
-        for minute in (0, 1, 600, 1439, 600):
-            loaded.update(minute, _frame(rng.uniform(0, 2, (store.grid_h, store.grid_w))))
+        for minute, day in ((0, None), (1, 7), (600, 7), (1439, None), (600, 9)):
+            loaded.update(minute, _frame(rng.uniform(0, 2, (store.grid_h, store.grid_w))), day)
         assert loaded.query(600)[2] == store.query(600)[2] + 2
+        assert loaded._last_day[600] == 9
         loaded.save(tmp_path / "new.iso")
-        _reference_save_v2(loaded, tmp_path / "ref.iso")
+        _reference_save_v3(loaded, tmp_path / "ref.iso")
         assert (tmp_path / "new.iso").read_bytes() == (tmp_path / "ref.iso").read_bytes()
         assert IsochronalStore.load(tmp_path / "new.iso").equals(loaded)
 
     def test_negative_zero_mean_loads(self, tmp_path):
         path = self._saved(tmp_path)
-        at = self._value_offset(600, "density", block=4)
-        _rewrite(path, lambda b: b.__setitem__(slice(at, at + 8), struct.pack("<d", -0.0)))
+        self._set_value(path, 600, "density", 4, -0.0)
         loaded = IsochronalStore.load(path)
         assert math.copysign(1.0, loaded._mean_density[600, 1, 1]) == -1.0
+
+    @pytest.mark.parametrize("last_day", [-2, -(2**31)])
+    def test_last_day_below_minus_one_rejected(self, tmp_path, last_day):
+        path = self._saved(tmp_path)
+        self._set_value(path, 600, "last_day", 0, last_day)
+        self._rejected(path, f"{re.escape(str(path))} has a last day below -1 at minute 600$")
+        self._set_value(path, 600, "last_day", 0, -1)
+        assert IsochronalStore.load(path)._last_day[600] == -1
+
+    def test_non_zero_header_padding_rejected(self, tmp_path):
+        # The id "c" leaves 21 header bytes: three zero bytes pad it to 24.
+        path = tmp_path / "s.iso"
+        _populated("c", 3, 2, seed=9).save(path)
+        assert Path(path).read_bytes()[21:24] == bytes(3)
+        for pos in (21, 23):
+            _rewrite(path, lambda b: b.__setitem__(pos, 1))
+            self._rejected(path, "bad header.*padding is not 3 zero bytes")
+            _rewrite(path, lambda b: b.__setitem__(pos, 0))
+        IsochronalStore.load(path)
 
     def _saved(self, tmp_path):
         path = tmp_path / "s.iso"
         _populated("cam0", 3, 2, seed=9).save(path)
         return path
+
+
+@pytest.mark.parametrize("id_bytes", range(1, 10))
+def test_every_field_of_a_loaded_store_is_aligned(tmp_path, id_bytes):
+    # Version 2 kept packed float64 records of 16 * cells + 4 bytes after an
+    # unpadded header, so most of these fields sat off alignment.
+    store = _populated("c" * id_bytes, 5, 3, seed=id_bytes)
+    store.save(tmp_path / "s.iso")
+    loaded = IsochronalStore.load(tmp_path / "s.iso")
+    assert loaded.equals(store)
+    for name in _slot_dtype(5, 3).names:
+        assert store._slots[name].flags.aligned
+        assert loaded._slots[name].flags.aligned, name
+
+
+def test_a_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    store = _populated("cam0", 3, 2, seed=9)
+    store.save(tmp_path / "s.iso")
+    before = sorted(tmp_path.iterdir())
+
+    def fail(self, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "replace", fail)
+    store.update(5, _frame(np.ones((2, 3))))
+    with pytest.raises(OSError, match="disk full"):
+        store.save(tmp_path / "s.iso")
+    assert sorted(tmp_path.iterdir()) == before
+    monkeypatch.undo()
+    assert not IsochronalStore.load(tmp_path / "s.iso").equals(store)
+
+
+class TestV2FileDamage(_StoreDamage):
+    """Version 2 files, whose records held float64 means and variances
+    and no last day, are no longer read. As for version 1, damage that a
+    check before the version check catches is still reported as that
+    damage; the rest is reported as the version."""
+
+    VERSION = 2
+    SLOT = np.dtype([("density", "<f8", (2, 3)), ("var", "<f8", (2, 3)), ("days", "<u4")])
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "s.iso"
+        _reference_save_v2(_populated("cam0", 3, 2, seed=9), path)
+        return path
+
+    def _rejected(self, path, match):
+        with pytest.raises(StoreLoadError, match="unsupported store version 2 "):
+            IsochronalStore.load(path)
 
 
 class TestV1FileDamage(_StoreDamage):

@@ -832,6 +832,16 @@ _EDGE_BITS = [
 ]
 
 
+# The same edges of float32.
+_EDGE_BITS32 = [
+    0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001, 0x7FFFFFFF, 0xFFFFFFFF, 0x7FA00000,
+    0x7F800000, 0xFF800000,
+    0x00000000, 0x80000000,
+    0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF,
+    0x7F7FFFFF, 0xFF7FFFFF,
+]
+
+
 # The largest bit pattern of a finite float64 >= +0.0.
 _LARGEST_FINITE_BITS = 0x7FEFFFFFFFFFFFFF
 
@@ -871,6 +881,32 @@ class TestFiniteNonnegative:
 
     def test_empty_passes(self):
         assert _finite_nonnegative(np.zeros((2, 3, 0)))
+        assert _finite_nonnegative(np.zeros((2, 0), np.float32))
+
+    @pytest.mark.parametrize("bits", _EDGE_BITS32)
+    def test_float32_edge_bit_patterns(self, bits):
+        values = np.array([0, bits, 1 << 30], np.uint32).view(np.float32)
+        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+        assert _finite_nonnegative(values[1:2]) == _exact_finite_nonnegative(values[1:2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(_EDGE_BITS32), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=24,
+        ),
+        st.sampled_from(["contiguous", "record"]),
+    )
+    def test_float32_random_bit_patterns(self, bits, layout):
+        values = np.array(bits, np.uint32).view(np.float32)
+        if layout == "record":
+            # A float32 field strided by packed records, as the isochronal
+            # store's load check reads its means and variances.
+            records = np.zeros(len(bits), [("value", "<f4"), ("days", "<u4"), ("last_day", "<i4")])
+            records["value"] = values
+            values = records["value"]
+        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
 
 
 class TestBlockMean:
@@ -892,7 +928,7 @@ class TestBlockMean:
             values = wide[:, :cols].copy()
         elif layout == "strided":
             values = wide[:, ::2]
-        else:  # a field of packed records, as the isochronal store holds them
+        else:  # a field of packed records
             records = np.zeros(rows, [("density", "<f8", (cols,)), ("days", "<u4")])
             records["density"] = wide[:, :cols]
             values = records["density"]

@@ -1,4 +1,8 @@
 import ast
+import importlib.util
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -223,3 +227,38 @@ def test_the_scan_finds_package_imports():
     assert _package_imports(ast.parse(source)) == {
         "errors", "motion", "filters", "sim", "isochron", "planning"
     }
+
+
+_PLANTED_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_planted_property(n):
+    assert n < 10
+
+
+def test_plain():
+    pass
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("libcst") is None, reason="needs libcst")
+def test_a_failing_property_is_reported_under_warnings_as_errors(tmp_path):
+    # Hypothesis imports libcst to report a failing property; without the
+    # suite's conftest, -W error turned libcst's DeprecationWarning into an
+    # INTERNALERROR that ended the run unreported.
+    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
+    (tmp_path / "test_planted.py").write_text(_PLANTED_PROPERTY, encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "pytest", "-q", "-W", "error"]
+        + ["-p", "no:cacheprovider", "test_planted.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "FAILED test_planted.py::test_planted_property" in run.stdout
+    assert "1 failed, 1 passed" in run.stdout

@@ -186,6 +186,75 @@ def test_frames_after_finish_in_a_flushed_minute_store_no_second_sample():
     pipe.finish()
     assert pipe.store.query(0)[2] == 1
     assert pipe.store.query(1)[2] == 1
+    assert pipe.samples_skipped == 1
+
+
+def _run(pipe, times):
+    for t in times:
+        pipe.ingest(_frame_at(t))
+    pipe.finish()
+    return pipe
+
+
+_RESTART_TIMES = [600 * 60_000 + 500 * i for i in range(3 * 120 + 1)]  # minutes 600-603, 2 Hz
+
+
+@pytest.mark.parametrize(
+    "last, replay, skipped",
+    [
+        (60, False, 1),  # mid-minute: the last frame before the restart is 30 s into minute 600
+        (120, False, 1),  # at a boundary: the last frame is minute 601's first, at its 0 s
+        (119, False, 0),  # the last frame is minute 600's last
+        (180, True, 1),  # mid-minute, and the feed resends minute 601 from its start
+        (240, True, 1),  # at minute 602's first frame, and the feed resends it
+    ],
+)
+def test_a_restarted_pipeline_stores_each_minute_once(tmp_path, last, replay, skipped):
+    # The first run ends with ``finish`` after frame ``last``, and a second
+    # run on the saved store takes the feed from there, or from the start of
+    # that frame's minute if the feed resends it.
+    uninterrupted = _run(CameraPipeline("cam0", 5, 4, Config()), _RESTART_TIMES)
+    first = _run(CameraPipeline("cam0", 5, 4, Config()), _RESTART_TIMES[: last + 1])
+    first.store.save(tmp_path / "cam0.iso")
+    end = _RESTART_TIMES[last]
+    resume = end // 60_000 * 60_000 if replay else end + 1
+    second = CameraPipeline("cam0", 5, 4, Config(), store=IsochronalStore.load(tmp_path / "cam0.iso"))
+    _run(second, [t for t in _RESTART_TIMES if t >= resume])
+    days = [second.store.query(m)[2] for m in range(MINUTES_PER_DAY)]
+    assert days == [uninterrupted.store.query(m)[2] for m in range(MINUTES_PER_DAY)]
+    assert [m for m, d in enumerate(days) if d] == [600, 601, 602, 603]
+    assert second.samples_skipped == skipped
+
+
+def test_a_replayed_day_stores_nothing():
+    day_ms = MINUTES_PER_DAY * 60_000
+    times = [day_ms + 1_000 * i for i in range(3 * 60)]
+    pipe = _run(CameraPipeline("cam0", 5, 4, Config()), times)
+    stored = IsochronalStore("cam0", 5, 4)
+    stored._slots[...] = pipe.store._slots
+    replay = _run(CameraPipeline("cam0", 5, 4, Config(), store=pipe.store), times)
+    assert replay.samples_skipped == 3
+    assert replay.store.equals(stored)
+    _run(replay, [t + day_ms for t in times])
+    assert [replay.store.query(m)[2] for m in (0, 1, 2, 3)] == [2, 2, 2, 0]
+
+
+def test_a_frame_outside_the_days_a_store_can_date_is_rejected():
+    # A store dates its samples by day since the epoch, from 0 to 2**31 - 1.
+    # Accepted, such a frame made every later minute flush raise.
+    end_ms = 2**31 * _DAY_MS
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    for t in (-1, -60_000, end_ms, end_ms + 60_000):
+        with pytest.raises(RejectedInputError, match=f"frame at {t} ms is not within days 0 to 2147483647"):
+            pipe.ingest(_frame_at(t))
+    assert (pipe.frames_rejected, pipe.frames_late, pipe.frames_ingested) == (4, 0, 0)
+    pipe.ingest(_frame_at(0))
+    with pytest.raises(RejectedInputError, match="not after the last accepted frame at 0 ms"):
+        pipe.ingest(_frame_at(0))
+    assert (pipe.frames_rejected, pipe.frames_late, pipe.frames_ingested) == (4, 1, 1)
+    _run(pipe, [end_ms - 60_001, end_ms - 1])
+    assert pipe.store.query(MINUTES_PER_DAY - 2)[2] == pipe.store.query(MINUTES_PER_DAY - 1)[2] == 1
+    assert pipe.store._last_day[MINUTES_PER_DAY - 1] == 2**31 - 1
 
 
 def test_a_day_long_gap_starts_a_new_sample_for_the_same_minute_of_day():
@@ -248,7 +317,7 @@ class TestMinuteAccumulator:
         minute = minute_of_day(frame.timestamp_ms)
         mean, _, days = pipe.store.query(minute)
         assert days == 1
-        np.testing.assert_array_equal(mean.density, first)
+        np.testing.assert_array_equal(mean.density, first.astype(np.float32))
 
 
 _DAY_MS = MINUTES_PER_DAY * 60_000

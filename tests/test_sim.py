@@ -136,7 +136,7 @@ class TestGenStream:
         for ev in truth.events:
             t_ms = int(np.ceil(ev.start_s)) * 1000
             frame = by_t[t_ms]
-            active = moving_blocks(truth, t_ms / 1000.0)
+            active = moving_blocks(scn, truth, t_ms / 1000.0)
             assert active
             assert any(frame.density[by, bx] > 0 for bx, by in active)
 

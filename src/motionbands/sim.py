@@ -10,7 +10,9 @@ actor, event plan or scenario holding it is built.
 Streams tick at ``rate_hz`` samples/s: walkers deposit moving activity
 along their paths, dwellers deposit in-place activity, and planted events
 sweep short moving fronts across the grid. The ground truth's per-minute
-activity is the mean of each minute's noise-free ticks.
+activity is the mean of each minute's noise-free ticks. It is built on
+first read, by a second pass over every tick, and kept: a stream whose
+truth is read only for its events never makes that pass.
 
 Event arrivals follow a Poisson day count, and placement is stratified
 only: each event starts in its own equal slot of the day, with a minimum
@@ -21,6 +23,7 @@ All randomness flows from the scenario seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -224,10 +227,18 @@ class Scenario:
 
 @dataclass
 class GroundTruth:
-    """Labels consistent with the emitted stream by construction."""
+    """Labels consistent with the emitted stream by construction: the
+    planted events, placed with the stream, and the per-minute truth,
+    built on first read."""
 
     events: list[PlantedEvent]
-    per_minute: np.ndarray        # (days * 1440, gh, gw) planted mean activity
+    scenario: Scenario
+    days: int
+
+    @cached_property
+    def per_minute(self) -> np.ndarray:
+        """(days * 1440, gh, gw) planted mean activity."""
+        return _per_minute_planted(self.scenario, self.events, self.days)
 
     def event_intervals_ms(self) -> list[tuple[int, int]]:
         return [(int(e.start_s * 1000), int(e.end_s * 1000)) for e in self.events]
@@ -356,7 +367,7 @@ def gen_stream(scenario: Scenario, days: int = 1) -> tuple[Iterator[MotionFrame]
     checked("days", days, 1, integral=True)
     event_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 1]))
     events = _place_events(scenario, days, event_rng)
-    truth = GroundTruth(events=events, per_minute=_per_minute_planted(scenario, events, days))
+    truth = GroundTruth(events, scenario, days)
 
     def frames() -> Iterator[MotionFrame]:
         noise_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 2]))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from motionbands.motion import N_DIR_BINS, GrayFrame, MotionFrame
-from motionbands.sim import SECONDS_PER_DAY, GroundTruth, Scenario
+from motionbands.sim import SECONDS_PER_DAY, GroundTruth
 
 
 def zero_frame(grid_w: int, grid_h: int, timestamp_ms: int = 0) -> MotionFrame:
@@ -38,10 +38,11 @@ def blob_frames(
     return frames
 
 
-def moving_blocks(scenario: Scenario, truth: GroundTruth, t_s: float) -> set[tuple[int, int]]:
-    """Blocks of the grid carrying moving activity at time ``t_s`` in a
-    stream of ``scenario`` with ground truth ``truth``: the walkers' and
-    the planted events'."""
+def moving_blocks(truth: GroundTruth, t_s: float) -> set[tuple[int, int]]:
+    """Blocks of the grid carrying moving activity at time ``t_s`` in the
+    stream whose ground truth is ``truth``: the walkers' and the planted
+    events'."""
+    scenario = truth.scenario
     day_t = t_s % SECONDS_PER_DAY
     out = {w.block_at(day_t) for w in scenario.walkers} - {None}
     for event in truth.events:

@@ -321,7 +321,7 @@ class TestGatePipeline:
         assert not _EVENT_SCENARIO.walkers and not _EVENT_SCENARIO.dwellers
         # Each onset request falls while a planted front is on the grid.
         assert report.detections
-        assert all(moving_blocks(_EVENT_SCENARIO, truth, t / 1000) for t in report.detections)
+        assert all(moving_blocks(truth, t / 1000) for t in report.detections)
 
     def test_gate_monotone_in_k_sigma(self):
         # With a learned-stats day the k matters; here the floor dominates,

@@ -143,6 +143,18 @@ class TestCost1:
         res = plan_path(graph, PlanQuery("A", "D", t_star=600), stores)
         assert res.nodes == ["A", "B", "D"] and res.excluded_cameras == ["cam_dead"]
 
+    def test_an_excluded_camera_is_priced_again_once_a_minute_is_active(self):
+        # The store caches its support mask; an update drops it.
+        graph = _diamond()
+        stores = {"cam_busy": _store_with("cam_busy", 2.0), "cam_dead": _store_with("cam_dead", 0.0)}
+        query = PlanQuery("A", "C", t_star=600)
+        res = plan_path(graph, query, stores)
+        assert not res.found and res.excluded_cameras == ["cam_dead"]
+        stores["cam_dead"].update(30, _frame(np.full((2, 2), 0.5)))
+        res = plan_path(graph, query, stores)
+        assert res.found and res.excluded_cameras == []
+        assert res.segments == [SegmentBreakdown("ac", 5.0, 0.0)]
+
     def test_single_segment_value(self):
         graph = _diamond()
         stores = {"cam_busy": _store_with("cam_busy", 4.0)}

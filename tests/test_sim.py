@@ -1,8 +1,14 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from motionbands import sim
 from motionbands.errors import InvalidParameterError
+from motionbands.motion import N_DIR_BINS
 from motionbands.sim import (
+    SECONDS_PER_DAY,
     Dweller,
     EventPlan,
     Scenario,
@@ -136,7 +142,7 @@ class TestGenStream:
         for ev in truth.events:
             t_ms = int(np.ceil(ev.start_s)) * 1000
             frame = by_t[t_ms]
-            active = moving_blocks(scn, truth, t_ms / 1000.0)
+            active = moving_blocks(truth, t_ms / 1000.0)
             assert active
             assert any(frame.density[by, bx] > 0 for bx, by in active)
 
@@ -221,3 +227,137 @@ def test_fit_front_draws_as_the_reference():
                         assert ours.bit_generator.state == ref.bit_generator.state
                         fitted += 1
     assert fitted > 500
+
+
+# The per-minute truth as ``gen_stream`` built it eagerly, before it was
+# built on first read: the tick loop and the minute means, frozen.
+_PARENT_DIR_BIN = {(1, 0): 0, (0, -1): 2, (-1, 0): 4, (0, 1): 6}
+
+
+def _parent_ticks(scenario, events, days):
+    ticks_per_day = int(round(scenario.day_seconds * scenario.rate_hz))
+    shape = (scenario.grid_h, scenario.grid_w)
+    pending = sorted(events, key=lambda e: e.start_s)
+    next_event = 0
+    active = []
+    for day in range(days):
+        for i in range(ticks_per_day):
+            t_s = day * SECONDS_PER_DAY + i / scenario.rate_hz
+            while next_event < len(pending) and pending[next_event].start_s <= t_s:
+                active.append(pending[next_event])
+                next_event += 1
+            active = [e for e in active if t_s < e.end_s]
+            density = np.zeros(shape)
+            hist = np.zeros((*shape, N_DIR_BINS))
+            day_t = t_s % SECONDS_PER_DAY
+            for w in scenario.walkers:
+                block = w.block_at(day_t)
+                if block is None:
+                    continue
+                bx, by = block
+                density[by, bx] += w.amplitude
+                hist[by, bx, _PARENT_DIR_BIN.get(w.step_dir(day_t), 0)] += w.amplitude
+            for d in scenario.dwellers:
+                if d.active(day_t):
+                    bx, by = d.block
+                    density[by, bx] += d.amplitude
+                    hist[by, bx] += d.amplitude / N_DIR_BINS
+            for ev in active:
+                for bx, by in ev.blocks_at(t_s):
+                    if 0 <= bx < scenario.grid_w and 0 <= by < scenario.grid_h:
+                        density[by, bx] += ev.plan.amplitude
+                        hist[by, bx, _PARENT_DIR_BIN.get(ev.direction, 0)] += ev.plan.amplitude
+            yield t_s, density, hist
+
+
+def _parent_per_minute_planted(scenario, events, days):
+    out = np.zeros((days * 1440, scenario.grid_h, scenario.grid_w))
+    per_min_ticks = np.zeros(days * 1440)
+    for t_s, density, _ in _parent_ticks(scenario, events, days):
+        idx = int(t_s // 60)
+        out[idx] += density
+        per_min_ticks[idx] += 1
+    nonzero = per_min_ticks > 0
+    out[nonzero] /= per_min_ticks[nonzero, None, None]
+    return out
+
+
+def _busy_scenario(noise_sigma, seed=4):
+    """Three-minute days on an 8 x 6 grid: a looping walker, one that walks
+    its path once, a dweller and planted events."""
+    return Scenario(
+        grid_w=8,
+        grid_h=6,
+        day_hours=0.05,
+        rate_hz=2.0,
+        walkers=(
+            Walker(path=((1, 1), (2, 1), (2, 2), (1, 2)), amplitude=0.5, loop=True),
+            Walker(path=((6, 0), (6, 1), (6, 2), (5, 2), (4, 2)), speed_bps=0.1, start_s=20.0),
+        ),
+        dwellers=(Dweller(block=(3, 4), start_s=50.0, duration_s=70.0, amplitude=0.7),),
+        events=EventPlan(mean_per_day=5, duration_s=4.0, width_blocks=2, min_gap_s=2.0),
+        noise_sigma=noise_sigma,
+        seed=seed,
+    )
+
+
+class TestLazyTruth:
+    @pytest.mark.parametrize("days", [1, 2, 3])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("read", ["before", "during", "after"])
+    def test_per_minute_equals_the_eager_truth(self, days, noise_sigma, read):
+        scn = _busy_scenario(noise_sigma)
+        untouched, _ = gen_stream(scn, days=days)
+        frames, truth = gen_stream(scn, days=days)
+        assert truth.events
+        want = _parent_per_minute_planted(scn, truth.events, days)
+        got = []
+        if read == "before":
+            got.append(truth.per_minute)
+        for i, (fa, fb) in enumerate(zip(frames, untouched, strict=True)):
+            # Reading the truth leaves the stream as it would have been.
+            assert _frame_bytes(fa) == _frame_bytes(fb)
+            if read == "during" and i == 200:
+                got.append(truth.per_minute)
+        got.append(truth.per_minute)
+        assert got[0] is got[-1]  # built once, then kept
+        assert got[0].shape == want.shape and got[0].dtype == want.dtype
+        assert got[0].tobytes() == want.tobytes()
+
+    def test_a_stream_read_without_its_truth_never_builds_it(self, monkeypatch):
+        calls = []
+        real = sim._per_minute_planted
+        monkeypatch.setattr(sim, "_per_minute_planted", lambda *args: calls.append(args) or real(*args))
+        scn = _busy_scenario(0.05)
+        frames, truth = gen_stream(scn, days=2)
+        assert sum(1 for _ in frames) == 2 * 360
+        assert truth.events and truth.event_intervals_ms()
+        assert calls == []
+        truth.per_minute
+        truth.per_minute
+        assert len(calls) == 1
+
+    def test_generation_allocates_no_per_minute_truth(self):
+        # One benchmark replay camera: a 40 x 30 grid, eight days of three
+        # minutes at 30 Hz. An eager truth would allocate its
+        # (8 * 1440, 30, 40) float64 array, about 110 MB.
+        scn = Scenario(
+            grid_w=40,
+            grid_h=30,
+            day_hours=0.05,
+            rate_hz=30.0,
+            walkers=(Walker(path=tuple((x, 5) for x in range(3, 30)), amplitude=0.5, loop=True),),
+            dwellers=(Dweller(block=(20, 20), start_s=30.0, duration_s=60.0, amplitude=0.5),),
+            events=EventPlan(mean_per_day=4.0, duration_s=10.0, width_blocks=8, min_gap_s=15.0),
+            noise_sigma=0.02,
+            seed=3,
+        )
+        tracemalloc.start()
+        try:
+            frames, truth = gen_stream(scn, days=8)
+            assert sum(1 for _ in itertools.islice(frames, 1000)) == 1000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert truth.events
+        assert peak < 5e6

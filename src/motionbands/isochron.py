@@ -1,10 +1,11 @@
 """Long-term activity statistics per minute of day.
 
 One store per camera holds 1440 slots, one per minute of day. Each slot
-keeps an EMA of the per-minute density aggregate (the cascade's
-``filters._ema``), an exponentially weighted density variance, a day
-counter and the absolute day of its last dated sample. The EMA constant
-``a`` is parameterized by a 10%-decay span in days.
+keeps an EMA of the per-minute density aggregate (the cascade's rule,
+rounded as ``filters._ema`` rounds it), the standard deviation of an exponentially weighted
+density variance, a day counter and the absolute day of its last dated
+sample. The EMA constant ``a`` is parameterized by a 10%-decay span in
+days.
 
 The variance follows Finch (2009), "Incremental calculation of weighted
 mean and variance": with ``d`` the sample's deviation from the mean
@@ -12,8 +13,8 @@ before the update, ``var <- a * (var + (1 - a) * d^2)``. On a stationary
 stream that settles at ``2a / (1 + a)`` times the true variance, because
 the mean it is measured from is itself a noisy estimate, so the store
 keeps it scaled by ``(1 + a) / (2a)``: ``var <- a * var + (1 - a)(1 + a)
-/ 2 * d^2``. The reported std then estimates the stream's standard
-deviation.
+/ 2 * d^2``. The stored std, the root of that variance, then estimates
+the stream's standard deviation.
 
 The first observation of a slot initializes the mean directly instead of
 blending with the all-zero prior, avoiding a multi-day warm-up bias.
@@ -30,13 +31,21 @@ days. An undated sample counts as one day after the last with weight
 ``a`` and leaves the last dated day alone. Either kind adds one to the
 day counter, which the event gate reads.
 
-Means and variances are stored as float32 and computed in float64:
-``update`` widens the minute's mean and variance, blends, and rounds once
-when it stores them, and every reader widens what it reads, so ``query``
-and ``minute_curve`` return float64 and ``binarize`` compares in float64.
-Float32 keeps about seven significant digits: on eight replayed days of
-the benchmark's scenes, every gate decision is the same as with float64
-records.
+Means and stds are stored as float16 and computed in float64: ``update``
+widens the minute's mean and std, blends with the std squared as the
+variance, and rounds the mean and the new std once, to nearest, when it
+stores them. Every reader widens what it reads, so ``query``,
+``scalar_stats`` and ``minute_curve`` return float64 and ``binarize``
+compares in float64; the std is read as stored, with no root taken per
+read. Float16 keeps 11 significant bits (a relative step of at most
+2**-10) from 6.1e-5 up to 65504, and an absolute step of 6e-8 below that
+range. The std is stored rather than the variance because a typical
+variance, about 1e-6, lies in that lower range, where under two digits
+survive, while its root keeps all 11 bits. A sample with a density above
+65504, the largest finite float16, is refused; any other keeps the
+blended mean and std at or below 65504, so a record stays finite. On
+eight replayed days of the benchmark's scenes, every gate decision is the
+same as with float32 records.
 
 ``binarize`` caches the support mask of the last epsilon asked for, and
 ``scalar_stats`` caches each minute's (mean, std, days); ``update`` drops
@@ -45,32 +54,33 @@ loaded store starts with empty caches. ``binarize`` hands out the cached
 mask itself, read-only like the cascade's bands, so no caller can alter
 it and no call copies it.
 
-File format v3 (little-endian): magic ``ISO1``, version u16 = 3, decay
+File format v4 (little-endian): magic ``ISO1``, version u16 = 4, decay
 span f64, camera id length u16 and its UTF-8 bytes, grid dims u16 x2
 (width, height), zero bytes up to the next multiple of 8, then 1440
-records of (density mean f32[gh*gw], density variance f32[gh*gw], days
-u32, last dated day i32, -1 for none), closed by a CRC32 trailer over
-everything before it: 8 * gh * gw + 8 bytes per minute, 9,608 on a 40x30
-grid, 13.84 MB a store. The padding and the record size keep every field
-of every record aligned in a loaded store, whatever the camera id's
-length. Writes go to a temp file renamed into place, so readers never
-observe a partial store; a failed write removes its temp file.
+records of (density mean f16[gh*gw], density std f16[gh*gw], days u32,
+last dated day i32, -1 for none), closed by a CRC32 trailer over
+everything before it: 4 * gh * gw + 8 bytes per minute, 4,808 on a 40x30
+grid, 6.92 MB a store (221.6 MB for 32 cameras). The padding and the
+record size keep every field of every record aligned in a loaded store,
+whatever the camera id's length and the grid: a record is a multiple of 4
+bytes, and its u32 and i32 fields start at a multiple of 4. Writes go to
+a temp file renamed into place, so readers never observe a partial
+store; a failed write removes its temp file.
 
-The store's memory is the v3 record layout: one packed structured array
-of 1440 records, of which the mean, variance, day counts and last days
-are field views. ``save`` writes the header, that array's bytes and the
-CRC, with no copy. ``load`` reads the whole file once into a fresh buffer
-and, after its checks, keeps the record bytes of that buffer as the
-store's array. Its checks allocate only small temporaries, so a load's
-peak allocation is the file's size plus about 32 KB: 13.87 MB for a
-13.84 MB file. Nothing maps the file: rewriting it after a load leaves the
-store alone.
+The store's memory is the v4 record layout: one packed structured array
+of 1440 records, of which the mean, std, day counts and last days are
+field views. ``save`` writes the header, that array's bytes and the CRC,
+with no copy. ``load`` reads the whole file once into a fresh buffer and,
+after its checks, keeps the record bytes of that buffer as the store's
+array. Its checks allocate only small temporaries, so a load's peak
+allocation is the file's size plus a few KB. Nothing maps the file:
+rewriting it after a load leaves the store alone.
 
-``load`` reads version 3 only; a file of an earlier version is refused
+``load`` reads version 4 only; a file of an earlier version is refused
 with its version in the message. Its checks, in order: CRC, magic,
 version, header fields and zero padding, a payload size that must match
-the record layout exactly, finite, non-negative means and variances, and
-last days of at least -1.
+the record layout exactly, finite, non-negative means and stds, and last
+days of at least -1.
 """
 
 from __future__ import annotations
@@ -87,23 +97,33 @@ from numpy.lib.stride_tricks import as_strided
 
 from .config import BandParams, alpha_from_decay, checked
 from .errors import InvalidParameterError, RejectedInputError, StoreLoadError
-from .filters import _ema, _frozen
+from .filters import _frozen
 from .motion import MotionFrame, _finite_nonnegative, block_mean
 
 MINUTES_PER_DAY = 1440
 
 _MAGIC = b"ISO1"
-_VERSION = 3
+_VERSION = 4
 _ALIGN = 8  # the header is padded to a multiple of this many bytes
 _LAST_DAY_MAX = int(np.iinfo(np.int32).max)
+_F16_MAX = float(np.finfo(np.float16).max)  # 65504.0: the largest mean or std a record holds
 
 
 def _slot_dtype(grid_w: int, grid_h: int) -> np.dtype:
-    """One minute's record, packed: density mean, density variance, days,
-    last dated day."""
+    """One minute's record, packed: density mean, density std, days, last
+    dated day."""
     grid = (grid_h, grid_w)
     return np.dtype(
-        [("density", "<f4", grid), ("var", "<f4", grid), ("days", "<u4"), ("last_day", "<i4")]
+        [("density", "<f2", grid), ("std", "<f2", grid), ("days", "<u4"), ("last_day", "<i4")]
+    )
+
+
+def _mean_std(slots: np.ndarray) -> np.ndarray:
+    """A writeable (1440, 2, gh, gw) float16 view of every record's density
+    mean and std: in a record the std follows the mean."""
+    gh, gw = slots.dtype["density"].shape
+    return as_strided(
+        slots["density"], (MINUTES_PER_DAY, 2, gh, gw), (slots.itemsize, 2 * gh * gw, 2 * gw, 2)
     )
 
 
@@ -111,18 +131,47 @@ def _padding(header_len: int) -> int:
     return -header_len % _ALIGN
 
 
-def _first_bad_minute(slots: np.ndarray, cells: int) -> int | None:
-    """The first minute whose density mean or variance is non-finite or
-    negative, or None. The check is one pass over a (1440, 2 * cells)
-    float32 view of ``slots`` with the record stride: in a record the
-    variance follows the mean, and the day counts and last days are left
-    out."""
-    values = as_strided(
-        slots["density"], (MINUTES_PER_DAY, 2 * cells), (slots.itemsize, 4), writeable=False
-    )
+# For _round_to_f16: the exponent field of a float64, the bits of 2**-14
+# (float16's smallest normal value) and the magic constant's offset.
+_EXPONENT = np.uint64(0x7FF0000000000000)
+_F16_TINY = np.uint64(1009 << 52)
+_MAGIC_OFFSET = np.uint64((42 << 52) - (1009 << 10))
+
+
+def _round_to_f16(values: np.ndarray, out: np.ndarray) -> None:
+    """Write float64 ``values``, each finite and in [-0.0, 65504] up to a
+    few float64 roundings, into the float16 array ``out`` as numpy's cast
+    rounds them (to nearest, ties to even), with -0.0 as +0.0.
+
+    numpy's cast converts one element at a time, and spends about 95 ns
+    (2-vCPU Xeon) on each that rounds inexactly to a float16 subnormal,
+    below 2**-14, where many stds lie. Here the hardware rounds instead:
+    with ``E = max(exponent of x, -14)``, adding ``C = 2**(E + 42)``
+    rounds ``x`` to a multiple of ``2**(E - 10)``, float16's step at
+    ``x``, and leaves that multiple ``n`` in the sum's low bits. ``C``
+    also carries ``(E + 14) << 10`` in its low bits, so the sum's low 16
+    bits are ``n + ((E + 14) << 10)``: the float16 bit pattern, whether
+    ``x`` rounds to a subnormal, a normal value or up to the next binade.
+    Seven numpy passes over ``values``.
+    """
+    magic = np.bitwise_and(values.view(np.uint64), _EXPONENT)
+    np.maximum(magic, _F16_TINY, out=magic)  # 2**E, as bits
+    low = np.right_shift(magic, np.uint64(42))  # (E + 1023) << 10
+    np.add(magic, low, out=magic)
+    np.add(magic, _MAGIC_OFFSET, out=magic)  # C, as bits
+    rounded = magic.view(np.float64)
+    np.add(values, rounded, out=rounded)
+    out.view(np.uint16)[...] = magic  # the low 16 bits
+
+
+def _first_bad_minute(slots: np.ndarray) -> int | None:
+    """The first minute whose density mean or std is non-finite or
+    negative, or None. The check is one pass over :func:`_mean_std`'s view
+    of ``slots``, which leaves the day counts and last days out."""
+    values = _mean_std(slots)
     if _finite_nonnegative(values):
         return None
-    return int(np.argmin(((values >= 0.0) & (values < math.inf)).all(axis=1)))
+    return int(np.argmin(((values >= 0.0) & (values < math.inf)).all(axis=(1, 2, 3))))
 
 
 def minute_of_day(timestamp_ms: int) -> int:
@@ -157,8 +206,9 @@ class IsochronalStore:
         """Make ``slots``, 1440 records, the store's memory, with empty
         caches."""
         self._slots = slots
+        self._mean_std = _mean_std(slots)
         self._mean_density = slots["density"]
-        self._var = slots["var"]
+        self._std = slots["std"]
         self._days = slots["days"]
         self._last_day = slots["last_day"]
         self._support: tuple[float, np.ndarray] | None = None  # (epsilon, mask)
@@ -177,8 +227,12 @@ class IsochronalStore:
         sample (see the module docstring). A dated sample on or before the
         slot's last dated day returns False and leaves the store unchanged.
         The sample may carry direction bins, which are checked and not
-        stored. A sample with a NaN, infinite or negative density or bin
-        raises :class:`RejectedInputError` and leaves the store unchanged.
+        stored. A sample with a NaN, infinite or negative density or bin, or
+        a density above 65504, raises :class:`RejectedInputError` and leaves
+        the store unchanged. The slot's mean and std are widened to float64,
+        blended with the variance as the std squared, and rounded once to
+        float16 when stored; a sample of at most 65504 keeps both at most
+        65504, so the record stays finite.
         """
         self._check_minute(minute)
         if day is not None:
@@ -192,6 +246,12 @@ class IsochronalStore:
             raise RejectedInputError(
                 f"sample for minute {minute} has a non-finite or negative density or bin"
             )
+        x = sample.density
+        if np.maximum.reduce(x, axis=None) > _F16_MAX:
+            raise RejectedInputError(
+                f"sample for minute {minute} has a density above {_F16_MAX:.0f}, "
+                "the largest a store record holds"
+            )
         a, gain = self.alpha_l2, self._var_gain
         if day is not None:
             last = int(self._last_day[minute])
@@ -203,15 +263,26 @@ class IsochronalStore:
             self._last_day[minute] = day
         self._support = None
         self._stats.pop(minute, None)
+        record = self._mean_std[minute]
         if self._days[minute] == 0:
-            self._mean_density[minute] = sample.density
-            self._var[minute] = 0.0
+            blended = np.zeros(record.shape)
+            blended[0] = x
         else:
-            mean = self._mean_density[minute].astype(np.float64)
-            dev = sample.density - mean
-            self._var[minute] = a * self._var[minute].astype(np.float64) + gain * dev * dev
-            _ema(mean, sample.density, a, dev)  # dev is spent: it serves as scratch
-            self._mean_density[minute] = mean
+            # (mean, var) <- a * (mean, var) + ((1 - a) * x, gain * dev**2)
+            # in one pass over both: the cascade's EMA on the mean, rounded
+            # as filters._ema rounds it, and Finch's rule on the variance.
+            blended = record.astype(np.float64)
+            mean, var = blended  # var holds the std until it is squared
+            fresh = np.empty_like(blended)
+            dev = np.subtract(x, mean, out=fresh[1])
+            np.multiply(x, 1.0 - a, out=fresh[0])
+            np.multiply(dev, dev, out=dev)
+            np.multiply(dev, gain, out=dev)
+            np.multiply(var, var, out=var)
+            np.multiply(blended, a, out=blended)
+            np.add(blended, fresh, out=blended)
+            np.sqrt(var, out=var)  # the new std
+        _round_to_f16(blended, record)
         self._days[minute] += 1
         return True
 
@@ -226,8 +297,7 @@ class IsochronalStore:
             dir_hist=np.zeros((self.grid_h, self.grid_w, 0)),
             timestamp_ms=int(minute) * 60_000,
         )
-        std = np.sqrt(self._var[minute], dtype=np.float64)
-        return mean, std, int(self._days[minute])
+        return mean, self._std[minute].astype(np.float64), int(self._days[minute])
 
     def scalar_stats(self, minute: int) -> tuple[float, float, int]:
         """Block-averaged (mean activity, std, days) for threshold checks,
@@ -236,11 +306,8 @@ class IsochronalStore:
         self._check_minute(minute)  # first: True or 5.0 would find 1's or 5's stats
         stats = self._stats.get(minute)
         if stats is None:
-            stats = self._stats[minute] = (
-                block_mean(self._mean_density[minute].astype(np.float64)),
-                block_mean(np.sqrt(self._var[minute], dtype=np.float64)),
-                int(self._days[minute]),
-            )
+            mean, std = self._mean_std[minute].astype(np.float64)
+            stats = self._stats[minute] = (block_mean(mean), block_mean(std), int(self._days[minute]))
         return stats
 
     def binarize(self, epsilon: float = 1e-3) -> np.ndarray:
@@ -249,9 +316,14 @@ class IsochronalStore:
         mask is read-only, so every caller may share it."""
         checked("epsilon", epsilon)
         if self._support is None or self._support[0] != epsilon:
-            # A float64 threshold: against a Python float, numpy would
-            # compare the float32 means in float32.
-            mask = (self._mean_density.max(axis=0) > np.float64(epsilon)).astype(np.uint8)
+            # The block maxima come from the bit patterns read as int16:
+            # 0.24 against 7.1 ms for numpy's float16 max over 1440 x 30 x
+            # 40 (2-vCPU Xeon). For finite values >= +0.0 the bit order is
+            # the numeric order, and -0.0, which load admits, reads as the
+            # least int16, below every other value. The maxima are compared
+            # in float64.
+            top = np.maximum.reduce(self._mean_density.view(np.int16), axis=0)
+            mask = (top.view(np.float16).astype(np.float64) > np.float64(epsilon)).astype(np.uint8)
             self._support = (epsilon, _frozen(mask))
         return self._support[1]
 
@@ -328,11 +400,11 @@ class IsochronalStore:
                 f"store file {path} has {expected} payload bytes, expected {needed}"
             )
         slots = data[start : len(payload)].view(slot)
-        bad = _first_bad_minute(slots, grid_w * grid_h)
+        bad = _first_bad_minute(slots)
         if bad is not None:
             raise StoreLoadError(
                 f"store file {path} has a non-finite or negative density mean or "
-                f"variance at minute {bad}"
+                f"std at minute {bad}"
             )
         early = np.flatnonzero(slots["last_day"] < -1)
         if early.size:
@@ -351,7 +423,7 @@ class IsochronalStore:
             and self.grid_h == other.grid_h
             and self.t_l2_days == other.t_l2_days
             and np.array_equal(self._mean_density, other._mean_density)
-            and np.array_equal(self._var, other._var)
+            and np.array_equal(self._std, other._std)
             and np.array_equal(self._days, other._days)
             and np.array_equal(self._last_day, other._last_day)
         )

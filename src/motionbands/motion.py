@@ -196,11 +196,16 @@ class MotionFrame:
 # Per float width in bytes: the unsigned integer of that width and the bit
 # pattern of +inf. A float is finite and at least +0.0 iff its bits, read
 # as that unsigned integer, lie below +inf's.
-_INF_BITS = {8: (np.uint64, 0x7FF0000000000000), 4: (np.uint32, 0x7F800000)}
+_INF_BITS = {
+    8: (np.uint64, 0x7FF0000000000000),
+    4: (np.uint32, 0x7F800000),
+    2: (np.uint16, 0x7C00),
+}
 
 
 def _finite_nonnegative(values: np.ndarray) -> bool:
-    """True iff every entry of a float64 or float32 array is finite and >= 0.
+    """True iff every entry of a float64, float32 or float16 array is finite
+    and >= 0.
 
     A clean array passes on one unsigned max over its bit patterns; any
     other (NaN, infinite, negative, or -0.0, which passes) goes on to the

@@ -12,8 +12,9 @@ its absolute day (``minute // 1440``). The store refuses a sample on or
 before the day it last stored for that minute of day, so a minute is
 stored at most once a day: frames after ``finish`` in a flushed minute, a
 pipeline restarted on the same store mid-minute or at a minute boundary,
-and a replayed day add no second sample. ``samples_skipped`` counts the
-minutes so refused.
+and a replayed day add no second sample. The store also refuses a minute
+whose mean density it cannot hold (above 65504, the largest value of its
+float16 records). ``samples_skipped`` counts the minutes so refused.
 
 Settings come from a ``Config`` whose frozen sections checked them when
 built. A given ``store`` must be on the camera's grid and have the
@@ -127,7 +128,8 @@ class CameraPipeline:
         negative values) is counted in ``frames_rejected``. Either raises
         :class:`RejectedInputError` and changes no other state. A completed
         minute the store refuses, because it already holds a sample of that
-        minute for that day, is counted in ``samples_skipped``.
+        minute for that day or because it cannot hold the minute's mean
+        density, is counted in ``samples_skipped`` and raises nothing.
         """
         t = frame.timestamp_ms
         if not self._last_ms < t < _END_MS:
@@ -183,10 +185,14 @@ class CameraPipeline:
     def _flush_minute(self) -> None:
         acc = self._acc
         if acc is not None:
-            day, minute = divmod(acc.minute, MINUTES_PER_DAY)
-            if not self.store.update(minute, acc.aggregate(), day):
-                self.samples_skipped += 1
             self._acc = None
+            day, minute = divmod(acc.minute, MINUTES_PER_DAY)
+            try:
+                stored = self.store.update(minute, acc.aggregate(), day)
+            except RejectedInputError:
+                stored = False
+            if not stored:
+                self.samples_skipped += 1
 
     def finish(self) -> None:
         """Flush the partial minute and close any open event. Frames that

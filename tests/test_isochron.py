@@ -12,8 +12,10 @@ import pytest
 
 from motionbands.config import alpha_from_decay
 from motionbands.errors import InvalidParameterError, RejectedInputError, StoreLoadError
-from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, _slot_dtype, minute_of_day
+from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, _round_to_f16, _slot_dtype, minute_of_day
 from motionbands.motion import N_DIR_BINS, MotionFrame
+
+from inputs import V3Store
 
 
 def _frame(density, t=0):
@@ -21,6 +23,12 @@ def _frame(density, t=0):
     hist = np.zeros(d.shape + (8,))
     hist[..., 0] = d
     return MotionFrame(density=d, dir_hist=hist, timestamp_ms=t)
+
+
+def _variance(store):
+    """``store``'s per-block density variance, the square of its std, as
+    the formats before v4 held it."""
+    return store._std.astype(np.float64) ** 2
 
 
 # The store file format v1 as the per-slot writer produced it. Version 1
@@ -56,7 +64,7 @@ def _with_bins(store, seed=0):
         grid_h=store.grid_h,
         _mean_density=store._mean_density,
         _mean_hist=rng.uniform(0, 1, store._mean_density.shape + (N_DIR_BINS,)),
-        _var=store._var,
+        _var=_variance(store),
         _days=store._days,
     )
 
@@ -72,9 +80,10 @@ def _reference_save_v2(store, path):
     buf.write(struct.pack("<H", len(cam)))
     buf.write(cam)
     buf.write(struct.pack("<HH", store.grid_w, store.grid_h))
+    var = _variance(store)
     for m in range(MINUTES_PER_DAY):
         buf.write(store._mean_density[m].astype("<f8").tobytes())
-        buf.write(store._var[m].astype("<f8").tobytes())
+        buf.write(var[m].astype("<f8").tobytes())
         buf.write(struct.pack("<I", int(store._days[m])))
     payload = buf.getvalue()
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
@@ -83,10 +92,20 @@ def _reference_save_v2(store, path):
 def _reference_save_v3(store, path):
     """Per-slot writer of the v3 format: the v2 header padded with zeros to
     a multiple of 8 bytes, then float32 means and variances, the days and
-    the last dated day."""
+    the last dated day. Version 3 is no longer read either."""
+    _reference_save_padded(store, path, 3, store._mean_density.astype("<f4"), _variance(store).astype("<f4"))
+
+
+def _reference_save_v4(store, path):
+    """Per-slot writer of the v4 format: the v3 layout with float16 means
+    and float16 stds in place of the float32 means and variances."""
+    _reference_save_padded(store, path, 4, store._mean_density.astype("<f2"), store._std.astype("<f2"))
+
+
+def _reference_save_padded(store, path, version, means, spreads):
     buf = BytesIO()
     buf.write(b"ISO1")
-    buf.write(struct.pack("<H", 3))
+    buf.write(struct.pack("<H", version))
     buf.write(struct.pack("<d", store.t_l2_days))
     cam = store.camera_id.encode("utf-8")
     buf.write(struct.pack("<H", len(cam)))
@@ -94,8 +113,8 @@ def _reference_save_v3(store, path):
     buf.write(struct.pack("<HH", store.grid_w, store.grid_h))
     buf.write(bytes(-buf.tell() % 8))
     for m in range(MINUTES_PER_DAY):
-        buf.write(store._mean_density[m].astype("<f4").tobytes())
-        buf.write(store._var[m].astype("<f4").tobytes())
+        buf.write(means[m].tobytes())
+        buf.write(spreads[m].tobytes())
         buf.write(struct.pack("<Ii", int(store._days[m]), int(store._last_day[m])))
     payload = buf.getvalue()
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
@@ -121,8 +140,13 @@ def _populated(camera_id, grid_w, grid_h, seed, t_l2_days=10.0):
 
 
 def _f32(x):
-    """``x`` rounded to float32 and widened back, as the store keeps it."""
+    """``x`` rounded to float32 and widened back, as a v3 store kept it."""
     return np.asarray(x, np.float32).astype(np.float64)
+
+
+def _f16(x):
+    """``x`` rounded to float16 and widened back, as the store keeps it."""
+    return np.asarray(x, np.float16).astype(np.float64)
 
 
 def _rewrite(path, edit):
@@ -169,7 +193,7 @@ class TestUpdateQuery:
 
     def test_alternating_stream_matches_recursion_oracle(self):
         # Plain-float oracle of the same blend, in Finch's unscaled form;
-        # its mean is rounded to float32 after each update, as stored.
+        # its mean is rounded to float16 after each update, as stored.
         alpha = alpha_from_decay(1, 10)
         store = IsochronalStore("cam0", 1, 1, t_l2_days=10)
         mean = None
@@ -181,11 +205,13 @@ class TestUpdateQuery:
                 mean, var = x, 0.0
             else:
                 dev = x - mean
-                mean = _f32(alpha * mean + (1 - alpha) * x)
+                mean = _f16(alpha * mean + (1 - alpha) * x)
                 var = alpha * (var + (1 - alpha) * dev * dev)
         got_mean, got_std, _ = store.query(7)
         assert got_mean.density[0, 0] == mean
-        assert got_std[0, 0] == pytest.approx((var * (1 + alpha) / (2 * alpha)) ** 0.5, abs=1e-6)
+        # The stored std is rounded to float16 after each update: within
+        # a few of float16's 2**-11 relative roundings of the oracle's.
+        assert got_std[0, 0] == pytest.approx((var * (1 + alpha) / (2 * alpha)) ** 0.5, rel=2e-3)
 
     def test_randomized_stream_matches_oracle(self):
         rng = np.random.default_rng(7)
@@ -197,38 +223,41 @@ class TestUpdateQuery:
             sample = rng.uniform(0, 4, (3, 2))
             store.update(0, _frame(sample))
             if mean is None:
-                mean = _f32(sample)
+                mean = _f16(sample)
             else:
                 dev = sample - mean
-                mean = _f32(alpha * mean + (1 - alpha) * sample)
+                mean = _f16(alpha * mean + (1 - alpha) * sample)
                 var = alpha * (var + (1 - alpha) * dev * dev)
         got_mean, got_std, days = store.query(0)
         assert days == 20
         np.testing.assert_array_equal(got_mean.density, mean)
-        # The stored variance is rounded to float32 after each update too;
-        # the unscaled form is the oracle's own, so it agrees to float32's
+        # The stored std is rounded to float16 after each update too; the
+        # unscaled form is the oracle's own, so it agrees to float16's
         # precision.
-        np.testing.assert_allclose(got_std, np.sqrt(var * (1 + alpha) / (2 * alpha)), rtol=1e-6)
+        np.testing.assert_allclose(got_std, np.sqrt(var * (1 + alpha) / (2 * alpha)), rtol=2e-3)
 
     def test_update_matches_the_blend_written_out_bit_for_bit(self):
         # The mean goes through the cascade's EMA, rounded as
-        # a * mean + (1 - a) * x in float64, and mean and variance are
-        # rounded to float32 once, when stored.
+        # a * mean + (1 - a) * x in float64; the variance is the widened
+        # std squared, blended as a * var + gain * (dev * dev); and the mean
+        # and the variance's root are rounded to float16 once, when stored.
+        # The samples span float16's subnormals, its normal range and its
+        # largest value.
         rng = np.random.default_rng(5)
         store = IsochronalStore("cam0", 5, 3, t_l2_days=4.0)
         a, gain = store.alpha_l2, store._var_gain
-        for minute in (0, 1):
-            mean = _f32(rng.uniform(0, 2, (3, 5)))
-            var = np.zeros((3, 5))
+        for minute, scale in ((0, 2.0), (1, 1e-4), (2, 65504.0)):
+            mean = _f16(rng.uniform(0, scale, (3, 5)))
+            std = np.zeros((3, 5))
             store.update(minute, _frame(mean))
             for _ in range(6):
-                x = rng.uniform(0, 2, (3, 5))
+                x = rng.uniform(0, scale, (3, 5))
                 store.update(minute, _frame(x))
                 dev = x - mean
-                mean, var = _f32(a * mean + (1.0 - a) * x), _f32(a * var + gain * dev * dev)
-            assert store._mean_density.dtype == store._var.dtype == np.float32
+                mean, std = _f16(a * mean + (1.0 - a) * x), _f16(np.sqrt(a * std**2 + gain * (dev * dev)))
+            assert store._mean_density.dtype == store._std.dtype == np.float16
             np.testing.assert_array_equal(store._mean_density[minute], mean)
-            np.testing.assert_array_equal(store._var[minute], var)
+            np.testing.assert_array_equal(store._std[minute], std)
 
     def test_stationary_stream_std_estimates_sigma(self):
         # 400 days of N(1, 0.1^2) per block: the learned spread must mean
@@ -256,11 +285,11 @@ class TestUpdateQuery:
         post_impulse = want = store.query(0)[0].density[0, 0]
         for _ in range(10):
             store.update(0, _frame([[0.0]]))
-            want = _f32(store.alpha_l2 * want + (1.0 - store.alpha_l2) * 0.0)
+            want = _f16(store.alpha_l2 * want + (1.0 - store.alpha_l2) * 0.0)
         final = store.query(0)[0].density[0, 0]
         assert final == want
-        # Ten float32 roundings away from the exact 0.1.
-        assert final / post_impulse == pytest.approx(0.1, rel=1e-6)
+        # Ten float16 roundings away from the exact 0.1.
+        assert final / post_impulse == pytest.approx(0.1, rel=5e-3)
 
     def test_minute_range_checked(self):
         store = IsochronalStore("cam0", 1, 1)
@@ -305,7 +334,7 @@ class TestUpdateQuery:
         store = _populated("cam0", 3, 2, seed=4)
         before = IsochronalStore("cam0", 3, 2)
         before._mean_density[...] = store._mean_density
-        before._var[...] = store._var
+        before._std[...] = store._std
         before._days[...] = store._days
         before._last_day[...] = store._last_day
         stats = store.scalar_stats(5)
@@ -327,6 +356,126 @@ class TestUpdateQuery:
         zero.update(7, MotionFrame(np.zeros((2, 3)), np.zeros((2, 3, 0))))
         assert store.equals(zero)
         assert store.scalar_stats(7)[0] == 0.0
+        # Stored as +0.0, whose bits sort below every positive value's.
+        assert not store._mean_std.view(np.uint16).any()
+        store.update(7, MotionFrame(np.full((2, 3), -0.0), np.zeros((2, 3, 0))))
+        assert not store._mean_std.view(np.uint16).any()
+
+
+class TestUnholdableSample:
+    """A record holds float16 means and stds, whose largest finite value is
+    65504. A sample with a density above it is refused before the store
+    changes; any other keeps the record finite."""
+
+    @pytest.mark.parametrize("big", [65504.5, 65520.0, 7e4, 1e39, 1.7976931348623157e308], ids=repr)
+    @pytest.mark.parametrize("day", [None, 0, 9])
+    def test_refused_before_any_change(self, tmp_path, big, day):
+        # Accepted, a density of 1e39 stored inf: save then wrote a file
+        # that load refused, and under -W error the cast's warning raised
+        # after the last day and both caches had changed.
+        store = _populated("cam0", 3, 2, seed=4)
+        snapshot = IsochronalStore("cam0", 3, 2)
+        snapshot._slots[...] = store._slots
+        stats, mask = store.scalar_stats(3), store.binarize()
+        sample = np.full((2, 3), 0.5)
+        sample[1, 2] = big
+        for minute in (3, 4, 1439):
+            with pytest.raises(
+                RejectedInputError, match=f"sample for minute {minute} has a density above 65504,"
+            ):
+                store.update(minute, _frame(sample), day)
+        assert store.equals(snapshot)
+        assert store.scalar_stats(3) is stats and store.binarize() is mask
+        store.save(tmp_path / "s.iso")
+        assert IsochronalStore.load(tmp_path / "s.iso").equals(snapshot)
+
+    def test_non_finite_or_negative_is_reported_as_such(self):
+        store = IsochronalStore("cam0", 2, 1)
+        for bad in (math.inf, math.nan, -1.0):
+            with pytest.raises(RejectedInputError, match="non-finite or negative"):
+                store.update(0, _frame([[1e39, bad]]))
+        assert store.equals(IsochronalStore("cam0", 2, 1))
+
+    def test_swings_of_the_largest_value_stay_finite(self, tmp_path):
+        # A mean of 65504 and the widest std its swings can build: blends
+        # of values in [0, 65504] stay in that range, up to float64
+        # roundings that round back to 65504.
+        store = IsochronalStore("cam0", 3, 1, t_l2_days=0.5)
+        for day in range(60):
+            x = 65504.0 if day % 2 else 0.0
+            assert store.update(0, _frame([[x, 65504.0 - x, 65504.0]]), day)
+        mean, std, days = store.query(0)
+        assert days == 60
+        assert np.all(np.isfinite(mean.density)) and np.all(np.isfinite(std))
+        assert mean.density.max() <= 65504.0 and std.max() <= 65504.0 and std[0, :2].min() > 30000.0
+        assert mean.density[0, 2] == 65504.0 and std[0, 2] == 0.0
+        store.save(tmp_path / "s.iso")
+        assert IsochronalStore.load(tmp_path / "s.iso").equals(store)
+
+
+class TestRoundToF16:
+    """``_round_to_f16`` writes float64 values as numpy's float16 cast
+    rounds them, without the cast's per-element cost below 2**-14."""
+
+    @staticmethod
+    def _check(values):
+        values = np.asarray(values, np.float64)
+        got = np.empty(values.shape, np.float16)
+        _round_to_f16(values, got)
+        with np.errstate(under="ignore"):
+            want = np.abs(values).astype(np.float16)  # -0.0 goes to +0.0
+        np.testing.assert_array_equal(got.view(np.uint16), want.view(np.uint16))
+
+    def test_every_float16_value_and_every_tie_between_two(self):
+        exact = np.arange(0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
+        ties = (exact[:-1] + exact[1:]) / 2  # exact in float64: rounds to the even neighbour
+        self._check(exact)
+        self._check(ties)
+        self._check(np.nextafter(ties, 0.0))
+        self._check(np.nextafter(ties, math.inf))
+
+    def test_edges(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        self._check([0.0, -0.0, tiny, 2.0**-26, 2.0**-25, np.nextafter(2.0**-25, 1.0), 2.0**-24])
+        self._check([2.0**-14, np.nextafter(2.0**-14, 0.0), 65504.0, 65504.0 + 2.0**-30, 65519.99])
+
+    def test_random_values_of_every_magnitude(self):
+        rng = np.random.default_rng(21)
+        values = np.exp(rng.uniform(math.log(1e-12), math.log(65504.0), (4, 30, 40)))
+        self._check(values)
+        self._check(values[::2, 3:, ::3])  # a strided input
+
+
+class TestV3Oracle:
+    def test_the_oracle_is_v3s_blend_written_out_bit_for_bit(self):
+        # The frozen v3 arithmetic: float32 mean and variance, each widened,
+        # blended in float64 and rounded once to float32 when stored.
+        rng = np.random.default_rng(5)
+        store = V3Store(5, 3, t_l2_days=4.0)
+        a, gain = store.alpha_l2, store._var_gain
+        mean = _f32(rng.uniform(0, 2, (3, 5)))
+        var = np.zeros((3, 5))
+        store.update(0, _frame(mean), 1)
+        for day in range(2, 9):
+            x = rng.uniform(0, 2, (3, 5))
+            assert store.update(0, _frame(x), day)
+            dev = x - mean
+            mean, var = _f32(a * mean + (1.0 - a) * x), _f32(a * var + gain * dev * dev)
+        assert not store.update(0, _frame(x), 8)
+        np.testing.assert_array_equal(store._mean[0], mean)
+        np.testing.assert_array_equal(store._var[0], var)
+        assert store.scalar_stats(0) == (float(mean.mean()), float(np.sqrt(var).mean()), 8)
+
+    def test_a_v4_store_holds_the_oracle_within_float16_rounding(self):
+        rng = np.random.default_rng(8)
+        v3, v4 = V3Store(5, 3, t_l2_days=10.0), IsochronalStore("cam0", 5, 3)
+        for day in range(30):
+            x = rng.uniform(0, 0.2, (3, 5)) * rng.uniform(0, 1, (3, 5)) ** 4
+            assert v3.update(0, _frame(x), day) and v4.update(0, _frame(x), day)
+        mean, std, days = v4.query(0)
+        np.testing.assert_allclose(mean.density, v3._mean[0], rtol=2e-3, atol=6e-8)
+        np.testing.assert_allclose(std, np.sqrt(v3._var[0].astype(np.float64)), rtol=4e-3, atol=6e-8)
+        assert days == 30
 
     def test_density_only_sample_updates_like_one_with_bins(self):
         rng = np.random.default_rng(6)
@@ -361,21 +510,21 @@ class TestDatedUpdate:
         x0, x1, x6 = (rng.uniform(0, 2, (2, 3)) for _ in range(3))
         for day, x in ((0, x0), (1, x1), (6, x6)):
             assert store.update(9, _frame(x), day) is True
-        mean, var = _f32(x0), np.zeros((2, 3))
+        mean, std = _f16(x0), np.zeros((2, 3))
         for a, x in ((store.alpha_l2, x1), (store.alpha_l2**5, x6)):
             dev = x - mean
             gain = (1.0 - a) * (1.0 + a) / 2.0
-            mean, var = _f32(a * mean + (1.0 - a) * x), _f32(a * var + gain * dev * dev)
+            mean, std = _f16(a * mean + (1.0 - a) * x), _f16(np.sqrt(a * std**2 + gain * (dev * dev)))
         got_mean, got_std, days = store.query(9)
         assert days == 3 and store._last_day[9] == 6
         np.testing.assert_array_equal(got_mean.density, mean)
-        np.testing.assert_array_equal(got_std, np.sqrt(var))
+        np.testing.assert_array_equal(got_std, std)
 
     def test_a_decay_span_of_absence_leaves_a_tenth_of_the_old_mean(self):
         store = IsochronalStore("cam0", 1, 1, t_l2_days=10)
         store.update(0, _frame([[5.0]]), 3)
         store.update(0, _frame([[1.0]]), 13)
-        assert store.query(0)[0].density[0, 0] == pytest.approx(0.1 * 5.0 + 0.9 * 1.0, rel=1e-6)
+        assert store.query(0)[0].density[0, 0] == pytest.approx(0.1 * 5.0 + 0.9 * 1.0, rel=1e-3)
 
     def test_a_refused_day_changes_nothing(self):
         store = _populated("cam0", 3, 2, seed=4)
@@ -396,7 +545,7 @@ class TestDatedUpdate:
         assert dated._last_day[8] == 5 and undated._last_day[8] == -1
         # Day 5 is one day after the last dated day, 4: it blends with a,
         # as the undated store's third sample does.
-        for name in ("_mean_density", "_var", "_days"):
+        for name in ("_mean_density", "_std", "_days"):
             np.testing.assert_array_equal(getattr(dated, name), getattr(undated, name))
         assert not dated.update(8, _frame([[0.0, 0.0]]), 5)
 
@@ -409,7 +558,7 @@ class TestDatedUpdate:
                 store.update(0, _frame(h))
             assert store.update(0, _frame(x), day)
         np.testing.assert_array_equal(stores[0]._mean_density, stores[1]._mean_density)
-        np.testing.assert_array_equal(stores[0]._var, stores[1]._var)
+        np.testing.assert_array_equal(stores[0]._std, stores[1]._std)
         assert stores[1]._last_day[0] == 700 and stores[1].query(0)[2] == 4
 
     @pytest.mark.parametrize("day", [-1, 2.0, 2.5, True, "3", 2**31], ids=repr)
@@ -456,6 +605,39 @@ class TestBinarize:
         for eps in (-1e-3, float("nan")):
             with pytest.raises(InvalidParameterError):
                 store.binarize(eps)
+
+    def test_negative_zero_beside_a_positive_value_in_one_block(self):
+        # The block maxima come from float16 bit patterns, and -0.0's,
+        # 0x8000, sort above every positive value's as unsigned integers.
+        # update stores +0.0 in its place, but load admits -0.0 from a file,
+        # so the store's memory may hold it beside a positive value.
+        store = IsochronalStore("cam0", 3, 2)
+        store.update(600, _frame(np.full((2, 3), 0.5)))
+        for minute in (0, 599, 601, 1439):
+            store._mean_density[minute] = -0.0
+        store._mean_density[1439, 0, 0] = 0.25
+        store._mean_density[600, 1, 2] = 0.0
+        assert np.signbit(store._mean_density[599, 1, 1])
+        expected = [[1, 1, 1], [1, 1, 0]]
+        assert store.binarize(0.01).tolist() == expected
+        assert store.binarize(0.0).tolist() == expected
+        assert store.binarize(0.3).tolist() == [[1, 1, 1], [1, 1, 0]]
+        assert store.binarize(0.5).tolist() == [[0, 0, 0], [0, 0, 0]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_float64_reduction(self, seed):
+        # Random bit patterns of every finite float16 >= +0.0, and -0.0,
+        # against each epsilon a stored value equals, those next to it, and
+        # the ends of the range.
+        rng = np.random.default_rng(seed)
+        store = IsochronalStore("cam0", 4, 3)
+        bits = store._mean_density.view(np.uint16)
+        bits[...] = rng.integers(0, 0x7C00, bits.shape) >> rng.integers(0, 16, bits.shape)
+        bits[rng.random(bits.shape) < 0.2] = 0x8000
+        top = store._mean_density.astype(np.float64).max(axis=0)
+        for eps in [0.0, 2.0**-24, 65504.0, *top.ravel(), *np.nextafter(top, 0.0).ravel()]:
+            want = (store._mean_density.astype(np.float64).max(axis=0) > eps).astype(np.uint8)
+            np.testing.assert_array_equal(store.binarize(float(eps)), want)
 
 
 class TestBinarizeCache:
@@ -536,7 +718,7 @@ class TestScalarStatsCache:
             assert store.scalar_stats(m) is first  # served from the cache
         # Bit for bit, against the store's own arrays widened to float64.
         mean = float(store._mean_density[7].astype(np.float64).mean())
-        std = float(np.sqrt(store._var[7].astype(np.float64)).mean())
+        std = float(store._std[7].astype(np.float64).mean())
         assert store.scalar_stats(7) == (mean, std, 4)
 
     def test_freshly_loaded_store(self, tmp_path):
@@ -661,7 +843,7 @@ class TestSlotLayout:
     def test_two_loads_share_no_memory(self, tmp_path):
         store, path = self._saved(tmp_path)
         first, second = IsochronalStore.load(path), IsochronalStore.load(path)
-        for name in ("_mean_density", "_var", "_days", "_last_day"):
+        for name in ("_mean_density", "_std", "_days", "_last_day"):
             assert not np.shares_memory(getattr(first, name), getattr(second, name))
         first.update(5, _frame(np.ones((30, 40))))
         assert second.equals(store)
@@ -673,6 +855,7 @@ class _StoreDamage:
 
     VERSION = 0
     SLOT = _slot_dtype(3, 2)  # a record of the saved stores
+    SPREAD = "std"  # the record's field that holds the density's spread
 
     def _saved(self, tmp_path):
         raise NotImplementedError
@@ -703,19 +886,19 @@ class _StoreDamage:
 
     def test_bad_version_rejected(self, tmp_path):
         path = self._saved(tmp_path)
-        for version in (0, 1, 2, 4, 0xFFFF):
+        for version in (0, 1, 2, 3, 5, 0xFFFF):
             _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", version)))
             with pytest.raises(StoreLoadError, match=f"unsupported store version {version}"):
                 IsochronalStore.load(path)
 
     def test_slots_of_the_other_version_rejected(self, tmp_path):
-        # Only version 3 is read: v1 and v2 slots labelled 3 fail the size
-        # check, and v3 slots labelled 1 or 2 the version check.
+        # Only version 4 is read: v1, v2 and v3 slots labelled 4 fail the
+        # size check, and v4 slots labelled 1, 2 or 3 the version check.
         path = self._saved(tmp_path)
-        for other in sorted({1, 2, 3} - {self.VERSION}):
+        for other in sorted({1, 2, 3, 4} - {self.VERSION}):
             _rewrite(path, lambda b: b.__setitem__(slice(4, 6), struct.pack("<H", other)))
             with pytest.raises(
-                StoreLoadError, match="payload bytes" if other == 3 else f"store version {other} "
+                StoreLoadError, match="payload bytes" if other == 4 else f"store version {other} "
             ):
                 IsochronalStore.load(path)
 
@@ -748,8 +931,8 @@ class _StoreDamage:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("density", math.nan), ("var", -5.0), ("var", math.inf)],
-        ids=["nan-mean", "negative-var", "inf-var"],
+        [("density", math.nan), ("spread", -5.0), ("spread", math.inf), ("spread", -math.inf)],
+        ids=["nan-mean", "negative-spread", "inf-spread", "minus-inf-spread"],
     )
     def test_bad_slot_value_rejected(self, tmp_path, field, value):
         # Behind a valid CRC, these loaded and read (nan, nan, 1) from
@@ -759,10 +942,11 @@ class _StoreDamage:
         self._rejected(path, f"{re.escape(str(path))} .* at minute 600$")
 
     def _set_value(self, path, minute, field, block, value):
-        """Write ``value`` as ``block``'s entry of ``field`` in ``minute``'s
-        record, in the field's own float width. The saved stores are 3x2
-        with the id "cam0": a 24-byte header, which needs no padding."""
-        dtype, offset = self.SLOT.fields[field][:2]
+        """Write ``value`` as ``block``'s entry of ``field`` ("spread" for
+        the std or variance) in ``minute``'s record, in the field's own
+        width. The saved stores are 3x2 with the id "cam0": a 24-byte
+        header, which needs no padding."""
+        dtype, offset = self.SLOT.fields[self.SPREAD if field == "spread" else field][:2]
         at = 24 + minute * self.SLOT.itemsize + offset + dtype.base.itemsize * block
         raw = np.array(value, dtype.base).tobytes()
         _rewrite(path, lambda b: b.__setitem__(slice(at, at + len(raw)), raw))
@@ -785,10 +969,10 @@ class _StoreDamage:
 
 
 class TestPersistenceAgainstReference(_StoreDamage):
-    """``save`` writes v3 as the per-slot v3 writer does, and ``load``
-    reads what that writer wrote. The damage cases run on v3."""
+    """``save`` writes v4 as the per-slot v4 writer does, and ``load``
+    reads what that writer wrote. The damage cases run on v4."""
 
-    VERSION = 3
+    VERSION = 4
     STORES = [
         ("fresh", lambda: IsochronalStore("camA", 2, 2)),
         ("one-block", lambda: _populated("c", 1, 1, seed=1)),
@@ -801,13 +985,13 @@ class TestPersistenceAgainstReference(_StoreDamage):
     def test_save_is_byte_identical_to_reference(self, tmp_path, make):
         store = make()
         store.save(tmp_path / "new.iso")
-        _reference_save_v3(store, tmp_path / "ref.iso")
+        _reference_save_v4(store, tmp_path / "ref.iso")
         data = (tmp_path / "new.iso").read_bytes()
         assert data == (tmp_path / "ref.iso").read_bytes()
         header = 20 + len(store.camera_id.encode("utf-8"))
         header += -header % 8
         cells = store.grid_w * store.grid_h
-        assert len(data) == header + MINUTES_PER_DAY * (8 * cells + 8) + 4
+        assert len(data) == header + MINUTES_PER_DAY * (4 * cells + 8) + 4
 
     @pytest.mark.parametrize("make", [m for _, m in STORES], ids=[n for n, _ in STORES])
     def test_load_equals_reference_load(self, tmp_path, make):
@@ -815,10 +999,10 @@ class TestPersistenceAgainstReference(_StoreDamage):
         # from.
         store = make()
         path = tmp_path / "ref.iso"
-        _reference_save_v3(store, path)
+        _reference_save_v4(store, path)
         loaded = IsochronalStore.load(path)
         assert loaded.equals(store)
-        for name in ("_mean_density", "_var", "_days", "_last_day"):
+        for name in ("_mean_density", "_std", "_days", "_last_day"):
             got, want = getattr(loaded, name), getattr(store, name)
             assert got.dtype == want.dtype and got.flags.writeable and got.flags.aligned
             assert not np.shares_memory(got, want)
@@ -840,7 +1024,7 @@ class TestPersistenceAgainstReference(_StoreDamage):
         assert loaded.query(600)[2] == store.query(600)[2] + 2
         assert loaded._last_day[600] == 9
         loaded.save(tmp_path / "new.iso")
-        _reference_save_v3(loaded, tmp_path / "ref.iso")
+        _reference_save_v4(loaded, tmp_path / "ref.iso")
         assert (tmp_path / "new.iso").read_bytes() == (tmp_path / "ref.iso").read_bytes()
         assert IsochronalStore.load(tmp_path / "new.iso").equals(loaded)
 
@@ -875,6 +1059,26 @@ class TestPersistenceAgainstReference(_StoreDamage):
         return path
 
 
+@pytest.mark.parametrize("grid_w, grid_h", [(5, 3), (1, 1), (7, 1), (4, 3)])
+def test_records_of_an_odd_cell_count_keep_every_field_aligned(tmp_path, grid_w, grid_h):
+    # A record of 4 * cells + 8 bytes is 4 mod 8 bytes for an odd cell
+    # count, so record k starts 4 * k bytes off a multiple of 8. Every
+    # field needs at most 4-byte alignment and starts at a multiple of its
+    # own width within the record, so each stays aligned for every id.
+    cells = grid_w * grid_h
+    slot = _slot_dtype(grid_w, grid_h)
+    assert slot.itemsize == 4 * cells + 8 and slot.itemsize % 8 == (4 if cells % 2 else 0)
+    for id_bytes in range(1, 9):
+        store = _populated("c" * id_bytes, grid_w, grid_h, seed=id_bytes)
+        store.save(tmp_path / "s.iso")
+        loaded = IsochronalStore.load(tmp_path / "s.iso")
+        assert loaded.equals(store)
+        for name in slot.names:
+            assert loaded._slots[name].flags.aligned, (name, id_bytes)
+            assert loaded._slots[name].strides[0] == slot.itemsize
+        assert loaded._mean_std.flags.aligned
+
+
 @pytest.mark.parametrize("id_bytes", range(1, 10))
 def test_every_field_of_a_loaded_store_is_aligned(tmp_path, id_bytes):
     # Version 2 kept packed float64 records of 16 * cells + 4 bytes after an
@@ -905,6 +1109,26 @@ def test_a_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
     assert not IsochronalStore.load(tmp_path / "s.iso").equals(store)
 
 
+class TestV3FileDamage(_StoreDamage):
+    """Version 3 files, whose records held float32 means and variances,
+    are no longer read. As for versions 1 and 2, damage that a check
+    before the version check catches is still reported as that damage;
+    the rest is reported as the version."""
+
+    VERSION = 3
+    SLOT = np.dtype([("density", "<f4", (2, 3)), ("var", "<f4", (2, 3)), ("days", "<u4"), ("last_day", "<i4")])
+    SPREAD = "var"
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "s.iso"
+        _reference_save_v3(_populated("cam0", 3, 2, seed=9), path)
+        return path
+
+    def _rejected(self, path, match):
+        with pytest.raises(StoreLoadError, match="unsupported store version 3 "):
+            IsochronalStore.load(path)
+
+
 class TestV2FileDamage(_StoreDamage):
     """Version 2 files, whose records held float64 means and variances
     and no last day, are no longer read. As for version 1, damage that a
@@ -913,6 +1137,7 @@ class TestV2FileDamage(_StoreDamage):
 
     VERSION = 2
     SLOT = np.dtype([("density", "<f8", (2, 3)), ("var", "<f8", (2, 3)), ("days", "<u4")])
+    SPREAD = "var"
 
     def _saved(self, tmp_path):
         path = tmp_path / "s.iso"
@@ -933,6 +1158,7 @@ class TestV1FileDamage(_StoreDamage):
     SLOT = np.dtype(
         [("density", "<f8", (2, 3)), ("hist", "<f8", (2, 3, N_DIR_BINS)), ("var", "<f8", (2, 3)), ("days", "<u4")]
     )
+    SPREAD = "var"
 
     def _saved(self, tmp_path):
         path = tmp_path / "s.iso"

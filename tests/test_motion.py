@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.motion import (
@@ -842,6 +843,16 @@ _EDGE_BITS32 = [
 ]
 
 
+# The same edges of float16.
+_EDGE_BITS16 = [
+    0x7E00, 0xFE00, 0x7C01, 0xFC01, 0x7FFF, 0xFFFF, 0x7D00,
+    0x7C00, 0xFC00,
+    0x0000, 0x8000,
+    0x0001, 0x8001, 0x03FF, 0x83FF,
+    0x7BFF, 0xFBFF,
+]
+
+
 # The largest bit pattern of a finite float64 >= +0.0.
 _LARGEST_FINITE_BITS = 0x7FEFFFFFFFFFFFFF
 
@@ -907,6 +918,37 @@ class TestFiniteNonnegative:
             records["value"] = values
             values = records["value"]
         assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+
+    @pytest.mark.parametrize("bits", _EDGE_BITS16)
+    def test_float16_edge_bit_patterns(self, bits):
+        values = np.array([0, bits, 1 << 14], np.uint16).view(np.float16)
+        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+        assert _finite_nonnegative(values[1:2]) == _exact_finite_nonnegative(values[1:2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(_EDGE_BITS16), st.integers(0, 2**16 - 1)),
+            min_size=1,
+            max_size=24,
+        ),
+        st.sampled_from(["contiguous", "record"]),
+    )
+    def test_float16_random_bit_patterns(self, bits, layout):
+        values = np.array(bits, np.uint16).view(np.float16)
+        if layout == "record":
+            # Float16 means and stds side by side in packed records, as the
+            # isochronal store's load check reads them.
+            records = np.zeros(len(bits), [("mean", "<f2"), ("std", "<f2"), ("days", "<u4"), ("last_day", "<i4")])
+            records["std"] = values
+            values = as_strided(records["mean"], (len(bits), 2), (records.itemsize, 2))
+        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+
+    def test_every_float16_bit_pattern(self):
+        values = np.arange(2**16, dtype=np.uint32).astype(np.uint16).view(np.float16)
+        fast = np.array([_finite_nonnegative(v) for v in values.reshape(-1, 1)])
+        exact = np.isfinite(values) & (values >= 0.0)
+        np.testing.assert_array_equal(fast, exact)
 
 
 class TestBlockMean:

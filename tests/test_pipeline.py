@@ -15,8 +15,9 @@ from motionbands.events import scalar_activity
 from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, minute_of_day
 from motionbands.motion import MotionFrame, extract_motion
 from motionbands.pipeline import CameraPipeline, _MinuteAccumulator
+from motionbands.sim import Dweller, EventPlan, Scenario, Walker, gen_stream
 
-from inputs import blob_frames, zero_frame
+from inputs import V3Store, blob_frames, zero_frame
 
 
 def test_blob_pixels_flow_through_pipeline_into_store():
@@ -257,6 +258,75 @@ def test_a_frame_outside_the_days_a_store_can_date_is_rejected():
     assert pipe.store._last_day[MINUTES_PER_DAY - 1] == 2**31 - 1
 
 
+def test_a_minute_the_store_cannot_hold_is_skipped_without_raising(tmp_path):
+    # A finite density above 65504 gives minute means the store's float16
+    # records cannot hold. Stored, one became inf, which made the saved
+    # file one that load refuses, and under -W error the cast's warning
+    # raised out of the next minute's first frame.
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    huge = dataclasses.replace(_frame_at(0), density=np.full((4, 5), 1e39))
+    pipe.ingest(huge)
+    pipe.ingest(_frame_at(60_000))  # flushes minute 0
+    assert pipe.samples_skipped == 1
+    pipe.ingest(dataclasses.replace(huge, timestamp_ms=61_000))
+    pipe.finish()  # flushes minute 1, whose low-pass band is still huge
+    assert (pipe.samples_skipped, pipe.frames_ingested, pipe.frames_rejected) == (2, 3, 0)
+    assert pipe.store.equals(IsochronalStore("cam0", 5, 4))
+    pipe.store.save(tmp_path / "cam0.iso")
+    assert IsochronalStore.load(tmp_path / "cam0.iso").equals(pipe.store)
+
+
+# A 3-minute day at 2 Hz with a looping walker, a dweller, planted events
+# and stream noise, replayed for 6 days with a 2-day learning floor: from
+# day 2 on the learned mean and std set the gate's threshold.
+_ORACLE_SCENARIO = Scenario(
+    grid_w=12,
+    grid_h=8,
+    day_hours=0.05,
+    rate_hz=2.0,
+    walkers=(Walker(path=tuple((x, 2) for x in range(10)), speed_bps=1.0, amplitude=0.5, loop=True),),
+    dwellers=(Dweller(block=(9, 6), start_s=30.0, duration_s=60.0, amplitude=0.5),),
+    events=EventPlan(mean_per_day=4.0, duration_s=8.0, amplitude=1.0, width_blocks=3, min_gap_s=15.0),
+    noise_sigma=0.02,
+    seed=23,
+)
+_ORACLE_CONFIG = Config(
+    filter=BandParams(t_l1_s=60.0, t_s1_s=4.0, t_s2_s=2.0, frame_rate=2.0, shortterm_rate=1.0),
+    events=EventsConfig(cooldown_s=2.0, min_days=2),
+)
+
+
+def test_the_float16_store_decides_as_the_float32_oracle_did():
+    days = 6
+    frames, _ = gen_stream(_ORACLE_SCENARIO, days=days)
+    gw, gh = _ORACLE_SCENARIO.grid_w, _ORACLE_SCENARIO.grid_h
+    oracle = V3Store(gw, gh, _ORACLE_CONFIG.filter.t_l2_days)
+    pipes = [CameraPipeline("cam0", gw, gh, _ORACLE_CONFIG), CameraPipeline("cam0", gw, gh, _ORACLE_CONFIG, oracle)]
+    decisions = ([], [])
+    learned = 0
+    for frame in frames:
+        for pipe, out in zip(pipes, decisions):
+            result = pipe.ingest(frame)
+            out.append((result.decision, result.invoke_detector))
+        learned += pipes[0].store.scalar_stats(minute_of_day(frame.timestamp_ms))[2] >= 2
+    for pipe in pipes:
+        pipe.finish()
+    assert decisions[0] == decisions[1]
+    assert pipes[0].detector_invocations == pipes[1].detector_invocations > 0
+    assert pipes[0].samples_skipped == pipes[1].samples_skipped == 0
+    assert [pipes[0].store.query(m)[2] for m in range(4)] == [days, days, days, 0]
+    # Decisions on learned days, with events among them.
+    assert learned > len(decisions[0]) / 2
+    assert any(e.start_ms >= 2 * _DAY_MS for e in pipes[0].events)
+    # The events match but for their threshold, whose mean and std the
+    # float16 store holds within float16's rounding of the oracle's.
+    got, want = ([dataclasses.astuple(e) for e in pipe.events] for pipe in pipes)
+    assert [e[:5] + e[7:] for e in got] == [e[:5] + e[7:] for e in want] and len(got) > 0
+    for g, w in zip(got, want):
+        assert g[5] == pytest.approx(w[5], rel=2e-3, abs=1e-7)
+        assert g[6] == pytest.approx(w[6], rel=4e-3, abs=1e-7)
+
+
 def test_a_day_long_gap_starts_a_new_sample_for_the_same_minute_of_day():
     day_ms = MINUTES_PER_DAY * 60_000
     pipe = CameraPipeline("cam0", 5, 4, Config())
@@ -317,7 +387,7 @@ class TestMinuteAccumulator:
         minute = minute_of_day(frame.timestamp_ms)
         mean, _, days = pipe.store.query(minute)
         assert days == 1
-        np.testing.assert_array_equal(mean.density, first.astype(np.float32))
+        np.testing.assert_array_equal(mean.density, first.astype(np.float16))
 
 
 _DAY_MS = MINUTES_PER_DAY * 60_000

@@ -131,39 +131,6 @@ def _padding(header_len: int) -> int:
     return -header_len % _ALIGN
 
 
-# For _round_to_f16: the exponent field of a float64, the bits of 2**-14
-# (float16's smallest normal value) and the magic constant's offset.
-_EXPONENT = np.uint64(0x7FF0000000000000)
-_F16_TINY = np.uint64(1009 << 52)
-_MAGIC_OFFSET = np.uint64((42 << 52) - (1009 << 10))
-
-
-def _round_to_f16(values: np.ndarray, out: np.ndarray) -> None:
-    """Write float64 ``values``, each finite and in [-0.0, 65504] up to a
-    few float64 roundings, into the float16 array ``out`` as numpy's cast
-    rounds them (to nearest, ties to even), with -0.0 as +0.0.
-
-    numpy's cast converts one element at a time, and spends about 95 ns
-    (2-vCPU Xeon) on each that rounds inexactly to a float16 subnormal,
-    below 2**-14, where many stds lie. Here the hardware rounds instead:
-    with ``E = max(exponent of x, -14)``, adding ``C = 2**(E + 42)``
-    rounds ``x`` to a multiple of ``2**(E - 10)``, float16's step at
-    ``x``, and leaves that multiple ``n`` in the sum's low bits. ``C``
-    also carries ``(E + 14) << 10`` in its low bits, so the sum's low 16
-    bits are ``n + ((E + 14) << 10)``: the float16 bit pattern, whether
-    ``x`` rounds to a subnormal, a normal value or up to the next binade.
-    Seven numpy passes over ``values``.
-    """
-    magic = np.bitwise_and(values.view(np.uint64), _EXPONENT)
-    np.maximum(magic, _F16_TINY, out=magic)  # 2**E, as bits
-    low = np.right_shift(magic, np.uint64(42))  # (E + 1023) << 10
-    np.add(magic, low, out=magic)
-    np.add(magic, _MAGIC_OFFSET, out=magic)  # C, as bits
-    rounded = magic.view(np.float64)
-    np.add(values, rounded, out=rounded)
-    out.view(np.uint16)[...] = magic  # the low 16 bits
-
-
 def _first_bad_minute(slots: np.ndarray) -> int | None:
     """The first minute whose density mean or std is non-finite or
     negative, or None. The check is one pass over :func:`_mean_std`'s view
@@ -282,7 +249,8 @@ class IsochronalStore:
             np.multiply(blended, a, out=blended)
             np.add(blended, fresh, out=blended)
             np.sqrt(var, out=var)  # the new std
-        _round_to_f16(blended, record)
+        np.add(blended, 0.0, out=blended)  # -0.0 becomes +0.0
+        record[...] = blended
         self._days[minute] += 1
         return True
 

@@ -12,7 +12,7 @@ import pytest
 
 from motionbands.config import alpha_from_decay
 from motionbands.errors import InvalidParameterError, RejectedInputError, StoreLoadError
-from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, _round_to_f16, _slot_dtype, minute_of_day
+from motionbands.isochron import MINUTES_PER_DAY, IsochronalStore, _slot_dtype, minute_of_day
 from motionbands.motion import N_DIR_BINS, MotionFrame
 
 from inputs import V3Store
@@ -411,39 +411,6 @@ class TestUnholdableSample:
         assert mean.density[0, 2] == 65504.0 and std[0, 2] == 0.0
         store.save(tmp_path / "s.iso")
         assert IsochronalStore.load(tmp_path / "s.iso").equals(store)
-
-
-class TestRoundToF16:
-    """``_round_to_f16`` writes float64 values as numpy's float16 cast
-    rounds them, without the cast's per-element cost below 2**-14."""
-
-    @staticmethod
-    def _check(values):
-        values = np.asarray(values, np.float64)
-        got = np.empty(values.shape, np.float16)
-        _round_to_f16(values, got)
-        with np.errstate(under="ignore"):
-            want = np.abs(values).astype(np.float16)  # -0.0 goes to +0.0
-        np.testing.assert_array_equal(got.view(np.uint16), want.view(np.uint16))
-
-    def test_every_float16_value_and_every_tie_between_two(self):
-        exact = np.arange(0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
-        ties = (exact[:-1] + exact[1:]) / 2  # exact in float64: rounds to the even neighbour
-        self._check(exact)
-        self._check(ties)
-        self._check(np.nextafter(ties, 0.0))
-        self._check(np.nextafter(ties, math.inf))
-
-    def test_edges(self):
-        tiny = np.finfo(np.float64).smallest_subnormal
-        self._check([0.0, -0.0, tiny, 2.0**-26, 2.0**-25, np.nextafter(2.0**-25, 1.0), 2.0**-24])
-        self._check([2.0**-14, np.nextafter(2.0**-14, 0.0), 65504.0, 65504.0 + 2.0**-30, 65519.99])
-
-    def test_random_values_of_every_magnitude(self):
-        rng = np.random.default_rng(21)
-        values = np.exp(rng.uniform(math.log(1e-12), math.log(65504.0), (4, 30, 40)))
-        self._check(values)
-        self._check(values[::2, 3:, ::3])  # a strided input
 
 
 class TestV3Oracle:
@@ -1060,36 +1027,25 @@ class TestPersistenceAgainstReference(_StoreDamage):
 
 
 @pytest.mark.parametrize("grid_w, grid_h", [(5, 3), (1, 1), (7, 1), (4, 3)])
-def test_records_of_an_odd_cell_count_keep_every_field_aligned(tmp_path, grid_w, grid_h):
-    # A record of 4 * cells + 8 bytes is 4 mod 8 bytes for an odd cell
-    # count, so record k starts 4 * k bytes off a multiple of 8. Every
-    # field needs at most 4-byte alignment and starts at a multiple of its
-    # own width within the record, so each stays aligned for every id.
+@pytest.mark.parametrize("id_bytes", range(1, 10))
+def test_every_field_of_a_loaded_store_is_aligned(tmp_path, id_bytes, grid_w, grid_h):
+    # Version 2 kept packed float64 records of 16 * cells + 4 bytes after an
+    # unpadded header, so most of these fields sat off alignment. A v4
+    # record of 4 * cells + 8 bytes is 4 mod 8 bytes for an odd cell count,
+    # so record k starts 4 * k bytes off a multiple of 8; every field needs
+    # at most 4-byte alignment and starts at a multiple of its own width
+    # within the record, so each stays aligned for every id.
     cells = grid_w * grid_h
     slot = _slot_dtype(grid_w, grid_h)
     assert slot.itemsize == 4 * cells + 8 and slot.itemsize % 8 == (4 if cells % 2 else 0)
-    for id_bytes in range(1, 9):
-        store = _populated("c" * id_bytes, grid_w, grid_h, seed=id_bytes)
-        store.save(tmp_path / "s.iso")
-        loaded = IsochronalStore.load(tmp_path / "s.iso")
-        assert loaded.equals(store)
-        for name in slot.names:
-            assert loaded._slots[name].flags.aligned, (name, id_bytes)
-            assert loaded._slots[name].strides[0] == slot.itemsize
-        assert loaded._mean_std.flags.aligned
-
-
-@pytest.mark.parametrize("id_bytes", range(1, 10))
-def test_every_field_of_a_loaded_store_is_aligned(tmp_path, id_bytes):
-    # Version 2 kept packed float64 records of 16 * cells + 4 bytes after an
-    # unpadded header, so most of these fields sat off alignment.
-    store = _populated("c" * id_bytes, 5, 3, seed=id_bytes)
+    store = _populated("c" * id_bytes, grid_w, grid_h, seed=id_bytes)
     store.save(tmp_path / "s.iso")
     loaded = IsochronalStore.load(tmp_path / "s.iso")
     assert loaded.equals(store)
-    for name in _slot_dtype(5, 3).names:
+    for name in slot.names:
         assert store._slots[name].flags.aligned
         assert loaded._slots[name].flags.aligned, name
+    assert loaded._mean_std.flags.aligned
 
 
 def test_a_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):

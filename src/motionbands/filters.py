@@ -34,8 +34,8 @@ The streaming filter updates preallocated state in place (see
 ``CascadeFilter``): a frame-rate tick allocates only the new noise-free
 band, a short-term tick also the new in-place and moving bands, and every
 band handed out is read-only and never written again. Frames with a
-non-finite or negative density or bin are rejected before any state
-changes.
+density or bin outside ``motion``'s range, [0, 65504], are rejected before
+any state changes, so no state can overflow (see ``motion._DENSITY_MAX``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .config import BandParams, checked
 from .errors import RejectedInputError
-from .motion import MotionFrame
+from .motion import _DENSITY_MAX, MotionFrame
 
 
 @dataclass
@@ -115,9 +115,9 @@ class CascadeFilter:
         """Advance one frame-rate tick; short-term bands update on the
         reduced-rate ticks and are carried in between.
 
-        A frame on another grid, or with a non-finite or negative density
-        or bin, raises :class:`RejectedInputError` and leaves the filter
-        unchanged.
+        A frame on another grid, or with a density or bin that is
+        non-finite, negative or above 65504, raises
+        :class:`RejectedInputError` and leaves the filter unchanged.
         """
         x = frame.density
         if x.shape != self._grid:
@@ -125,9 +125,10 @@ class CascadeFilter:
                 f"frame grid {(frame.grid_h, frame.grid_w)} does not match "
                 f"filter grid {self._grid}"
             )
-        if not frame.finite_nonnegative():
+        if not frame.in_density_range():
             raise RejectedInputError(
-                f"frame at {frame.timestamp_ms} ms has a non-finite or negative density or bin"
+                f"frame at {frame.timestamp_ms} ms has a non-finite or negative density or bin, "
+                f"or one above {_DENSITY_MAX:.0f}"
             )
         lp = self._lp_l1
         _ema(lp, x, self._alpha_l1, self._tmp)

@@ -1,11 +1,11 @@
 """Long-term activity statistics per minute of day.
 
 One store per camera holds 1440 slots, one per minute of day. Each slot
-keeps an EMA of the per-minute density aggregate (the cascade's rule,
-rounded as ``filters._ema`` rounds it), the standard deviation of an exponentially weighted
-density variance, a day counter and the absolute day of its last dated
-sample. The EMA constant ``a`` is parameterized by a 10%-decay span in
-days.
+keeps an EMA of the per-minute density aggregate (``update`` blends it with
+the cascade's own ``filters._ema``), the standard deviation of an
+exponentially weighted density variance, a day counter and the absolute
+day of its last dated sample. The EMA constant ``a`` is parameterized by a
+10%-decay span in days.
 
 The variance follows Finch (2009), "Incremental calculation of weighted
 mean and variance": with ``d`` the sample's deviation from the mean
@@ -41,11 +41,12 @@ read. Float16 keeps 11 significant bits (a relative step of at most
 2**-10) from 6.1e-5 up to 65504, and an absolute step of 6e-8 below that
 range. The std is stored rather than the variance because a typical
 variance, about 1e-6, lies in that lower range, where under two digits
-survive, while its root keeps all 11 bits. A sample with a density above
-65504, the largest finite float16, is refused; any other keeps the
-blended mean and std at or below 65504, so a record stays finite. On
-eight replayed days of the benchmark's scenes, every gate decision is the
-same as with float32 records.
+survive, while its root keeps all 11 bits. ``update`` refuses a sample
+outside ``motion``'s density range, [0, 65504], whose ceiling is the
+largest finite float16; any other keeps the blended mean and std at or
+below 65504, so a record stays finite. On eight replayed days of the
+benchmark's scenes, every gate decision is the same as with float32
+records.
 
 ``binarize`` caches the support mask of the last epsilon asked for, and
 ``scalar_stats`` caches each minute's (mean, std, days); ``update`` drops
@@ -79,13 +80,12 @@ rewriting it after a load leaves the store alone.
 ``load`` reads version 4 only; a file of an earlier version is refused
 with its version in the message. Its checks, in order: CRC, magic,
 version, header fields and zero padding, a payload size that must match
-the record layout exactly, finite, non-negative means and stds, and last
+the record layout exactly, means and stds in the density range, and last
 days of at least -1.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import zlib
@@ -93,12 +93,11 @@ from pathlib import Path
 from tempfile import NamedTemporaryFile
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .config import BandParams, alpha_from_decay, checked
 from .errors import InvalidParameterError, RejectedInputError, StoreLoadError
-from .filters import _frozen
-from .motion import MotionFrame, _finite_nonnegative, block_mean
+from .filters import _ema, _frozen
+from .motion import _DENSITY_MAX, MotionFrame, _in_density_range, block_mean
 
 MINUTES_PER_DAY = 1440
 
@@ -106,7 +105,6 @@ _MAGIC = b"ISO1"
 _VERSION = 4
 _ALIGN = 8  # the header is padded to a multiple of this many bytes
 _LAST_DAY_MAX = int(np.iinfo(np.int32).max)
-_F16_MAX = float(np.finfo(np.float16).max)  # 65504.0: the largest mean or std a record holds
 
 
 def _slot_dtype(grid_w: int, grid_h: int) -> np.dtype:
@@ -118,27 +116,18 @@ def _slot_dtype(grid_w: int, grid_h: int) -> np.dtype:
     )
 
 
-def _mean_std(slots: np.ndarray) -> np.ndarray:
-    """A writeable (1440, 2, gh, gw) float16 view of every record's density
-    mean and std: in a record the std follows the mean."""
-    gh, gw = slots.dtype["density"].shape
-    return as_strided(
-        slots["density"], (MINUTES_PER_DAY, 2, gh, gw), (slots.itemsize, 2 * gh * gw, 2 * gw, 2)
-    )
-
-
 def _padding(header_len: int) -> int:
     return -header_len % _ALIGN
 
 
 def _first_bad_minute(slots: np.ndarray) -> int | None:
-    """The first minute whose density mean or std is non-finite or
-    negative, or None. The check is one pass over :func:`_mean_std`'s view
-    of ``slots``, which leaves the day counts and last days out."""
-    values = _mean_std(slots)
-    if _finite_nonnegative(values):
+    """The first minute whose density mean or std is outside the density
+    range, or None. A clean store costs one range check per field."""
+    fields = slots["density"], slots["std"]
+    if all(map(_in_density_range, fields)):
         return None
-    return int(np.argmin(((values >= 0.0) & (values < math.inf)).all(axis=(1, 2, 3))))
+    ok = [((v >= 0.0) & (v <= _DENSITY_MAX)).all(axis=(1, 2)) for v in fields]
+    return int(np.argmin(ok[0] & ok[1]))
 
 
 def minute_of_day(timestamp_ms: int) -> int:
@@ -161,6 +150,16 @@ class IsochronalStore:
         self._adopt(slots)
 
     def _configure(self, camera_id: str, grid_w: int, grid_h: int, t_l2_days: float) -> None:
+        # Checked here, not at the first save: a file holds the id's UTF-8
+        # bytes behind a u16 length.
+        try:
+            fits = len(camera_id.encode("utf-8")) <= 0xFFFF
+        except (AttributeError, UnicodeEncodeError):
+            fits = False
+        if not fits:
+            raise InvalidParameterError(
+                f"camera id must be a str of at most 65535 UTF-8 bytes, got {camera_id!r:.40}"
+            )
         self.camera_id = camera_id
         self.grid_w = checked("grid_w", grid_w, 1, integral=True)
         self.grid_h = checked("grid_h", grid_h, 1, integral=True)
@@ -173,7 +172,6 @@ class IsochronalStore:
         """Make ``slots``, 1440 records, the store's memory, with empty
         caches."""
         self._slots = slots
-        self._mean_std = _mean_std(slots)
         self._mean_density = slots["density"]
         self._std = slots["std"]
         self._days = slots["days"]
@@ -194,12 +192,11 @@ class IsochronalStore:
         sample (see the module docstring). A dated sample on or before the
         slot's last dated day returns False and leaves the store unchanged.
         The sample may carry direction bins, which are checked and not
-        stored. A sample with a NaN, infinite or negative density or bin, or
-        a density above 65504, raises :class:`RejectedInputError` and leaves
-        the store unchanged. The slot's mean and std are widened to float64,
-        blended with the variance as the std squared, and rounded once to
-        float16 when stored; a sample of at most 65504 keeps both at most
-        65504, so the record stays finite.
+        stored. A sample with a density or bin outside ``motion``'s range,
+        [0, 65504], raises :class:`RejectedInputError` and leaves the store
+        unchanged. The slot's mean and std are widened to float64; the mean
+        is blended by ``filters._ema`` and the variance, the std squared,
+        by Finch's rule, and both are rounded once to float16 when stored.
         """
         self._check_minute(minute)
         if day is not None:
@@ -209,16 +206,12 @@ class IsochronalStore:
                 f"sample grid {(sample.grid_h, sample.grid_w)} does not match "
                 f"store grid {(self.grid_h, self.grid_w)}"
             )
-        if not sample.finite_nonnegative():
+        if not sample.in_density_range():
             raise RejectedInputError(
-                f"sample for minute {minute} has a non-finite or negative density or bin"
+                f"sample for minute {minute} has a non-finite or negative density or bin, "
+                f"or one above {_DENSITY_MAX:.0f}"
             )
         x = sample.density
-        if np.maximum.reduce(x, axis=None) > _F16_MAX:
-            raise RejectedInputError(
-                f"sample for minute {minute} has a density above {_F16_MAX:.0f}, "
-                "the largest a store record holds"
-            )
         a, gain = self.alpha_l2, self._var_gain
         if day is not None:
             last = int(self._last_day[minute])
@@ -230,27 +223,23 @@ class IsochronalStore:
             self._last_day[minute] = day
         self._support = None
         self._stats.pop(minute, None)
-        record = self._mean_std[minute]
         if self._days[minute] == 0:
-            blended = np.zeros(record.shape)
-            blended[0] = x
+            mean, std = x, np.zeros(x.shape)
         else:
-            # (mean, var) <- a * (mean, var) + ((1 - a) * x, gain * dev**2)
-            # in one pass over both: the cascade's EMA on the mean, rounded
-            # as filters._ema rounds it, and Finch's rule on the variance.
-            blended = record.astype(np.float64)
-            mean, var = blended  # var holds the std until it is squared
-            fresh = np.empty_like(blended)
-            dev = np.subtract(x, mean, out=fresh[1])
-            np.multiply(x, 1.0 - a, out=fresh[0])
+            mean = self._mean_density[minute].astype(np.float64)
+            dev = np.subtract(x, mean)  # from the mean before the update
+            _ema(mean, x, a, np.empty_like(mean))
+            # var <- a * var + gain * dev**2, with var the std squared
+            std = self._std[minute].astype(np.float64)
+            np.multiply(std, std, out=std)
+            np.multiply(std, a, out=std)
             np.multiply(dev, dev, out=dev)
             np.multiply(dev, gain, out=dev)
-            np.multiply(var, var, out=var)
-            np.multiply(blended, a, out=blended)
-            np.add(blended, fresh, out=blended)
-            np.sqrt(var, out=var)  # the new std
-        np.add(blended, 0.0, out=blended)  # -0.0 becomes +0.0
-        record[...] = blended
+            np.add(std, dev, out=std)
+            np.sqrt(std, out=std)
+        # + 0.0 turns -0.0 into +0.0.
+        self._mean_density[minute] = mean + 0.0
+        self._std[minute] = std + 0.0
         self._days[minute] += 1
         return True
 
@@ -274,7 +263,8 @@ class IsochronalStore:
         self._check_minute(minute)  # first: True or 5.0 would find 1's or 5's stats
         stats = self._stats.get(minute)
         if stats is None:
-            mean, std = self._mean_std[minute].astype(np.float64)
+            mean = self._mean_density[minute].astype(np.float64)
+            std = self._std[minute].astype(np.float64)
             stats = self._stats[minute] = (block_mean(mean), block_mean(std), int(self._days[minute]))
         return stats
 

@@ -180,9 +180,10 @@ class MotionFrame:
         frame.timestamp_ms = timestamp_ms
         return frame
 
-    def finite_nonnegative(self) -> bool:
-        """True iff every density and bin is finite and >= 0."""
-        return _finite_nonnegative(self.density) and _finite_nonnegative(self.dir_hist)
+    def in_density_range(self) -> bool:
+        """True iff every density and bin is in [0, 65504] (see
+        :func:`_in_density_range`)."""
+        return _in_density_range(self.density) and _in_density_range(self.dir_hist)
 
     @property
     def grid_w(self) -> int:
@@ -193,32 +194,37 @@ class MotionFrame:
         return self.density.shape[0]
 
 
+# The largest density or bin the camera path takes: 65504, the largest
+# finite float16 and so the largest value a store record holds. The cascade
+# and the store refuse anything above it, so no state behind them can
+# overflow: sums and means of values at most 65504 round to at most 65504.
+_DENSITY_MAX = 65504.0
+
 # Per float width in bytes: the unsigned integer of that width and the bit
-# pattern of +inf. A float is finite and at least +0.0 iff its bits, read
-# as that unsigned integer, lie below +inf's.
-_INF_BITS = {
-    8: (np.uint64, 0x7FF0000000000000),
-    4: (np.uint32, 0x7F800000),
-    2: (np.uint16, 0x7C00),
+# pattern of 65504.0. A float lies in [+0.0, 65504] iff its bits, read as
+# that unsigned integer, are at most 65504's.
+_MAX_BITS = {
+    8: (np.uint64, 0x40EFFC0000000000),
+    2: (np.uint16, 0x7BFF),
 }
 
 
-def _finite_nonnegative(values: np.ndarray) -> bool:
-    """True iff every entry of a float64, float32 or float16 array is finite
-    and >= 0.
+def _in_density_range(values: np.ndarray) -> bool:
+    """True iff every entry of a float64 or float16 array is in [0, 65504]:
+    finite, >= 0 and at most :data:`_DENSITY_MAX`.
 
     A clean array passes on one unsigned max over its bit patterns; any
-    other (NaN, infinite, negative, or -0.0, which passes) goes on to the
-    exact check. There a NaN fails the comparison with zero, like a
-    negative value. An empty array passes: the reductions have no identity
-    to return for it.
+    other (NaN, infinite, negative, above 65504, or -0.0, which passes)
+    goes on to the exact check. There a NaN fails the comparison with zero,
+    like a negative value. An empty array passes: the reductions have no
+    identity to return for it.
     """
-    bits, inf = _INF_BITS[values.itemsize]
+    bits, top = _MAX_BITS[values.itemsize]
     return values.size == 0 or bool(
-        np.maximum.reduce(values.view(bits), axis=None) < inf
+        np.maximum.reduce(values.view(bits), axis=None) <= top
         or (
             np.minimum.reduce(values, axis=None) >= 0.0
-            and np.maximum.reduce(values, axis=None) < math.inf
+            and np.maximum.reduce(values, axis=None) <= _DENSITY_MAX
         )
     )
 

@@ -12,9 +12,10 @@ its absolute day (``minute // 1440``). The store refuses a sample on or
 before the day it last stored for that minute of day, so a minute is
 stored at most once a day: frames after ``finish`` in a flushed minute, a
 pipeline restarted on the same store mid-minute or at a minute boundary,
-and a replayed day add no second sample. The store also refuses a minute
-whose mean density it cannot hold (above 65504, the largest value of its
-float16 records). ``samples_skipped`` counts the minutes so refused.
+and a replayed day add no second sample. ``samples_skipped`` counts the
+minutes so refused. The cascade refuses a frame outside ``motion``'s
+density range, [0, 65504], at ingest, so every minute's mean density fits
+the store's float16 records.
 
 Settings come from a ``Config`` whose frozen sections checked them when
 built. A given ``store`` must be on the camera's grid and have the
@@ -123,15 +124,19 @@ class CameraPipeline:
 
         A frame whose timestamp is not after the last accepted frame's
         (late or duplicate) is counted in ``frames_late``; a frame stamped
-        outside the days a store can date (before the epoch, or after day
-        2**31 - 1) or one the cascade rejects (wrong grid, non-finite or
-        negative values) is counted in ``frames_rejected``. Either raises
+        with anything but an integer (a float or a bool), stamped outside
+        the days a store can date (before the epoch, or after day 2**31 -
+        1), or one the cascade rejects (wrong grid, a value outside [0,
+        65504]) is counted in ``frames_rejected``. Either raises
         :class:`RejectedInputError` and changes no other state. A completed
         minute the store refuses, because it already holds a sample of that
-        minute for that day or because it cannot hold the minute's mean
-        density, is counted in ``samples_skipped`` and raises nothing.
+        minute for that day, is counted in ``samples_skipped`` and raises
+        nothing.
         """
         t = frame.timestamp_ms
+        if type(t) is not int and not isinstance(t, np.integer):  # refuses bools and floats
+            self.frames_rejected += 1
+            raise RejectedInputError(f"frame timestamp {t!r} is not an integer number of ms")
         if not self._last_ms < t < _END_MS:
             if not 0 <= t < _END_MS:
                 self.frames_rejected += 1

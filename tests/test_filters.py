@@ -311,7 +311,7 @@ class TestStreamProperties:
         f = CascadeFilter(1, 1, params)
         out = None
         for i in range(20000):
-            out = f.step(_frame([[1e6]], t=i * 1000))
+            out = f.step(_frame([[65504.0]], t=i * 1000))  # the largest density accepted
         for band in (out.m_l1, out.m_s1, out.m_s2):
             assert np.all(np.isfinite(band.density))
             assert np.all(np.isfinite(band.dir_hist))
@@ -454,7 +454,7 @@ def _stream_frame(kind, rng, gw, gh, t):
     if kind == "constant":
         return MotionFrame(np.full(shape, 0.37), np.full(shape + (8,), 0.11), t)
     if kind == "large":
-        return _rand_frame(rng, gw, gh, t, scale=1e6)
+        return _rand_frame(rng, gw, gh, t, scale=65504.0)  # up to the largest density accepted
     frame = _rand_frame(rng, gw, gh, t)
     # Exact zeros on about half the blocks, as on a real sparse scene.
     frame.density[rng.random(shape) < 0.5] = 0.0

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from motionbands.config import alpha_from_decay
 from motionbands.errors import InvalidParameterError, RejectedInputError, StoreLoadError
@@ -357,9 +358,9 @@ class TestUpdateQuery:
         assert store.equals(zero)
         assert store.scalar_stats(7)[0] == 0.0
         # Stored as +0.0, whose bits sort below every positive value's.
-        assert not store._mean_std.view(np.uint16).any()
+        assert not store._mean_density.view(np.uint16).any() and not store._std.view(np.uint16).any()
         store.update(7, MotionFrame(np.full((2, 3), -0.0), np.zeros((2, 3, 0))))
-        assert not store._mean_std.view(np.uint16).any()
+        assert not store._mean_density.view(np.uint16).any() and not store._std.view(np.uint16).any()
 
 
 class TestUnholdableSample:
@@ -381,7 +382,8 @@ class TestUnholdableSample:
         sample[1, 2] = big
         for minute in (3, 4, 1439):
             with pytest.raises(
-                RejectedInputError, match=f"sample for minute {minute} has a density above 65504,"
+                RejectedInputError,
+                match=f"sample for minute {minute} has a non-finite or negative density or bin, or one above 65504$",
             ):
                 store.update(minute, _frame(sample), day)
         assert store.equals(snapshot)
@@ -411,6 +413,90 @@ class TestUnholdableSample:
         assert mean.density[0, 2] == 65504.0 and std[0, 2] == 0.0
         store.save(tmp_path / "s.iso")
         assert IsochronalStore.load(tmp_path / "s.iso").equals(store)
+
+
+class _TwoRowStore:
+    """The store's update as it blended before it went through the record's
+    fields, frozen as the oracle of the current one: a (1440, 2, gh, gw)
+    float16 view of the packed records' mean and std, widened to float64,
+    blended as one two-row array (the cascade's EMA on the mean, Finch's
+    rule on the std squared) and stored whole after ``+ 0.0``."""
+
+    def __init__(self, grid_w, grid_h, t_l2_days):
+        self._slots = np.zeros(MINUTES_PER_DAY, _slot_dtype(grid_w, grid_h))
+        self._slots["last_day"] = -1
+        self._mean_std = as_strided(
+            self._slots["density"],
+            (MINUTES_PER_DAY, 2, grid_h, grid_w),
+            (self._slots.itemsize, 2 * grid_h * grid_w, 2 * grid_w, 2),
+        )
+        self.alpha_l2 = a = alpha_from_decay(1.0, t_l2_days)
+        self._var_gain = (1.0 - a) * (1.0 + a) / 2.0
+
+    def update(self, minute, x, day=None):
+        a, gain = self.alpha_l2, self._var_gain
+        if day is not None:
+            last = int(self._slots["last_day"][minute])
+            if day <= last:
+                return False
+            if last >= 0:
+                a = a ** int(day - last)
+                gain = (1.0 - a) * (1.0 + a) / 2.0
+            self._slots["last_day"][minute] = day
+        record = self._mean_std[minute]
+        if self._slots["days"][minute] == 0:
+            blended = np.zeros(record.shape)
+            blended[0] = x
+        else:
+            blended = record.astype(np.float64)
+            mean, var = blended  # var holds the std until it is squared
+            fresh = np.empty_like(blended)
+            dev = np.subtract(x, mean, out=fresh[1])
+            np.multiply(x, 1.0 - a, out=fresh[0])
+            np.multiply(dev, dev, out=dev)
+            np.multiply(dev, gain, out=dev)
+            np.multiply(var, var, out=var)
+            np.multiply(blended, a, out=blended)
+            np.add(blended, fresh, out=blended)
+            np.sqrt(var, out=var)
+        np.add(blended, 0.0, out=blended)
+        record[...] = blended
+        self._slots["days"][minute] += 1
+        return True
+
+    def scalar_stats(self, minute):
+        mean, std = self._mean_std[minute].astype(np.float64)
+        return float(mean.mean()), float(std.mean()), int(self._slots["days"][minute])
+
+
+class TestTwoRowOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_update_stores_the_two_row_blends_bytes(self, seed):
+        # First observations, undated samples, dated days consecutive,
+        # gapped and replayed, means and stds in float16's subnormals
+        # (samples below 1e-4), its normal range and at 65504.
+        rng = np.random.default_rng(seed)
+        store, oracle = IsochronalStore("cam0", 5, 3, t_l2_days=3.0), _TwoRowStore(5, 3, 3.0)
+        last = {}
+        subnormal = top = False
+        for _ in range(600):
+            minute = int(rng.integers(6))
+            scale = (1e-4, 2.0, 65504.0)[rng.integers(3)]
+            x = rng.uniform(0.0, scale, (3, 5)) * (rng.random((3, 5)) < 0.8)
+            x[rng.random((3, 5)) < 0.1] = scale
+            if rng.random() < 0.3:
+                day = None
+            else:
+                day = max(last.get(minute, 0) + int(rng.choice([-1, 0, 1, 1, 2, 9])), 0)
+                last[minute] = max(day, last.get(minute, 0))
+            assert store.update(minute, _frame(x), day) == oracle.update(minute, x, day)
+            assert store._slots.tobytes() == oracle._slots.tobytes()
+            got, want = store.scalar_stats(minute), oracle.scalar_stats(minute)
+            assert struct.pack("<ddq", *got) == struct.pack("<ddq", *want)
+            std = store._std[minute]
+            subnormal |= bool(((std > 0) & (std < 6.1e-5)).any())
+            top |= bool((store._mean_density[minute] == 65504.0).any())
+        assert subnormal and top
 
 
 class TestV3Oracle:
@@ -762,6 +848,23 @@ class TestPersistence:
         with pytest.raises(StoreLoadError, match="cannot read"):
             IsochronalStore.load(tmp_path / "absent.iso")
 
+    @pytest.mark.parametrize(
+        "camera_id",
+        [5, None, b"cam0", "x" * 70_000, "\u00e9" * 32_768, "ok\udcff"],
+        ids=["int", "none", "bytes", "70000-chars", "65536-bytes", "lone-surrogate"],
+    )
+    def test_a_camera_id_save_cannot_write_is_refused_when_built(self, camera_id):
+        # Each built, and failed only at its first save, with
+        # AttributeError, struct.error or UnicodeEncodeError.
+        with pytest.raises(InvalidParameterError, match="camera id"):
+            IsochronalStore(camera_id, 5, 4)
+
+    @pytest.mark.parametrize("camera_id", ["", "x" * 65_535, "\u00e9" * 32_767 + "x"], ids=["empty", "65535-chars", "65535-bytes"])
+    def test_the_longest_camera_id_round_trips(self, tmp_path, camera_id):
+        store = IsochronalStore(camera_id, 2, 1)
+        store.save(tmp_path / "s.iso")
+        assert IsochronalStore.load(tmp_path / "s.iso").camera_id == camera_id
+
 
 def _traced_peak(call):
     """``call()``'s result and the peak bytes allocated while it ran."""
@@ -1045,7 +1148,7 @@ def test_every_field_of_a_loaded_store_is_aligned(tmp_path, id_bytes, grid_w, gr
     for name in slot.names:
         assert store._slots[name].flags.aligned
         assert loaded._slots[name].flags.aligned, name
-    assert loaded._mean_std.flags.aligned
+    assert loaded._mean_density.flags.aligned and loaded._std.flags.aligned
 
 
 def test_a_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import as_strided
 
 from motionbands.errors import InvalidParameterError, RejectedInputError
 from motionbands.motion import (
@@ -16,7 +15,7 @@ from motionbands.motion import (
     _OCTANT,
     GrayFrame,
     MotionFrame,
-    _finite_nonnegative,
+    _in_density_range,
     _magnitude_and_octant,
     _octant_buffers,
     block_mean,
@@ -804,25 +803,26 @@ class TestMotionFrame:
             MotionFrame(np.ones((2, 3)), np.ones(hist_shape))
 
     @pytest.mark.parametrize("bins", [8, 0])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
-    def test_finite_nonnegative(self, bins, bad):
-        f = MotionFrame(np.zeros((2, 3)), np.zeros((2, 3, bins)))
-        assert f.finite_nonnegative()
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 65504.5, 1e308])
+    def test_in_density_range(self, bins, bad):
+        f = MotionFrame(np.full((2, 3), 65504.0), np.zeros((2, 3, bins)))
+        assert f.in_density_range()
         f.density[1, 2] = bad
-        assert not f.finite_nonnegative()
+        assert not f.in_density_range()
         if bins:
             f.density[1, 2] = 0.0
             f.dir_hist[0, 1, 7] = bad
-            assert not f.finite_nonnegative()
+            assert not f.in_density_range()
 
     def test_negative_zero_accepted(self):
         f = MotionFrame(np.full((2, 3), -0.0), np.full((2, 3, 8), -0.0))
-        assert f.finite_nonnegative()
+        assert f.in_density_range()
 
 
 # Float64 bit patterns at the edges of the fast check: quiet and signalling
 # NaNs of both signs and payloads, +-inf, +-0, the smallest and largest
-# subnormals and the largest finite value, of both signs.
+# subnormals and the largest finite value, of both signs; then the
+# ceiling, 65504, its next float up and down, 65504.5, 65519.99 and 65520.
 _EDGE_BITS = [
     0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001,
     0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF, 0x7FF4000000000000,
@@ -830,46 +830,52 @@ _EDGE_BITS = [
     0x0000000000000000, 0x8000000000000000,
     0x0000000000000001, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,
     0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+    0x40EFFC0000000000, 0x40EFFC0000000001, 0x40EFFBFFFFFFFFFF,
+    0x40EFFC1000000000, 0x40EFFDFFAE147AE1, 0x40EFFE0000000000,
 ]
 
 
-# The same edges of float32.
-_EDGE_BITS32 = [
-    0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001, 0x7FFFFFFF, 0xFFFFFFFF, 0x7FA00000,
-    0x7F800000, 0xFF800000,
-    0x00000000, 0x80000000,
-    0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF,
-    0x7F7FFFFF, 0xFF7FFFFF,
-]
-
-
-# The same edges of float16.
+# The same edges of float16. The ceiling is the largest finite float16,
+# 0x7BFF, whose next float up is inf; 65504.5 and 65519.99 round to 65504,
+# and 65520 to inf, so the only new pattern is 65504's next float down.
 _EDGE_BITS16 = [
     0x7E00, 0xFE00, 0x7C01, 0xFC01, 0x7FFF, 0xFFFF, 0x7D00,
     0x7C00, 0xFC00,
     0x0000, 0x8000,
     0x0001, 0x8001, 0x03FF, 0x83FF,
     0x7BFF, 0xFBFF,
+    0x7BFE,
 ]
 
 
-# The largest bit pattern of a finite float64 >= +0.0.
-_LARGEST_FINITE_BITS = 0x7FEFFFFFFFFFFFFF
+# The bit pattern of the ceiling, 65504.0, as a float64.
+_DENSITY_MAX_BITS = 0x40EFFC0000000000
 
 
-def _exact_finite_nonnegative(values):
-    return bool(np.all(np.isfinite(values) & (values >= 0.0)))
+def _exact_in_density_range(values):
+    return bool(np.all(np.isfinite(values) & (values >= 0.0) & (values <= 65504.0)))
 
 
-class TestFiniteNonnegative:
+class TestInDensityRange:
     """The one-reduction fast pass over the bit patterns and the exact check
-    behind it must agree on every float64."""
+    behind it must agree on every float64 and float16."""
 
     @pytest.mark.parametrize("bits", _EDGE_BITS)
     def test_edge_bit_patterns(self, bits):
         values = np.array([0, bits, 1 << 62], np.uint64).view(np.float64)
-        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
-        assert _finite_nonnegative(values[1:2]) == _exact_finite_nonnegative(values[1:2])
+        assert _in_density_range(values) == _exact_in_density_range(values)
+        assert _in_density_range(values[1:2]) == _exact_in_density_range(values[1:2])
+
+    @pytest.mark.parametrize(
+        "value", [65504.0, math.nextafter(65504.0, math.inf), math.nextafter(65504.0, 0.0), 65504.5, 65519.99, 65520.0]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    def test_the_ceiling_is_65504_in_either_width(self, value, dtype):
+        with np.errstate(over="ignore"):  # 65520 rounds to inf in float16
+            values = np.array([0.0, value, 1.0], dtype)
+        want = float(values[1]) <= 65504.0  # 65504.5 and 65519.99 round to 65504 in float16
+        assert _in_density_range(values) == _exact_in_density_range(values) == want
+        assert _in_density_range(values[1:2]) == want
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -882,48 +888,22 @@ class TestFiniteNonnegative:
     )
     def test_random_bit_patterns(self, bits, shape):
         values = np.array(bits * 2, np.uint64).view(np.float64).reshape(shape)
-        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+        assert _in_density_range(values) == _exact_in_density_range(values)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, _LARGEST_FINITE_BITS), min_size=1, max_size=24))
+    @given(st.lists(st.integers(0, _DENSITY_MAX_BITS), min_size=1, max_size=24))
     def test_clean_bit_patterns_pass(self, bits):
         values = np.array(bits, np.uint64).view(np.float64)
-        assert _finite_nonnegative(values)
+        assert _in_density_range(values)
 
     def test_empty_passes(self):
-        assert _finite_nonnegative(np.zeros((2, 3, 0)))
-        assert _finite_nonnegative(np.zeros((2, 0), np.float32))
-
-    @pytest.mark.parametrize("bits", _EDGE_BITS32)
-    def test_float32_edge_bit_patterns(self, bits):
-        values = np.array([0, bits, 1 << 30], np.uint32).view(np.float32)
-        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
-        assert _finite_nonnegative(values[1:2]) == _exact_finite_nonnegative(values[1:2])
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(st.sampled_from(_EDGE_BITS32), st.integers(0, 2**32 - 1)),
-            min_size=1,
-            max_size=24,
-        ),
-        st.sampled_from(["contiguous", "record"]),
-    )
-    def test_float32_random_bit_patterns(self, bits, layout):
-        values = np.array(bits, np.uint32).view(np.float32)
-        if layout == "record":
-            # A float32 field strided by packed records, as the isochronal
-            # store's load check reads its means and variances.
-            records = np.zeros(len(bits), [("value", "<f4"), ("days", "<u4"), ("last_day", "<i4")])
-            records["value"] = values
-            values = records["value"]
-        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+        assert _in_density_range(np.zeros((2, 3, 0)))
 
     @pytest.mark.parametrize("bits", _EDGE_BITS16)
     def test_float16_edge_bit_patterns(self, bits):
         values = np.array([0, bits, 1 << 14], np.uint16).view(np.float16)
-        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
-        assert _finite_nonnegative(values[1:2]) == _exact_finite_nonnegative(values[1:2])
+        assert _in_density_range(values) == _exact_in_density_range(values)
+        assert _in_density_range(values[1:2]) == _exact_in_density_range(values[1:2])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -937,17 +917,17 @@ class TestFiniteNonnegative:
     def test_float16_random_bit_patterns(self, bits, layout):
         values = np.array(bits, np.uint16).view(np.float16)
         if layout == "record":
-            # Float16 means and stds side by side in packed records, as the
-            # isochronal store's load check reads them.
+            # A float16 field strided by packed records, as the isochronal
+            # store's load check reads its means and stds.
             records = np.zeros(len(bits), [("mean", "<f2"), ("std", "<f2"), ("days", "<u4"), ("last_day", "<i4")])
             records["std"] = values
-            values = as_strided(records["mean"], (len(bits), 2), (records.itemsize, 2))
-        assert _finite_nonnegative(values) == _exact_finite_nonnegative(values)
+            values = records["std"]
+        assert _in_density_range(values) == _exact_in_density_range(values)
 
     def test_every_float16_bit_pattern(self):
         values = np.arange(2**16, dtype=np.uint32).astype(np.uint16).view(np.float16)
-        fast = np.array([_finite_nonnegative(v) for v in values.reshape(-1, 1)])
-        exact = np.isfinite(values) & (values >= 0.0)
+        fast = np.array([_in_density_range(v) for v in values.reshape(-1, 1)])
+        exact = np.isfinite(values) & (values >= 0.0) & (values <= 65504.0)
         np.testing.assert_array_equal(fast, exact)
 
 

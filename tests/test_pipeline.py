@@ -258,22 +258,121 @@ def test_a_frame_outside_the_days_a_store_can_date_is_rejected():
     assert pipe.store._last_day[MINUTES_PER_DAY - 1] == 2**31 - 1
 
 
-def test_a_minute_the_store_cannot_hold_is_skipped_without_raising(tmp_path):
+def _cascade_state(pipe):
+    """Copies of every state the cascade and the minute accumulator keep."""
+    c, acc = pipe.cascade, pipe._acc
+    return (
+        [a.copy() for a in (c._lp_l1, c._acc, c._lp_s1, c._fir)],
+        (c._acc_n, c._fir_n),
+        None if acc is None else (acc.minute, acc.density.copy(), acc.count),
+    )
+
+
+def _assert_same_state(got, want):
+    (arrays, counts, acc), (want_arrays, want_counts, want_acc) = got, want
+    for a, b in zip(arrays, want_arrays):
+        np.testing.assert_array_equal(a, b)
+    assert counts == want_counts
+    assert (acc is None) == (want_acc is None)
+    if acc is not None:
+        assert (acc[0], acc[2]) == (want_acc[0], want_acc[2])
+        np.testing.assert_array_equal(acc[1], want_acc[1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [65504.5, 1e39, 1e308], ids=repr)
+@pytest.mark.parametrize("where", ["density", "dir_hist"])
+def test_a_value_the_store_cannot_hold_is_refused_at_the_door(big, where):
+    # Every density and bin must fit a store record, at most 65504. The
+    # cascade took such frames: the second of two 1e308 frames overflowed
+    # inside it, and under -W error its RuntimeWarning escaped ingest with
+    # the frame counted nowhere.
+    frames = _noise_frames(120, start_ms=600 * 60_000 - 2_000)  # minutes 599 and 600
+    pipe, clean = CameraPipeline("cam0", 5, 4, Config()), CameraPipeline("cam0", 5, 4, Config())
+    rejected = 0
+    for i, frame in enumerate(frames):
+        if i in (30, 31, 90):
+            bad = dataclasses.replace(frame, density=frame.density.copy(), dir_hist=frame.dir_hist.copy())
+            getattr(bad, where)[1, 2] = big
+            state, store = _cascade_state(pipe), pipe.store._slots.copy()
+            for _ in range(2):
+                with pytest.raises(RejectedInputError, match="or one above 65504$"):
+                    pipe.ingest(bad)
+                rejected += 1
+            _assert_same_state(_cascade_state(pipe), state)
+            assert pipe.store._slots.tobytes() == store.tobytes()
+        got, want = pipe.ingest(frame), clean.ingest(frame)
+        assert (got.decision, got.activity) == (want.decision, want.activity)
+        for band in ("m_l1", "m_s1", "m_s2"):
+            np.testing.assert_array_equal(getattr(got.bands, band).density, getattr(want.bands, band).density)
+    assert (pipe.frames_rejected, pipe.frames_ingested, pipe.samples_skipped) == (rejected, 120, 0)
+    pipe.finish()
+    clean.finish()
+    assert pipe.store.equals(clean.store)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_largest_density_a_record_holds_is_learned(tmp_path):
+    # A frame at exactly 65504 passes the door, and a minute of such frames
+    # stores a mean of 65504, which saves and loads as it is.
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    top = np.full((4, 5), 65504.0)
+    for t in range(0, 60_000, 1_000):
+        pipe.ingest(MotionFrame(top, np.full((4, 5, 8), 65504.0), t))
+    pipe.finish()
+    assert (pipe.frames_rejected, pipe.frames_ingested, pipe.samples_skipped) == (0, 60, 0)
+    mean, std, days = pipe.store.query(0)
+    assert days == 1 and 0.0 < mean.density.min() <= mean.density.max() <= 65504.0
+    assert np.all(np.isfinite(std))
+    pipe.store.save(tmp_path / "cam0.iso")
+    assert IsochronalStore.load(tmp_path / "cam0.iso").equals(pipe.store)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_frame_the_store_cannot_hold_is_refused_and_the_store_stays_empty(tmp_path):
     # A finite density above 65504 gives minute means the store's float16
-    # records cannot hold. Stored, one became inf, which made the saved
-    # file one that load refuses, and under -W error the cast's warning
-    # raised out of the next minute's first frame.
+    # records cannot hold. Such frames once passed the cascade, and the
+    # store skipped their minutes at each flush; now the cascade refuses
+    # each frame, and the store stays empty and round-trips as such.
     pipe = CameraPipeline("cam0", 5, 4, Config())
     huge = dataclasses.replace(_frame_at(0), density=np.full((4, 5), 1e39))
-    pipe.ingest(huge)
-    pipe.ingest(_frame_at(60_000))  # flushes minute 0
-    assert pipe.samples_skipped == 1
-    pipe.ingest(dataclasses.replace(huge, timestamp_ms=61_000))
-    pipe.finish()  # flushes minute 1, whose low-pass band is still huge
-    assert (pipe.samples_skipped, pipe.frames_ingested, pipe.frames_rejected) == (2, 3, 0)
+    for t in (0, 60_000, 61_000):
+        with pytest.raises(RejectedInputError, match=f"frame at {t} ms has a non-finite or negative"):
+            pipe.ingest(dataclasses.replace(huge, timestamp_ms=t))
+    pipe.finish()
+    assert (pipe.samples_skipped, pipe.frames_ingested, pipe.frames_rejected) == (0, 0, 3)
     assert pipe.store.equals(IsochronalStore("cam0", 5, 4))
     pipe.store.save(tmp_path / "cam0.iso")
     assert IsochronalStore.load(tmp_path / "cam0.iso").equals(pipe.store)
+
+
+@pytest.mark.parametrize(
+    "stamp", [1000.5, 1000.0, np.float64(1000.0), True, np.bool_(True), "1000"], ids=repr
+)
+def test_a_stamp_that_is_not_an_integer_is_refused_before_any_change(stamp):
+    # Float stamps ran until the first decision tick, whose minute of day
+    # was a float that scalar_stats refused, after the cascade and the
+    # minute accumulator had taken the frame; True was taken as 1 ms.
+    pipe = CameraPipeline("cam0", 5, 4, Config())
+    pipe.ingest(_frame_at(500))
+    state = _cascade_state(pipe)
+    with pytest.raises(RejectedInputError, match="is not an integer number of ms"):
+        pipe.ingest(dataclasses.replace(_frame_at(0), timestamp_ms=stamp))
+    _assert_same_state(_cascade_state(pipe), state)
+    assert (pipe.frames_rejected, pipe.frames_late, pipe.frames_ingested) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint32, np.int32])
+def test_numpy_integer_stamps_are_taken(kind):
+    pipe, plain = CameraPipeline("cam0", 5, 4, Config()), CameraPipeline("cam0", 5, 4, Config())
+    frames = _noise_frames(90, start_ms=59_000)
+    for frame in frames:
+        got = pipe.ingest(dataclasses.replace(frame, timestamp_ms=kind(frame.timestamp_ms)))
+        want = plain.ingest(frame)
+        assert (got.decision, got.activity) == (want.decision, want.activity)
+    pipe.finish()
+    plain.finish()
+    assert pipe.frames_ingested == 90 and pipe.store.equals(plain.store)
 
 
 # A 3-minute day at 2 Hz with a looping walker, a dweller, planted events

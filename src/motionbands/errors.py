@@ -14,4 +14,4 @@ class StoreLoadError(RuntimeError):
 
 
 class UnknownSegmentError(KeyError):
-    """A plan query referenced a segment id that is not in the graph."""
+    """A plan query's origin or goal node is not in the graph."""

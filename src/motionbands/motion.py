@@ -13,25 +13,24 @@ both its leading and trailing edges.
 
 Extraction costs a few passes over the frame plus work in proportion to
 the pixels whose ``|curr - prev|`` clears the noise floor; only those
-pixels get a gradient, a direction and a block vote. The activity mask is
-``max(prev, curr) - min(prev, curr) >= floor``, computed in the pixel
-dtype: uint8 for integer frames (``GrayFrame`` holds them to [0, 255]),
-float64 otherwise. The test is exact, since both sides equal
-``|curr - prev|``. With a noise floor of 0 every pixel is active and the
-cost is that of a dense pass.
+pixels get a gradient, a direction and a block vote. ``GrayFrame`` holds
+every frame as C-contiguous uint8 luminance, and the activity mask is
+``max(prev, curr) - min(prev, curr) >= floor``, computed in uint8. The
+test is exact, since both sides equal ``|curr - prev|``. With a noise
+floor of 0 every pixel is active and the cost is that of a dense pass.
 
 The Sobel gradient at the active pixels comes from one of two paths,
 chosen per frame by the active count. Above one active pixel in eleven,
 the full-frame path computes the int16 difference and the edge-padded sum
-frame, runs a separable Sobel over the whole sum frame in the work dtype
+frame, runs a separable Sobel over the whole sum frame in int16
 ([1, 2, 1] smoothing across, then a difference along) and gathers gx, gy
 and the difference at the active pixels. At or below that share, the
 neighbour path does no full-frame work after the mask: it gathers each
 active pixel's eight neighbours, and the pixel itself, from the two pixel
 frames through flat views shifted from its north-west neighbour, widens
-them once to the work dtype and sums them. Pixels on the first or last row
-or column are gathered again with clamped rows and columns, which is what
-the edge-replicated pad gives. Both paths give the same integers.
+them once to int16 and sums them. Pixels on the first or last row or
+column are gathered again with clamped rows and columns, which is what the
+edge-replicated pad gives. Both paths give the same integers.
 Crossover on the benchmark's flicker VGA scene, noise floor varied (p50
 per frame with the path forced each way, mean of two runs of 288 frames;
 2-vCPU Intel Xeon, Python 3.11, numpy 2.4, glibc malloc thresholds
@@ -46,31 +45,29 @@ pinned); the two cost the same near 9%:
         25.1%             5.61 ms          3.93 ms
         48.4%            10.28 ms          5.83 ms
 
-Work buffers are fixed by (frame shape, work dtype, block size); each
-thread keeps the buffers of the last key it extracted and rebuilds them
-when the key changes. They are the difference, mask, padded sum,
-full-frame gradient and scratch frames (the max and min of the two frames
-live in the scratch and difference frames until the mask is made), a
-per-pixel table of block slots in place of row, column and block
-arithmetic, and active-pixel buffers. The neighbour path keeps its
-gathers and their sums in the padded-sum and gradient frames, which only
-the full-frame path uses. A VGA uint8 extractor reserves about 16 MB. A
-frame on the full-frame path writes about 4.6 MB of it, and one on the
-neighbour path about 2.2 MB; each active pixel adds about 37 bytes, and
-about 34 more on the neighbour path (about 10 MB with half the pixels
-active).
+Work buffers are fixed by (frame shape, block size); each thread keeps the
+buffers of the last key it extracted and rebuilds them when the key
+changes. They are the difference, mask, padded sum, full-frame gradient and
+scratch frames (the max and min of the two frames live in the scratch and
+difference frames until the mask is made), a per-pixel table of block slots
+in place of row, column and block arithmetic, and active-pixel buffers. The
+neighbour path keeps its gathers and their sums in the padded-sum and
+gradient frames, which only the full-frame path uses. A VGA extractor
+reserves about 16 MB. A frame on the full-frame path writes about 4.6 MB of
+it, and one on the neighbour path about 2.2 MB; each active pixel adds
+about 37 bytes, and about 34 more on the neighbour path (about 10 MB with
+half the pixels active).
 Returned arrays are always fresh: they never alias these buffers, so a
 later call, in any thread or in a forked process, cannot change an
 earlier result.
 
-On integer frames the gradient arithmetic is exact. The Sobel gradient of
-the sum frame is an integer pair with |gx|, |gy| <= 2040; its magnitude is
-the correctly rounded ``sqrt`` of the exact int32 sum gx**2 + gy**2, and
-its direction bin comes from an exact octant test instead of ``atan2``:
-the vector lies within 22.5 degrees of the x-axis iff (|gx| + |gy|)**2 <
-2 gx**2, and of the y-axis iff (|gx| + |gy|)**2 < 2 gy**2. Those two flags
-and the signs of the motion vector index a 16-entry lookup of the bin.
-Float frames take the same arithmetic in float64.
+The gradient arithmetic is exact. The Sobel gradient of the sum frame is
+an integer pair with |gx|, |gy| <= 2040; its magnitude is the correctly
+rounded ``sqrt`` of the exact int32 sum gx**2 + gy**2, and its direction
+bin comes from an exact octant test instead of ``atan2``: the vector lies
+within 22.5 degrees of the x-axis iff (|gx| + |gy|)**2 < 2 gx**2, and of
+the y-axis iff (|gx| + |gy|)**2 < 2 gy**2. Those two flags and the signs
+of the motion vector index a 16-entry lookup of the bin.
 """
 
 from __future__ import annotations
@@ -117,10 +114,11 @@ _NEIGHBOURS = np.array(
 
 @dataclass(frozen=True)
 class GrayFrame:
-    """Single grayscale frame, row-major luminance in [0, 255].
+    """Single grayscale frame of 8-bit luminance.
 
-    Pixels must be real numbers, finite and within [0, 255]; anything else
-    is rejected here rather than turning into NaN densities downstream.
+    Pixels must be integers (or bools) within [0, 255]; anything else,
+    floats included, is rejected here. They are held as a C-contiguous
+    uint8 array, which an array that already is one becomes without a copy.
     """
 
     pixels: np.ndarray
@@ -130,12 +128,11 @@ class GrayFrame:
         px = np.asarray(self.pixels)
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
             raise RejectedInputError(f"expected 2-D pixel array, got shape {px.shape}")
-        if px.dtype.kind not in "biuf":
-            raise RejectedInputError(f"pixels must be real numbers, got dtype {px.dtype}")
-        # NaN fails both comparisons, so this also rejects non-finite pixels.
+        if px.dtype.kind not in "biu":
+            raise RejectedInputError(f"pixels must be integers, got dtype {px.dtype}")
         if px.dtype != np.uint8 and not (px.min() >= 0 and px.max() <= 255):
-            raise RejectedInputError("pixels must be finite and within [0, 255]")
-        object.__setattr__(self, "pixels", px)
+            raise RejectedInputError("pixels must be within [0, 255]")
+        object.__setattr__(self, "pixels", np.ascontiguousarray(px, np.uint8))
 
 
 
@@ -157,8 +154,12 @@ class MotionFrame:
     timestamp_ms: int = 0
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.density, dtype=np.float64)
-        h = np.asarray(self.dir_hist, dtype=np.float64)
+        d, h = np.asarray(self.density), np.asarray(self.dir_hist)
+        if d.dtype.kind not in "biuf" or h.dtype.kind not in "biuf":
+            raise RejectedInputError(
+                f"density and dir_hist must be real numbers, got dtypes {d.dtype} and {h.dtype}"
+            )
+        d, h = d.astype(np.float64, copy=False), h.astype(np.float64, copy=False)
         if d.ndim != 2 or d.size == 0:
             raise RejectedInputError(f"density must be a non-empty 2-D grid, got shape {d.shape}")
         if h.shape not in (d.shape + (N_DIR_BINS,), d.shape + (0,)):
@@ -245,25 +246,24 @@ def extract_motion(
 ) -> MotionFrame:
     """Reduce a frame pair to block-motion features.
 
-    The cost is a few passes over the frame in the pixel dtype (maximum,
-    minimum and threshold) plus work proportional to the number of
-    *active* pixels, those with ``|curr - prev| >= noise_floor``: only they
-    get a direction and a block vote. When more than one pixel in eleven
-    is active, their Sobel gradients are gathered from a gradient computed
-    over the whole frame in a few more passes; otherwise they are built
-    from each pixel's eight neighbours in the two frames (see the module
-    docstring for the crossover). ``noise_floor=0`` makes every pixel
-    active. Integer pixel arrays are thresholded in ``uint8`` and their
-    gradients computed in ``int16``, so the gradients are exact and both
-    paths give the same bits; other dtypes use ``float64``. The gradient
+    The cost is a few passes over the frame in uint8 (maximum, minimum and
+    threshold) plus work proportional to the number of *active* pixels,
+    those with ``|curr - prev| >= noise_floor``: only they get a direction
+    and a block vote. When more than one pixel in eleven is active, their
+    Sobel gradients are gathered from a gradient computed over the whole
+    frame in a few more passes; otherwise they are built from each pixel's
+    eight neighbours in the two frames (see the module docstring for the
+    crossover). ``noise_floor=0`` makes every pixel active. Pixels are
+    thresholded in ``uint8`` and gradients computed in ``int16``, so the
+    gradients are exact and both paths give the same bits. The gradient
     magnitude is the square root of the exact sum of squares, and the
     direction bin is the octant of the motion vector from integer
     comparisons, equal to ``round(atan2(vy, vx) / 45 deg) mod 8``.
 
-    Each thread keeps the work buffers of its last (frame shape, work
-    dtype, block size), so repeated calls on one stream allocate little;
-    the returned arrays are always fresh and never share memory with them
-    or with an earlier result.
+    Each thread keeps the work buffers of its last (frame shape, block
+    size), so repeated calls on one stream allocate little; the returned
+    arrays are always fresh and never share memory with them or with an
+    earlier result.
 
     Parameters
     ----------
@@ -293,14 +293,10 @@ def extract_motion(
     h, w = curr.pixels.shape
     # From max(h, w) on, one block covers the frame: keep huge ints out of numpy.
     block_size = min(block_size, max(h, w))
-    integral = prev.pixels.dtype.kind in "biu" and curr.pixels.dtype.kind in "biu"
-    work = np.dtype(np.int16 if integral else np.float64)
-    # Differences are at most 255, so a floor past 256 selects what 256 does;
-    # integer ones are whole numbers, so the rounded-up floor selects the same.
-    floor = math.ceil(min(noise_floor, 256.0)) if integral else min(noise_floor, 256.0)
-    density, dir_hist = _extractor(h, w, work, block_size).extract(
-        prev.pixels, curr.pixels, floor
-    )
+    # Differences are whole numbers at most 255, so a floor past 256 selects
+    # what 256 does, and the rounded-up floor selects the same pixels.
+    floor = math.ceil(min(noise_floor, 256.0))
+    density, dir_hist = _extractor(h, w, block_size).extract(prev.pixels, curr.pixels, floor)
     return MotionFrame._wrap(density, dir_hist, curr.timestamp_ms)
 
 
@@ -308,43 +304,40 @@ def extract_motion(
 _local = threading.local()
 
 
-def _extractor(h: int, w: int, work: np.dtype, block_size: int) -> "_Extractor":
+def _extractor(h: int, w: int, block_size: int) -> "_Extractor":
     """This thread's extractor, rebuilt when the key differs from the last."""
     extractor = getattr(_local, "extractor", None)
-    if extractor is None or extractor.key != (h, w, work, block_size):
-        extractor = _local.extractor = _Extractor(h, w, work, block_size)
+    if extractor is None or extractor.key != (h, w, block_size):
+        extractor = _local.extractor = _Extractor(h, w, block_size)
     return extractor
 
 
 class _Extractor:
-    """Buffers and indices fixed by the frame shape, the work dtype and the
-    block size.
+    """Buffers and indices fixed by the frame shape and the block size.
 
-    The activity mask is computed in the pixel dtype: uint8 for integer
-    frames, float64 otherwise. A per-pixel table of each pixel's first
-    (block, octant key) slot replaces the row, column and block arithmetic.
-    Active-pixel arrays are the first n entries of buffers sized for a fully
-    active frame, and the neighbour path's gathers the first n columns of
-    rows sized for its largest active count; the extractor never writes
-    pages a scene does not reach.
+    The activity mask is computed in uint8, the gradients in int16. A
+    per-pixel table of each pixel's first (block, octant key) slot replaces
+    the row, column and block arithmetic. Active-pixel arrays are the first
+    n entries of buffers sized for a fully active frame, and the neighbour
+    path's gathers the first n columns of rows sized for its largest active
+    count; the extractor never writes pages a scene does not reach.
     """
 
-    def __init__(self, h: int, w: int, work: np.dtype, block_size: int):
-        self.key = (h, w, work, block_size)
+    def __init__(self, h: int, w: int, block_size: int):
+        self.key = (h, w, block_size)
         self.h, self.w = h, w
         n = h * w
-        self.pixel = np.dtype(np.uint8 if work.kind == "i" else np.float64)
-        self._diff = np.empty((h, w), work)
+        self._diff = np.empty((h, w), np.int16)
         self._mask = np.empty((h, w), bool)
-        self._sum = np.empty((h + 2, w + 2), work)
-        self._gx = np.empty((h, w), work)
-        self._gy = np.empty((h, w), work)
+        self._sum = np.empty((h + 2, w + 2), np.int16)
+        self._gx = np.empty((h, w), np.int16)
+        self._gy = np.empty((h, w), np.int16)
         # Holds max(prev, curr), then each separable Sobel's smoothing.
-        self._scratch = np.empty(max(h * (w + 2), (h + 2) * w), work)
+        self._scratch = np.empty(max(h * (w + 2), (h + 2) * w), np.int16)
         # min(prev, curr) goes in the difference frame, which the full-frame
         # path fills only after the mask.
-        self._high = self._scratch.view(self.pixel)[:n].reshape(h, w)
-        self._low = self._diff.view(self.pixel).reshape(-1)[:n].reshape(h, w)
+        self._high = self._scratch.view(np.uint8)[:n].reshape(h, w)
+        self._low = self._diff.view(np.uint8).reshape(-1)[:n].reshape(h, w)
 
         grid_h = -(-h // block_size)
         grid_w = -(-w // block_size)
@@ -361,12 +354,12 @@ class _Extractor:
         ).astype(np.float64)
         self._bin_counts = np.repeat(self.counts[..., None], N_DIR_BINS, axis=2)
 
-        self._active_gx = np.empty(n, work)
-        self._active_gy = np.empty(n, work)
-        self._active_diff = np.empty(n, work)
+        self._active_gx = np.empty(n, np.int16)
+        self._active_gy = np.empty(n, np.int16)
+        self._active_diff = np.empty(n, np.int16)
         self._active_slot = np.empty(n, index)
         self._negative = np.empty(n, bool)
-        self._octant = _octant_buffers(n, np.int32 if work.kind == "i" else np.float64)
+        self._octant = _octant_buffers(n)
 
         # Frames of at most one active pixel in _FULL_FRAME_ONE_IN take the
         # neighbour path. Its gathers from each frame and their sums live in
@@ -376,18 +369,17 @@ class _Extractor:
         self._shifts = [int(dr) * w + int(dc) for dr, dc in _NEIGHBOURS]
         k = len(_NEIGHBOURS)
         self._near = tuple(
-            frame.view(self.pixel).reshape(-1)[: k * m].reshape(k, m)
+            frame.view(np.uint8).reshape(-1)[: k * m].reshape(k, m)
             for frame in (self._sum, self._gy)
         )
         self._near_sum = self._gx.reshape(-1)[: (k - 1) * m].reshape(k - 1, m)
 
     def extract(
-        self, prev: np.ndarray, curr: np.ndarray, floor: float
+        self, prev: np.ndarray, curr: np.ndarray, floor: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(density, dir_hist) of a frame pair, as fresh arrays."""
-        prev = np.ascontiguousarray(prev, self.pixel)
-        curr = np.ascontiguousarray(curr, self.pixel)
-        # max - min is |curr - prev|, exact in the pixel dtype.
+        """(density, dir_hist) of a C-contiguous uint8 frame pair, as fresh
+        arrays."""
+        # max - min is |curr - prev|, exact in uint8.
         high = np.maximum(prev, curr, out=self._high)
         high -= np.minimum(prev, curr, out=self._low)
         active = np.flatnonzero(np.greater_equal(high, floor, out=self._mask))
@@ -437,10 +429,9 @@ class _Extractor:
     ) -> None:
         """Write the Sobel gradient of the sum frame (twice that of the mean
         frame) and ``curr - prev`` at the active pixels into ``gx``, ``gy``
-        and ``signed``, from a separable Sobel over the whole frame in the
-        work dtype: gx is the horizontal difference of the [1, 2, 1]
-        vertical smoothing, gy the vertical difference of the horizontal
-        one."""
+        and ``signed``, from a separable Sobel over the whole frame in
+        int16: gx is the horizontal difference of the [1, 2, 1] vertical
+        smoothing, gy the vertical difference of the horizontal one."""
         h, w = self.h, self.w
         np.subtract(curr, prev, out=self._diff, dtype=self._diff.dtype)
         # The edges are copied by hand: ``np.pad`` costs about 50 us more
@@ -515,7 +506,7 @@ class _Extractor:
             near[0][:, at] = prev[index]
             near[1][:, at] = curr[index]
 
-        # Neighbour sums, widened once to the work dtype, then their
+        # Neighbour sums, widened once to int16, then their
         # differences a = se - nw, b = ne - sw, east - west and south -
         # north: gx = a + b + 2 (east - west), gy = a - b + 2 (south -
         # north).
@@ -531,11 +522,11 @@ class _Extractor:
         np.subtract(near[1][-1], near[0][-1], out=signed, dtype=signed.dtype)
 
 
-def _octant_buffers(n: int, wide: type) -> tuple[np.ndarray, ...]:
+def _octant_buffers(n: int) -> tuple[np.ndarray, ...]:
     """Work arrays for :func:`_magnitude_and_octant` on up to ``n``
-    gradients: four in ``wide``, the magnitudes, a mask and the keys."""
+    gradients: four in int32, the magnitudes, a mask and the keys."""
     return (
-        *(np.empty(n, wide) for _ in range(4)),
+        *(np.empty(n, np.int32) for _ in range(4)),
         np.empty(n, np.float64),
         np.empty(n, bool),
         np.empty(n, np.uint8),
@@ -552,7 +543,7 @@ def _magnitude_and_octant(
     ``(vx, vy) = (-sign * gx, sign * gy)``, where ``negative`` marks the
     pixels whose sign is negative.
 
-    Integer gradients (|gx|, |gy| <= 2040) are squared in int32, so the
+    The int16 gradients (|gx|, |gy| <= 2040) are squared in int32, so the
     magnitude ``sqrt(gx**2 + gy**2)`` is the correctly rounded root of an
     exact sum. The key is ``8 * near_x + 4 * near_y + 2 * (vx > 0) +
     (vy > 0)`` as uint8, and ``_OCTANT[key]`` is the direction bin,
@@ -562,8 +553,7 @@ def _magnitude_and_octant(
     likewise for the y-axis. tan(22.5 deg) is irrational, so no integer
     gradient lies on a bin edge and the test is exact. A sign bit is
     arbitrary where its component is zero; the vector is then near the
-    other axis (or zero), whose bins ignore that bit. Float gradients go
-    through the same arithmetic in float64.
+    other axis (or zero), whose bins ignore that bit.
 
     ``buffers`` (from :func:`_octant_buffers`, at least ``len(gx)`` long)
     receive the work and the results, which are views of them. The inputs

@@ -18,9 +18,9 @@ density range, [0, 65504], at ingest, so every minute's mean density fits
 the store's float16 records.
 
 Settings come from a ``Config`` whose frozen sections checked them when
-built. A given ``store`` must be on the camera's grid and have the
-config's decay span (``filter.t_l2_days``): the config alone decides how
-it learns.
+built. A given ``store`` must be the camera's own (same camera id), on
+the camera's grid and have the config's decay span (``filter.t_l2_days``):
+the config alone decides how it learns.
 
 The pipeline also owns the detector policy of the hybrid system, where
 the gate spends an expensive detector only on activity. On a decision
@@ -99,10 +99,13 @@ class CameraPipeline:
         self._stride = self.params.stride  # a rounded division; params are frozen
         self.cascade = CascadeFilter(grid_w, grid_h, self.params)
         span = self.params.t_l2_days
-        if store is not None and (store.grid_w, store.grid_h, store.t_l2_days) != (grid_w, grid_h, span):
+        if store is not None and (store.camera_id, store.grid_w, store.grid_h, store.t_l2_days) != (
+            camera_id, grid_w, grid_h, span
+        ):
             raise InvalidParameterError(
-                f"store grid {store.grid_w}x{store.grid_h} and decay span {store.t_l2_days} days "
-                f"do not match camera grid {grid_w}x{grid_h} and config span {span} days"
+                f"store grid {store.grid_w}x{store.grid_h}, decay span {store.t_l2_days} days and "
+                f"camera id {store.camera_id!r} do not match camera grid {grid_w}x{grid_h}, "
+                f"config span {span} days and camera id {camera_id!r}"
             )
         self.store = store or IsochronalStore(camera_id, grid_w, grid_h, t_l2_days=span)
         self.gate = EventGate(camera_id, config.events, self.params.shortterm_rate)

@@ -498,7 +498,9 @@ def _search(
 @dataclass
 class CostMap:
     """Occupancy cost grid: 0 free .. 254 lethal, 255 unknown. A non-finite
-    origin would put every block off the map, so it is refused."""
+    origin would put every block off the map, and a cell that is not an
+    integer in [0, 255] would wrap or round into another cost, so both are
+    refused."""
 
     resolution_m: float
     origin_x: float
@@ -509,10 +511,14 @@ class CostMap:
         checked("resolution_m", self.resolution_m, above=True)
         checked("origin_x", self.origin_x, -sys.float_info.max)
         checked("origin_y", self.origin_y, -sys.float_info.max)
-        c = np.asarray(self.cells, dtype=np.uint8)
+        c = np.asarray(self.cells)
         if c.ndim != 2:
             raise RejectedInputError(f"cost grid must be 2-D, got shape {c.shape}")
-        self.cells = c
+        if c.dtype.kind not in "biu":
+            raise RejectedInputError(f"cost cells must be integers, got dtype {c.dtype}")
+        if c.dtype != np.uint8 and c.size and not (c.min() >= 0 and c.max() <= 255):
+            raise RejectedInputError("cost cells must be within [0, 255]")
+        self.cells = c.astype(np.uint8, copy=False)
 
 
 def write_costmap(map_: CostMap, pgm_path: str | Path, yaml_path: str | Path) -> None:
@@ -589,7 +595,7 @@ def splat_activity(
     of 1 or more is lethal. Blocks falling outside the map
     are skipped and counted. The combined map is the element-wise max of
     the static and activity layers. Every camera's homography is checked
-    before any density: a missing or non-finite homography, then a
+    before any density: a missing, non-real or non-finite homography, then a
     non-finite density, is rejected naming the first such camera in sorted
     order, before anything is projected. Block cells come from a cache
     (see the module docstring).
@@ -599,7 +605,10 @@ def splat_activity(
     for cam_id, frame in cameras:
         if cam_id not in homographies:
             raise RejectedInputError(f"no homography for {cam_id}")
-        h = np.asarray(homographies[cam_id], dtype=np.float64)
+        h = np.asarray(homographies[cam_id])
+        if h.dtype.kind not in "biuf":
+            raise RejectedInputError(f"homography for {cam_id} must be real numbers, got dtype {h.dtype}")
+        h = h.astype(np.float64, copy=False)
         if h.shape != (3, 3):
             raise RejectedInputError(f"homography for {cam_id} must be 3x3, got {h.shape}")
         if not np.isfinite(h).all():

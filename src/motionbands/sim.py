@@ -60,10 +60,7 @@ def gen_daily_profile(template: str, amplitude: float = 1.0) -> np.ndarray:
         ]
         xs = [a[0] for a in anchors]
         ys = [a[1] for a in anchors]
-        profile = np.interp(minutes, xs, ys, left=0.0, right=0.0)
-        profile[minutes < xs[0]] = 0.0
-        profile[minutes > xs[-1]] = 0.0
-        return amplitude * profile
+        return amplitude * np.interp(minutes, xs, ys, left=0.0, right=0.0)
     if template == "university":
         profile = np.zeros(1440)
         in_day = (minutes >= 480) & (minutes < 1080)  # 08:00-18:00
@@ -71,8 +68,7 @@ def gen_daily_profile(template: str, amplitude: float = 1.0) -> np.ndarray:
         bursts = np.zeros(1440)
         for hour_start in range(480, 1080, 60):
             # Burst around each hour change, ~10 minutes wide.
-            center = hour_start
-            bursts += np.exp(-0.5 * ((minutes - center) / 5.0) ** 2)
+            bursts += np.exp(-0.5 * ((minutes - hour_start) / 5.0) ** 2)
         profile[in_day] = base + bursts[in_day]
         return amplitude * profile
     raise InvalidParameterError(

@@ -58,8 +58,10 @@ class V3Store:
     oracle for the float16 store: float32 means and variances, each
     widened, blended in float64 and rounded once to float32 when stored,
     with the dated-sample rule. It keeps only what ``CameraPipeline``
-    reads, ``update`` and ``scalar_stats``, without input checks, caches
-    or files."""
+    reads: the camera id, grid and decay span it checks, ``update`` and
+    ``scalar_stats``, without input checks, caches or files."""
+
+    camera_id = "cam0"
 
     def __init__(self, grid_w: int, grid_h: int, t_l2_days: float):
         self.grid_w, self.grid_h, self.t_l2_days = grid_w, grid_h, float(t_l2_days)

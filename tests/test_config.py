@@ -203,9 +203,8 @@ def test_good_scalars_still_pass():
     assert IsochronalStore("cam", np.int64(2), 2, np.float64(3.0)).t_l2_days == 3.0
     # A floor no pixel clears is a floor.
     moving = GrayFrame(np.full((4, 4), 255, np.uint8))
-    for pixels in (_PIXELS, GrayFrame(np.zeros((4, 4)))):
-        for floor in (math.inf, _PAST_FLOAT):
-            assert not extract_motion(pixels, moving, 2, floor).density.any()
+    for floor in (math.inf, _PAST_FLOAT):
+        assert not extract_motion(_PIXELS, moving, 2, floor).density.any()
     # A block past the frame is the whole frame, even past int64.
     assert extract_motion(_PIXELS, moving, 2**63).density.shape == (1, 1)
     assert Segment("s", "a", "b", 2.5, base_cost=None).traversal_cost == 2.5

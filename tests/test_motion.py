@@ -210,13 +210,10 @@ def _frame_pairs(draw):
     h = draw(st.integers(1, 70))
     w = draw(st.integers(1, 90))
     kind = draw(st.sampled_from(["identical", "sparse", "dense"]))
-    dtype = draw(st.sampled_from([np.uint8, np.float64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def pixels():
-        if dtype is np.uint8:
-            return rng.integers(0, 256, (h, w)).astype(np.uint8)
-        return rng.uniform(0, 255, (h, w))
+        return rng.integers(0, 256, (h, w)).astype(np.uint8)
 
     prev = pixels()
     if kind == "identical":
@@ -453,8 +450,8 @@ class TestSobelPaths:
 
 
 class TestPixelLayouts:
-    """Any real pixel dtype and memory layout gives the contiguous uint8
-    result, bit for bit."""
+    """Any integer pixel dtype and memory layout gives the contiguous uint8
+    result, bit for bit; float pixels are refused."""
 
     @pytest.fixture(params=[0.02, 0.5], ids=["sparse", "dense"])
     def pair(self, request):
@@ -485,9 +482,10 @@ class TestPixelLayouts:
         assert flipped[0].strides[0] < 0
         _assert_same(_extract(*flipped), want)
 
-    def test_mixed_uint8_and_float_pair(self, pair):
-        prev, curr = pair
-        _assert_same(_extract(prev, curr.astype(np.float64)), _extract(prev, curr))
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_float_frames_refused(self, pair, dtype):
+        with pytest.raises(RejectedInputError, match="integers"):
+            GrayFrame(pair[1].astype(dtype))
 
 
 def _jumps(shape, where, seed):
@@ -582,7 +580,7 @@ class TestNeighbourPathEdges:
         assert (np.count_nonzero(want[0]) > 0) == (floor <= 255)
         _assert_same(_extract(prev, curr, 8, floor), want)
 
-    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, bool, np.float32])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, bool])
     def test_other_pixel_dtypes(self, dtype):
         shape = (36, 45)
         rng = np.random.default_rng(64)
@@ -705,8 +703,7 @@ SOBEL_SUM_MAX = 2040
 
 def _magnitude_and_key(gx, gy, negative):
     """``_magnitude_and_octant`` with fresh work buffers."""
-    wide = np.int32 if gx.dtype.kind == "i" else np.float64
-    return _magnitude_and_octant(gx, gy, negative, _octant_buffers(len(gx), wide))
+    return _magnitude_and_octant(gx, gy, negative, _octant_buffers(len(gx)))
 
 
 def _atan2_bins(vx, vy):
@@ -744,16 +741,6 @@ class TestGradientArithmetic:
             want = np.hypot(gx.astype(np.float64), gy.astype(np.float64))
             assert np.all(np.abs(magnitude - want) <= np.spacing(want))
 
-    def test_float_gradients_match_atan2_and_hypot(self):
-        rng = np.random.default_rng(17)
-        gx = rng.uniform(-SOBEL_SUM_MAX, SOBEL_SUM_MAX, 200_000)
-        gy = rng.uniform(-SOBEL_SUM_MAX, SOBEL_SUM_MAX, 200_000)
-        negative = rng.random(200_000) < 0.5
-        magnitude, key = _magnitude_and_key(gx, gy, negative)
-        sign = np.where(negative, -1.0, 1.0)
-        np.testing.assert_array_equal(_OCTANT[key], _atan2_bins(-sign * gx, sign * gy))
-        np.testing.assert_allclose(magnitude, np.hypot(gx, gy), rtol=1e-15, atol=0)
-
     def test_direction_bins_bit_identical_on_integer_frames(self):
         # One moving pixel per block isolates each pixel's bin in the
         # histogram; the reference bins it with atan2.
@@ -772,7 +759,7 @@ class TestGrayFrame:
     def test_bad_float_pixel_rejected(self, bad):
         px = np.full((4, 5), 100.0)
         px[2, 3] = bad
-        with pytest.raises(RejectedInputError):
+        with pytest.raises(RejectedInputError, match="must be integers, got dtype float64"):
             GrayFrame(px)
 
     @pytest.mark.parametrize("bad", [-1, 256])
@@ -787,8 +774,19 @@ class TestGrayFrame:
             GrayFrame(np.full((2, 2), 1 + 1j))
 
     def test_range_limits_accepted(self):
-        for px in (np.array([[0.0, 255.0]]), np.array([[0, 255]]), np.array([[True, False]])):
+        for px in (np.array([[0, 255]]), np.array([[True, False]])):
             assert GrayFrame(px).pixels.shape == (1, 2)
+        # Whole-numbered floats are floats all the same.
+        with pytest.raises(RejectedInputError, match="must be integers"):
+            GrayFrame(np.array([[0.0, 255.0]]))
+
+    def test_held_as_contiguous_uint8(self):
+        px = np.arange(20, dtype=np.uint8).reshape(4, 5)
+        assert GrayFrame(px).pixels is px
+        for other in (px.astype(np.int64), np.asfortranarray(px), px[::-1, ::-1], px > 9):
+            held = GrayFrame(other).pixels
+            assert held.dtype == np.uint8 and held.flags.c_contiguous
+            np.testing.assert_array_equal(held, other)
 
 
 class TestMotionFrame:
@@ -817,6 +815,23 @@ class TestMotionFrame:
     def test_negative_zero_accepted(self):
         f = MotionFrame(np.full((2, 3), -0.0), np.full((2, 3, 8), -0.0))
         assert f.in_density_range()
+
+    @pytest.mark.parametrize(
+        "bad", [[[None]], [["0.5"]], [[0.5 + 0j]]], ids=["object", "string", "complex"]
+    )
+    def test_non_real_arrays_rejected(self, bad):
+        # An object array became a NaN frame, a string one raised numpy's
+        # ValueError, and a complex one dropped its imaginary part with a
+        # ComplexWarning.
+        with pytest.raises(RejectedInputError, match="real numbers"):
+            MotionFrame(np.array(bad), np.zeros((1, 1, 0)))
+        with pytest.raises(RejectedInputError, match="real numbers"):
+            MotionFrame(np.zeros((1, 1)), np.array(bad)[..., None].repeat(8, axis=2))
+
+    def test_integer_and_bool_arrays_become_float64(self):
+        f = MotionFrame(np.array([[1, 2]], np.int64), np.zeros((1, 2, 8), bool))
+        assert f.density.dtype == f.dir_hist.dtype == np.float64
+        np.testing.assert_array_equal(f.density, [[1.0, 2.0]])
 
 
 # Float64 bit patterns at the edges of the fast check: quiet and signalling

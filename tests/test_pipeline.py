@@ -131,6 +131,16 @@ def test_store_with_another_decay_span_rejected_at_construction():
     assert pipe.store.t_l2_days == CameraPipeline("cam0", 5, 3, config).store.t_l2_days == 2.0
 
 
+@pytest.mark.parametrize("camera_id", ["camA", 7], ids=["other", "not a str"])
+def test_store_of_another_camera_rejected_at_construction(camera_id):
+    # Accepted, the gate labelled events with the pipeline's id while the
+    # store learned and saved under its own.
+    with pytest.raises(InvalidParameterError, match=f"'camB' do not match .* {camera_id!r}$"):
+        CameraPipeline(camera_id, 5, 4, Config(), store=IsochronalStore("camB", 5, 4))
+    pipe = CameraPipeline("camB", 5, 4, Config(), store=IsochronalStore("camB", 5, 4))
+    assert pipe.gate.camera_id == pipe.store.camera_id == "camB"
+
+
 def test_activity_is_the_value_the_gate_tested():
     pipe = CameraPipeline("cam0", 5, 4, Config())
     tested = None

@@ -1195,6 +1195,45 @@ class TestCostMap:
         combined, _ = splat_activity(m, {"cam0": frame}, {"cam0": h})
         assert combined.cells.max() == 254
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            np.array([[0, 300]]),
+            np.array([[0, -1]]),
+            np.array([[1.7, 0.0]]),
+            np.array([[254.9, 0.0]]),
+            np.array([[math.nan, 0.0]]),
+            np.array([[0.0, 255.0]]),
+            np.array([["1", "2"]]),
+            np.array([[None, 1]]),
+        ],
+        ids=["300", "-1", "1.7", "254.9", "nan", "whole floats", "strings", "object"],
+    )
+    def test_cells_it_cannot_hold_rejected(self, cells):
+        # The uint8 cast made 300 into 44 and -1 into 255 (unknown), cut
+        # 1.7 and 254.9 down to 1 and 254, and NaN into 0 with a warning.
+        with pytest.raises(RejectedInputError, match="cost cells"):
+            CostMap(0.5, 0.0, 0.0, cells)
+
+    def test_integer_cells_in_range_accepted(self):
+        cells = np.zeros((3, 4), np.uint8)
+        assert CostMap(0.5, 0.0, 0.0, cells).cells is cells
+        for other in (np.array([[0, 255]], np.int64), np.array([[True, False]]), np.zeros((0, 3), np.int16)):
+            m = CostMap(0.5, 0.0, 0.0, other)
+            assert m.cells.dtype == np.uint8
+            np.testing.assert_array_equal(m.cells, other)
+
+    @pytest.mark.parametrize(
+        "h", [np.full((3, 3), "1"), np.eye(3) + 1j, np.full((3, 3), None)], ids=["strings", "complex", "object"]
+    )
+    def test_non_real_homography_rejected_naming_camera(self, h):
+        m = CostMap(0.5, 0.0, 0.0, np.zeros((4, 4), dtype=np.uint8))
+        with pytest.raises(RejectedInputError, match="homography for cam0 must be real numbers"):
+            splat_activity(m, {"cam0": _frame([[0.2]])}, {"cam0": h})
+        # Integer homographies are real numbers.
+        combined, _ = splat_activity(m, {"cam0": _frame([[0.2]])}, {"cam0": np.eye(3, dtype=np.int64)})
+        assert combined.cells.max() == 51
+
     def test_duplicate_node_id_rejected(self):
         nodes = [Node("A", 0, 0), Node("B", 1, 0), Node("A", 5, 5)]
         with pytest.raises(RejectedInputError, match="duplicate node id 'A'"):
